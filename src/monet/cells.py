@@ -22,8 +22,9 @@ import numpy as np
 
 from .binio import (FormatError, check_magic, check_version, read_array,
                     read_str, read_u32, write_array, write_str, write_u32)
-from .tensor import (ShapeError, Tensor, add, add_rowvec, concat,
-                     group_softmax, matmul, mul, relu, sigmoid, split, tanh)
+from .tensor import (ShapeError, Tensor, add, add_rowvec, cat_rows, concat,
+                     group_softmax, matmul, mul, relu, shift_rows, sigmoid,
+                     split, tanh)
 
 FAMILIES = ("vanilla-rnn", "gru", "lstm", "bi-gru", "bi-lstm", "conv1d", "monet")
 
@@ -367,28 +368,47 @@ def _monet_base(pre_z: Tensor, pre_h: Tensor, ones: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # Sequence runners (lists of per-timestep row matrices)
 # ---------------------------------------------------------------------------
+# The expansion and convolution runners read only the previous pass's (or
+# stage's) outputs, so they run each pass over every position at once on a
+# time-major (T*N, d) matrix: row t*N + i holds sequence i at step t, and a
+# shift by N rows is a shift by one time step that never crosses sequences.
+
+def _time_major(xs: list[Tensor]) -> tuple[Tensor, int]:
+    """Per-timestep (N, d) inputs as one (T*N, d) matrix, plus N."""
+    if not xs or any(x.shape != xs[0].shape for x in xs):
+        raise ShapeError(f"need at least one step, all of one shape, got {[x.shape for x in xs]}")
+    return cat_rows(xs), xs[0].shape[0]
+
+
+def _per_step(m: Tensor, n: int) -> list[Tensor]:
+    return list(split(m, [n] * (m.shape[0] // n), axis=0))
+
+
+def _monet_rows(X: Tensor, n: int, p: MoNetParams, layers: int,
+                causal_only: bool) -> Tensor:
+    """The expansion over a time-major (T*n, d_x) matrix; the neighbours of
+    every position in a pass are the previous states shifted by one step,
+    zero past either end of the sequence."""
+    ones = Tensor(np.ones((X.shape[0], p.b_h.shape[0])))
+    pre_r = add_rowvec(matmul(X, p.W_r), p.b_r)
+    pre_z = add_rowvec(matmul(X, p.W_z), p.b_z)
+    pre_h = add_rowvec(matmul(X, p.W_h), p.b_h)
+    states = _monet_base(pre_z, pre_h, ones)
+    zero = Tensor(np.zeros(ones.shape))
+    for _ in range(layers):
+        left = shift_rows(states, n)
+        right = zero if causal_only else shift_rows(states, -n)
+        states = _monet_core(pre_r, pre_z, pre_h, left, right, ones, p).out
+    return states
+
 
 def monet_steps(xs: list[Tensor], p: MoNetParams, layers: int,
                 causal_only: bool = False) -> list[Tensor]:
     """Expand the shared unit over the sequence: one context-free base pass,
     then ``layers`` neighbor passes, so position t at the end depends on
     inputs t-layers..t+layers exactly (t-layers..t when causal_only)."""
-    n = xs[0].shape[0]
-    d_s = p.b_h.shape[0]
-    zero = Tensor(np.zeros((n, d_s)))
-    ones = Tensor(np.ones((n, d_s)))
-    pre_r = [add_rowvec(matmul(x, p.W_r), p.b_r) for x in xs]
-    pre_z = [add_rowvec(matmul(x, p.W_z), p.b_z) for x in xs]
-    pre_h = [add_rowvec(matmul(x, p.W_h), p.b_h) for x in xs]
-    states = [_monet_base(pre_z[t], pre_h[t], ones) for t in range(len(xs))]
-    for _ in range(layers):
-        prev = states
-        states = []
-        for t in range(len(xs)):
-            left = prev[t - 1] if t > 0 else zero
-            right = prev[t + 1] if (t + 1 < len(xs) and not causal_only) else zero
-            states.append(_monet_core(pre_r[t], pre_z[t], pre_h[t], left, right, ones, p).out)
-    return states
+    X, n = _time_major(xs)
+    return _per_step(_monet_rows(X, n, p, layers, causal_only), n)
 
 
 def stacked_steps(xs: list[Tensor], layer_params: list, family: str) -> list[Tensor]:
@@ -427,49 +447,41 @@ def bidir_steps(xs: list[Tensor], p: BidirParams, family: str) -> list[Tensor]:
     return out
 
 
-def conv1d_steps(xs: list[Tensor], p: Conv1dParams, causal_only: bool = False) -> list[Tensor]:
-    """Stacked temporal convolutions with zero padding (implicit: taps that
-    fall outside the sequence are skipped) and ReLU between stages only."""
-    seq = xs
+def _conv1d_rows(X: Tensor, n: int, p: Conv1dParams, causal_only: bool) -> Tensor:
+    """Stacked temporal convolutions over a time-major (T*n, d) matrix: tap
+    j of a stage reads the input shifted by (pad - j) steps, so positions
+    outside the sequence read zeros."""
     for idx, stage in enumerate(p.stages):
         k = len(stage.taps)
         pad = k - 1 if causal_only else (k - 1) // 2
-        out = []
-        for t in range(len(seq)):
-            acc = None
-            for j in range(k):
-                u = t + j - pad
-                if 0 <= u < len(seq):
-                    term = matmul(seq[u], stage.taps[j])
-                    acc = term if acc is None else add(acc, term)
-            out.append(add_rowvec(acc, stage.bias))
+        acc = None
+        for j, tap in enumerate(stage.taps):
+            term = matmul(shift_rows(X, (pad - j) * n), tap)
+            acc = term if acc is None else add(acc, term)
+        X = add_rowvec(acc, stage.bias)
         if idx + 1 < len(p.stages):
-            out = [relu(y) for y in out]
-        seq = out
-    return seq
+            X = relu(X)
+    return X
+
+
+def conv1d_steps(xs: list[Tensor], p: Conv1dParams, causal_only: bool = False) -> list[Tensor]:
+    """Stacked temporal convolutions with zero padding and ReLU between
+    stages only."""
+    X, n = _time_major(xs)
+    return _per_step(_conv1d_rows(X, n, p, causal_only), n)
 
 
 def monet_forward(X: Tensor, p: MoNetParams, layers: int, causal_only: bool = False) -> Tensor:
     """Single-sequence wrapper: (T, d_x) in, (T, d_s) out."""
-    xs = list(split(X, [1] * X.shape[0], axis=0))
-    return _cat_rows(monet_steps(xs, p, layers, causal_only))
+    return _monet_rows(X, 1, p, layers, causal_only)
 
 
 def conv1d_forward(X: Tensor, p: Conv1dParams, causal_only: bool = False) -> Tensor:
-    xs = list(split(X, [1] * X.shape[0], axis=0))
-    return _cat_rows(conv1d_steps(xs, p, causal_only))
+    return _conv1d_rows(X, 1, p, causal_only)
 
 
 def bidirectional_forward(X: Tensor, p: BidirParams, family: str) -> Tensor:
-    xs = list(split(X, [1] * X.shape[0], axis=0))
-    return _cat_rows(bidir_steps(xs, p, family))
-
-
-def _cat_rows(parts: list[Tensor]) -> Tensor:
-    out = parts[0]
-    for part in parts[1:]:
-        out = concat(out, part, axis=0)
-    return out
+    return cat_rows(bidir_steps(_per_step(X, 1), p, family))
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +534,7 @@ class Hallucinator:
         """(T, d_x) sequence in, (T, output_dim) sequence out."""
         if X.ndim != 2 or X.shape[1] != self.config.d_x:
             raise ShapeError(f"forward: need (T, {self.config.d_x}), got {X.shape}")
-        xs = list(split(X, [1] * X.shape[0], axis=0))
-        return _cat_rows(self.forward_steps(xs))
+        return cat_rows(self.forward_steps(_per_step(X, 1)))
 
     def tensors(self) -> list[Tensor]:
         out = collect_tensors(self.params)

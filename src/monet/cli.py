@@ -24,8 +24,8 @@ from .classify import (LinearClassifier, Prediction, classify, ensemble,
                        fit_linear_classifier, pooled_matrix, predictions_csv,
                        top1_accuracy)
 from .data import (FeatureRecord, SyntheticTaskSpec, dataset_manifest,
-                   generate_synthetic, read_dataset, write_dataset,
-                   write_manifest)
+                   generate_synthetic, read_dataset, read_dataset_header,
+                   write_dataset, write_manifest)
 from .gradcheck import check_family
 from .training import (LossConfig, TrainConfig, TrainingDiverged, evaluate,
                        hallucinate_array, records_arrays, train)
@@ -254,7 +254,7 @@ def cmd_hallucinate(args) -> int:
     out_records = [FeatureRecord(id=r.id, label=r.label, appearance=r.appearance,
                                  flow_target=halluc[i])
                    for i, r in enumerate(records)]
-    n_classes = 1 + max(r.label for r in records)
+    n_classes = read_dataset_header(args.data)["n_classes"]
     write_dataset(args.out, out_records, n_classes=n_classes)
     print(json.dumps({"out": args.out, "n_records": len(out_records)}))
     return 0

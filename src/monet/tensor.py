@@ -323,6 +323,45 @@ def split(a: Tensor, sizes: Sequence[int], axis: int = 0) -> tuple[Tensor, ...]:
     return outs
 
 
+def cat_rows(parts: Sequence[Tensor]) -> Tensor:
+    """Join 2-D tensors with equal column counts end to end along axis 0,
+    as one tape node however many parts there are."""
+    if not parts:
+        raise ShapeError("cat_rows: need at least one tensor")
+    # The first part is tested first, so parts[0].shape[1] exists when read.
+    if any(t.ndim != 2 or t.shape[1] != parts[0].shape[1] for t in parts):
+        raise ShapeError(f"cat_rows: need 2-D tensors with equal column counts, "
+                         f"got {[t.shape for t in parts]}")
+    out = _out(np.concatenate([t.data for t in parts]), parts)
+    _record("cat_rows", tuple(parts), (out,), (tuple(t.shape[0] for t in parts),))
+    return out
+
+
+def _shifted(a: np.ndarray, k: int) -> np.ndarray:
+    out = np.zeros_like(a)
+    n = a.shape[0]
+    if 0 <= k < n:
+        out[k:] = a[:n - k]
+    elif -n < k < 0:
+        out[:n + k] = a[-k:]
+    return out
+
+
+def shift_rows(x: Tensor, k: int) -> Tensor:
+    """Move every row of a 2-D tensor ``k`` places down (up for negative
+    ``k``): ``out[i] = x[i - k]``, with zero rows where ``i - k`` falls
+    outside.  A shift by ``|k| >= rows`` leaves nothing: all zeros.
+
+    On a time-major (T*N, d) matrix a shift by N rows moves every sequence
+    one step later without crossing into another sequence.
+    """
+    if x.ndim != 2:
+        raise ShapeError(f"shift_rows: need a 2-D tensor, got {x.shape}")
+    out = _out(_shifted(x.data, k), (x,))
+    _record("shift_rows", (x,), (out,), (k,))
+    return out
+
+
 def row(m: Tensor, i: int) -> Tensor:
     """Select row ``i`` of a 2-D tensor as a (D,) tensor."""
     if m.ndim != 2:
@@ -481,6 +520,18 @@ def _bw_split(node, gs):
     return (np.concatenate(parts, axis=axis),)
 
 
+def _bw_cat_rows(node, gs):
+    (g,) = gs
+    (sizes,) = node.saved
+    return np.split(g, np.cumsum(sizes)[:-1])
+
+
+def _bw_shift_rows(node, gs):
+    (g,) = gs
+    (k,) = node.saved
+    return (_shifted(g, -k),)
+
+
 def _bw_row(node, gs):
     (g,) = gs
     i, shape = node.saved
@@ -526,6 +577,8 @@ BACKWARD_RULES: dict[str, Callable] = {
     "reshape": _bw_reshape,
     "concat": _bw_concat,
     "split": _bw_split,
+    "cat_rows": _bw_cat_rows,
+    "shift_rows": _bw_shift_rows,
     "row": _bw_row,
     "stack_rows": _bw_stack_rows,
     "softmax": _bw_softmax,

@@ -26,7 +26,8 @@ PROB_SUM_TOL = 1e-9
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; message names the epoch and batch."""
+    """Loss or gradient norm became non-finite; message names the epoch and
+    batch, and no weight was updated from that batch."""
 
 
 @dataclasses.dataclass
@@ -140,11 +141,13 @@ def global_norm(grads: list[np.ndarray]) -> float:
 
 def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> tuple[list[np.ndarray], float]:
     """Scale every gradient by max_norm/norm when the joint L2 norm exceeds
-    max_norm; otherwise return them untouched.  Returns (grads, pre-norm)."""
+    max_norm; otherwise return them untouched.  Returns (grads, pre-norm).
+    A non-finite norm has no meaningful scale, so those gradients also come
+    back untouched; the caller must check the norm."""
     if max_norm <= 0:
         raise ValueError(f"max_norm must be > 0, got {max_norm}")
     norm = global_norm(grads)
-    if norm <= max_norm:
+    if norm <= max_norm or not np.isfinite(norm):
         return grads, norm
     factor = max_norm / norm
     return [g * factor for g in grads], norm
@@ -195,12 +198,21 @@ def records_arrays(records: list[FeatureRecord]) -> tuple[np.ndarray, np.ndarray
     return app, flow, labels
 
 
+# Sequences per forward call in ``hallucinate_array``.  A batched pass holds
+# a few dozen (T * block, d) intermediates at once, so blocking keeps the
+# working set fixed however many records a file or validation set has.
+_HALLUCINATE_BLOCK = 64
+
+
 def hallucinate_array(model: Hallucinator, app: np.ndarray) -> np.ndarray:
     """Run the model over a stacked (n, T, d_x) batch, returning
     (n, T, output_dim).  Nothing is recorded."""
-    xs = [Tensor(np.ascontiguousarray(app[:, t, :])) for t in range(app.shape[1])]
-    ys = model.forward_steps(xs)
-    return np.stack([y.data for y in ys], axis=1)
+    out = []
+    for start in range(0, app.shape[0], _HALLUCINATE_BLOCK):
+        block = app[start:start + _HALLUCINATE_BLOCK]
+        xs = [Tensor(np.ascontiguousarray(block[:, t, :])) for t in range(block.shape[1])]
+        out.append(np.stack([y.data for y in model.forward_steps(xs)], axis=1))
+    return np.concatenate(out)
 
 
 @dataclasses.dataclass
@@ -308,7 +320,10 @@ def train(model: Hallucinator, train_records: list[FeatureRecord],
                 p.zero_grad()
             tape.backward(loss)
             grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
-            grads, _ = clip_global_norm(grads, cfg.clip_norm)
+            grads, norm = clip_global_norm(grads, cfg.clip_norm)
+            if not np.isfinite(norm):
+                raise TrainingDiverged(f"non-finite gradient norm in epoch {epoch}, "
+                                       f"batch {start // cfg.batch_size}")
             optimizer.step(params, grads, lr)
             loss_sum += value * len(idx)
         val = evaluate(model, val_records, clf)

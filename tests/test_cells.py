@@ -10,10 +10,12 @@ from monet.binio import BadMagicError, FormatError, TruncatedError, VersionError
 from monet.cells import (BidirParams, CellConfig, Conv1dParams, ConvStage,
                          Hallucinator, MoNetParams, collect_tensors,
                          count_params, gru_step, init_bidir, init_gru,
-                         init_lstm, init_monet, lstm_step, match_params,
-                         monet_forward, monet_unit, bidirectional_forward,
-                         conv1d_forward)
-from monet.tensor import (Tape, Tensor, finite_diff_grad, jacobian, matmul,
+                         init_conv1d, init_lstm, init_monet, lstm_step,
+                         match_params, monet_forward, monet_steps,
+                         monet_unit, bidirectional_forward, conv1d_forward,
+                         conv1d_steps)
+from monet.tensor import (ShapeError, Tape, Tensor, cat_rows,
+                          finite_diff_grad, jacobian, matmul, mul,
                           relative_error, tsum)
 
 
@@ -255,6 +257,60 @@ def test_monet_parameter_set_is_depth_independent():
         np.testing.assert_array_equal(a.data, b.data)
 
 
+def _monet_unit_loop(xs, p, layers, causal_only):
+    """The expansion as T separate unit calls per pass, zero states at the
+    sequence ends."""
+    zero = Tensor(np.zeros((xs[0].shape[0], p.b_h.shape[0])))
+    states = [monet_unit(x, zero, zero, p).out for x in xs]
+    for _ in range(layers):
+        states = [monet_unit(xs[t], states[t - 1] if t > 0 else zero,
+                             states[t + 1] if t + 1 < len(xs) and not causal_only else zero,
+                             p).out
+                  for t in range(len(xs))]
+    return states
+
+
+@pytest.mark.parametrize("causal_only", [False, True])
+@pytest.mark.parametrize("layers", [1, 3])
+@pytest.mark.parametrize("t_len", [1, 2, 5])
+def test_monet_steps_matches_per_step_unit_loop(t_len, layers, causal_only):
+    rng = np.random.default_rng(14)
+    p = init_monet(3, 4, rng)
+    xs = [Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True) for _ in range(t_len)]
+    weights = [Tensor(rng.uniform(-1, 1, (3, 4))) for _ in range(t_len)]
+    grads = []
+    for run in (monet_steps, _monet_unit_loop):
+        for x in xs:
+            x.zero_grad()
+        with Tape() as tape:
+            outs = run(xs, p, layers, causal_only)
+            loss = tsum(cat_rows([mul(o, w) for o, w in zip(outs, weights)]))
+        tape.backward(loss)
+        grads.append(([o.data for o in outs], [x.grad for x in xs]))
+    (batched, batched_g), (looped, looped_g) = grads
+    for a, b in zip(batched + batched_g, looped + looped_g):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", ["monet", "conv1d"])
+def test_time_parallel_tape_size_does_not_depend_on_length(family):
+    model = Hallucinator.build(CellConfig(family=family, d_x=3, d_s=4, layers=3),
+                               np.random.default_rng(15))
+    sizes = set()
+    for t_len in (1, 4, 20):
+        xs = [Tensor(np.ones((2, 3))) for _ in range(t_len)]
+        with Tape() as tape:
+            model.forward_steps(xs)
+        sizes.add(len(tape))
+    assert len(sizes) == 1, sizes
+
+
+def test_monet_steps_rejects_ragged_steps():
+    p = init_monet(3, 4, np.random.default_rng(16))
+    with pytest.raises(ShapeError):
+        monet_steps([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))], p, 1)
+
+
 # -- Bidirectional wrappers -------------------------------------------------
 
 def test_bidir_zero_backward_params_equals_forward_branch():
@@ -369,6 +425,37 @@ def test_conv1d_gradient_matches_finite_differences():
             leaf.data = keep
 
     assert relative_error(leaf.grad, finite_diff_grad(f, Tensor(leaf.data.copy()))) < 1e-5
+
+
+def _conv1d_tap_loop(xs, p, causal_only):
+    """Reference convolution in numpy: per step, a sum over the taps that
+    land inside the sequence."""
+    seq = [x.data for x in xs]
+    for idx, stage in enumerate(p.stages):
+        k = len(stage.taps)
+        pad = k - 1 if causal_only else (k - 1) // 2
+        out = []
+        for t in range(len(seq)):
+            acc = stage.bias.data.copy()
+            for j in range(k):
+                if 0 <= t + j - pad < len(seq):
+                    acc = acc + seq[t + j - pad] @ stage.taps[j].data
+            out.append(np.maximum(acc, 0.0) if idx + 1 < len(p.stages) else acc)
+        seq = out
+    return seq
+
+
+@pytest.mark.parametrize("causal_only", [False, True])
+@pytest.mark.parametrize("layers,kernel", [(1, 3), (3, 3), (2, 5)])
+@pytest.mark.parametrize("t_len", [1, 2, 5])
+def test_conv1d_steps_matches_per_tap_loop(t_len, layers, kernel, causal_only):
+    rng = np.random.default_rng(35)
+    p = init_conv1d(3, 4, layers=layers, kernel=kernel, rng=rng)
+    for stage in p.stages:
+        stage.bias.data = rng.uniform(-0.5, 0.5, stage.bias.shape)
+    xs = [Tensor(rng.uniform(-1, 1, (3, 3))) for _ in range(t_len)]
+    for got, want in zip(conv1d_steps(xs, p, causal_only), _conv1d_tap_loop(xs, p, causal_only)):
+        np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
 
 # -- Parameter accounting ---------------------------------------------------

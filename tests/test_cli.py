@@ -9,7 +9,7 @@ import pytest
 
 from monet.cells import CellConfig, Hallucinator, flops_per_step
 from monet.cli import main
-from monet.data import read_dataset
+from monet.data import read_dataset, read_dataset_header, write_dataset
 
 TASK = dict(n_classes=3, seq_len=8, d_x=6, d_s=4, n_train=24, n_val=9,
             noise_sigma=0.05, seed=1)
@@ -235,6 +235,19 @@ def test_hallucinate_output_preserves_ids_and_appearance(trained_dir, capsys, tm
         assert p.id == s.id and p.label == s.label
         assert np.array_equal(p.appearance, s.appearance)
         assert not np.array_equal(p.flow_target, s.flow_target)
+
+
+def test_hallucinate_keeps_class_count_of_shard_without_top_class(trained_dir, capsys, tmp_path):
+    run_dir = trained_dir / "run"
+    records = [r for r in read_dataset(str(run_dir / "val.mofe")) if r.label < 2]
+    shard = tmp_path / "shard.mofe"
+    write_dataset(str(shard), records, n_classes=TASK["n_classes"])
+    out_path = tmp_path / "h.mofe"
+    code, _, _ = run(capsys, "hallucinate",
+                     "--checkpoint", str(run_dir / "checkpoint.monw"),
+                     "--data", str(shard), "--out", str(out_path))
+    assert code == 0
+    assert read_dataset_header(str(out_path))["n_classes"] == TASK["n_classes"] == 3
 
 
 # -- gradcheck ---------------------------------------------------------------

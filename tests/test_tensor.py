@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from monet.tensor import (BACKWARD_RULES, GradientError, ShapeError, Tape,
-                          Tensor, abs_, add, add_rowvec, backward, concat,
-                          elementwise, finite_diff_grad, group_softmax,
-                          jacobian, matmul, mul, pause_recording,
-                          relative_error, relu, reshape, row, sigmoid,
-                          softmax, split, stack_rows, sub, sum_axis0, tanh,
-                          transpose, tsum)
+                          Tensor, abs_, add, add_rowvec, backward, cat_rows,
+                          concat, elementwise, finite_diff_grad,
+                          group_softmax, jacobian, matmul, mul,
+                          pause_recording, relative_error, relu, reshape,
+                          row, shift_rows, sigmoid, softmax, split,
+                          stack_rows, sub, sum_axis0, tanh, transpose, tsum)
 
 
 def test_matmul_identity():
@@ -174,6 +174,60 @@ def test_concat_backward_splits_gradient():
     tape.backward(loss)
     np.testing.assert_array_equal(a.grad, [2.0, 4.0])
     np.testing.assert_array_equal(b.grad, [6.0])
+
+
+def test_cat_rows_value_and_gradient():
+    rng = np.random.default_rng(41)
+    parts = [Tensor(rng.uniform(-1, 1, (r, 3)), requires_grad=True) for r in (2, 1, 3)]
+    weights = Tensor(rng.uniform(-1, 1, (6, 3)))
+    with Tape() as tape:
+        out = cat_rows(parts)
+        loss = tsum(mul(out, weights))
+    np.testing.assert_array_equal(out.data, np.concatenate([t.data for t in parts]))
+    assert len(tape) == 3  # one node however many parts
+    tape.backward(loss)
+    for i, part in enumerate(parts):
+        def f(t, i=i):
+            return tsum(mul(cat_rows(parts[:i] + [t] + parts[i + 1:]), weights))
+        assert relative_error(part.grad, finite_diff_grad(f, part)) < 1e-8
+
+
+def test_cat_rows_errors():
+    with pytest.raises(ShapeError):
+        cat_rows([])
+    with pytest.raises(ShapeError):
+        cat_rows([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4)))])
+    with pytest.raises(ShapeError):
+        cat_rows([Tensor(np.ones(3))])
+
+
+def test_shift_rows_values():
+    x = Tensor(np.arange(10.0).reshape(5, 2))
+    np.testing.assert_array_equal(shift_rows(x, 2).data, [[0, 0], [0, 0], [0, 1], [2, 3], [4, 5]])
+    np.testing.assert_array_equal(shift_rows(x, -2).data, [[4, 5], [6, 7], [8, 9], [0, 0], [0, 0]])
+    np.testing.assert_array_equal(shift_rows(x, 0).data, x.data)
+    with pytest.raises(ShapeError):
+        shift_rows(Tensor(np.ones(3)), 1)
+
+
+@pytest.mark.parametrize("k", [-5, -3, -1, 0, 1, 2, 4, 5, 7])
+def test_shift_rows_gradient_matches_finite_differences(k):
+    rng = np.random.default_rng(42)
+    x = Tensor(rng.uniform(-1, 1, (5, 3)), requires_grad=True)
+    weights = Tensor(rng.uniform(-1, 1, (5, 3)))
+    with Tape() as tape:
+        loss = tsum(mul(shift_rows(x, k), weights))
+    tape.backward(loss)
+    fd = finite_diff_grad(lambda t: tsum(mul(shift_rows(t, k), weights)), x)
+    assert relative_error(x.grad, fd) < 1e-8
+    # Rows shifted out of range get exactly zero gradient; a shift by the
+    # whole length or more keeps no row at all.
+    kept = [i for i in range(5) if 0 <= i + k < 5]
+    dropped = [i for i in range(5) if i not in kept]
+    assert np.all(x.grad[dropped] == 0.0)
+    assert np.all(x.grad[kept] != 0.0)
+    if abs(k) >= 5:
+        assert np.all(shift_rows(x, k).data == 0.0)
 
 
 def test_backward_sum_gives_ones():

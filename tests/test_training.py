@@ -8,10 +8,11 @@ import pytest
 from monet.cells import CellConfig, Hallucinator
 from monet.classify import _np_softmax, fit_linear_classifier, pooled_matrix
 from monet.data import SyntheticTaskSpec, generate_synthetic
-from monet.tensor import Tensor
+from monet.tensor import Tape, Tensor
 from monet.training import (Adam, LossConfig, Sgd, TrainConfig, TrainReport,
                             TrainingDiverged, clip_global_norm, evaluate,
-                            global_norm, hallucination_loss, lr_at, train)
+                            global_norm, hallucinate_array,
+                            hallucination_loss, lr_at, train)
 
 
 def small_task(**overrides):
@@ -162,6 +163,13 @@ def test_clip_preserves_direction_and_caps_norm():
     assert pre > 1.0
 
 
+def test_clip_leaves_non_finite_gradients_for_the_caller():
+    grads = [np.array([np.inf, 1.0])]
+    out, norm = clip_global_norm(grads, 1.0)
+    assert norm == np.inf
+    assert np.array_equal(out[0], grads[0])
+
+
 def test_clip_rejects_nonpositive_max():
     with pytest.raises(ValueError):
         clip_global_norm([np.ones(2)], 0.0)
@@ -253,6 +261,36 @@ def test_non_finite_loss_aborts_with_batch_diagnostic():
     with pytest.raises(TrainingDiverged, match=r"epoch 0, batch \d+"):
         train(model, tr, va, TrainConfig(max_epochs=1, batch_size=4, seed=0),
               LossConfig(alpha=0.0))
+
+
+def test_non_finite_gradient_aborts_before_any_update(monkeypatch):
+    tr, va = small_task(n_train=12, n_val=4)
+    model = fresh_model()
+    calls = []
+    real_backward = Tape.backward
+
+    def backward_with_overflow(tape, loss):
+        real_backward(tape, loss)
+        calls.append([t.data.copy() for t in model.tensors()])
+        if len(calls) == 3:
+            model.params.U_h.grad[0, 0] = np.inf
+
+    monkeypatch.setattr(Tape, "backward", backward_with_overflow)
+    with pytest.raises(TrainingDiverged, match=r"gradient norm in epoch 0, batch 2"):
+        train(model, tr, va, TrainConfig(max_epochs=1, batch_size=4, seed=0),
+              LossConfig(alpha=0.0))
+    for t, before in zip(model.tensors(), calls[-1]):
+        assert np.array_equal(t.data, before)
+
+
+def test_hallucinate_array_blocks_match_whole_sequence_forward():
+    tr, _ = small_task(n_train=130, n_val=0)
+    model = fresh_model(layers=2)
+    app = np.stack([r.appearance for r in tr])
+    out = hallucinate_array(model, app)
+    assert out.shape == (130, 10, 6)
+    for i in (0, 63, 64, 127, 128, 129):
+        np.testing.assert_allclose(out[i], model.forward(Tensor(app[i])).data, rtol=0, atol=1e-12)
 
 
 def test_report_json_round_trip():
