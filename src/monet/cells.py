@@ -476,14 +476,6 @@ def monet_forward(X: Tensor, p: MoNetParams, layers: int, causal_only: bool = Fa
     return _monet_rows(X, 1, p, layers, causal_only)
 
 
-def conv1d_forward(X: Tensor, p: Conv1dParams, causal_only: bool = False) -> Tensor:
-    return _conv1d_rows(X, 1, p, causal_only)
-
-
-def bidirectional_forward(X: Tensor, p: BidirParams, family: str) -> Tensor:
-    return cat_rows(bidir_steps(_per_step(X, 1), p, family))
-
-
 # ---------------------------------------------------------------------------
 # Model wrapper
 # ---------------------------------------------------------------------------

@@ -12,14 +12,10 @@ import dataclasses
 
 import numpy as np
 
-from .tensor import Tensor, add, add_rowvec, matmul, scale, softmax
+from .tensor import (Tensor, _softmax_stable as _np_softmax, add, add_rowvec,
+                     matmul, scale, softmax)
 
 PROB_SUM_TOL = 1e-9
-
-
-def _np_softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 @dataclasses.dataclass

@@ -94,8 +94,13 @@ def _load_classifier(path: str) -> LinearClassifier:
     raw = _load_json(path, "classifier")
     if set(raw) != {"W", "b"}:
         raise UsageError(f"classifier file {path} must hold exactly W and b")
-    return LinearClassifier(W=np.array(raw["W"], dtype=np.float64),
-                            b=np.array(raw["b"], dtype=np.float64))
+    try:
+        clf = LinearClassifier(W=raw["W"], b=raw["b"])
+    except (TypeError, ValueError) as e:
+        raise UsageError(f"classifier file {path}: {e}") from None
+    if not (np.isfinite(clf.W).all() and np.isfinite(clf.b).all()):
+        raise UsageError(f"classifier file {path}: non-finite weights")
+    return clf
 
 
 def _read_records(path: str) -> list[FeatureRecord]:
@@ -114,6 +119,21 @@ def _load_model(path: str) -> Hallucinator:
         raise UsageError(f"checkpoint file not found: {path}") from None
     except FormatError as e:
         raise UsageError(f"checkpoint file {path}: {e}") from None
+
+
+def _model_and_records(args) -> tuple[Hallucinator, list[FeatureRecord]]:
+    """The checkpoint and the records it will run on; a dataset the model
+    cannot run on is a runtime failure."""
+    model = _load_model(args.checkpoint)
+    records = _read_records(args.data)
+    if not records:
+        raise PipelineError("dataset holds no records")
+    t_len, d_x = records[0].appearance.shape
+    if t_len == 0:
+        raise PipelineError("dataset sequences have length 0")
+    if model.config.d_x != d_x:
+        raise PipelineError(f"checkpoint expects d_x={model.config.d_x} but data has d_x={d_x}")
+    return model, records
 
 
 # ---------------------------------------------------------------------------
@@ -207,25 +227,29 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = _load_model(args.checkpoint)
-    records = _read_records(args.data)
-    if not records:
-        raise PipelineError("dataset holds no records")
-    d_x = records[0].appearance.shape[1]
+    model, records = _model_and_records(args)
+    out_dim = model.config.output_dim
     d_s = records[0].flow_target.shape[1]
-    if model.config.d_x != d_x or model.config.output_dim != d_s:
-        raise PipelineError(f"checkpoint expects d_x={model.config.d_x}, "
-                            f"out={model.config.output_dim} but data has "
-                            f"d_x={d_x}, d_s={d_s}")
+    if out_dim != d_s:
+        raise PipelineError(f"checkpoint expects out={out_dim} but data has d_s={d_s}")
     teacher = _load_classifier(args.teacher) if args.teacher else None
     appearance_clf = _load_classifier(args.appearance) if args.appearance else None
+    if teacher is not None and teacher.feature_dim != out_dim:
+        raise PipelineError(f"teacher classifier reads {teacher.feature_dim} features "
+                            f"but the checkpoint emits {out_dim}")
+    if appearance_clf is not None and appearance_clf.feature_dim != model.config.d_x:
+        raise PipelineError(f"appearance classifier reads {appearance_clf.feature_dim} "
+                            f"features but data has d_x={model.config.d_x}")
+    if teacher is not None and appearance_clf is not None \
+            and teacher.n_classes != appearance_clf.n_classes:
+        raise PipelineError(f"teacher has {teacher.n_classes} classes but the appearance "
+                            f"classifier has {appearance_clf.n_classes}")
     result = evaluate(model, records, teacher)
     out = {"val_mse": result.mse, "val_top1": result.top1}
     labels = [r.label for r in records]
     flow_preds: list[Prediction] | None = None
     if teacher is not None:
-        app, _, _ = records_arrays(records)
-        halluc = hallucinate_array(model, app).astype(np.float32).astype(np.float64)
+        halluc = result.hallucinated.astype(np.float32).astype(np.float64)
         flow_preds = [classify(halluc[i], teacher) for i in range(len(records))]
         out["top1_flow"] = top1_accuracy(flow_preds, labels)
     if appearance_clf is not None:
@@ -242,13 +266,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_hallucinate(args) -> int:
-    model = _load_model(args.checkpoint)
-    records = _read_records(args.data)
-    if not records:
-        raise PipelineError("dataset holds no records")
-    d_x = records[0].appearance.shape[1]
-    if model.config.d_x != d_x:
-        raise PipelineError(f"checkpoint expects d_x={model.config.d_x} but data has d_x={d_x}")
+    model, records = _model_and_records(args)
     app, _, _ = records_arrays(records)
     halluc = hallucinate_array(model, app)
     out_records = [FeatureRecord(id=r.id, label=r.label, appearance=r.appearance,

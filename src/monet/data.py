@@ -26,6 +26,7 @@ import numpy as np
 
 from .binio import (FormatError, check_magic, check_version, read_exact,
                     read_str, read_u32, write_str, write_u32)
+from .tensor import _sigmoid_stable
 
 DATASET_MAGIC = b"MOFE"
 DATASET_VERSION = 1
@@ -109,15 +110,6 @@ MAP_GAIN_NEXT = 0.7
 CLASS_MAP_SPREAD = 0.2
 
 
-def _squash(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def task_structure(spec: SyntheticTaskSpec, rng: np.random.Generator | None = None) -> TaskStructure:
     """Draw the per-class matrices.  With the default rng this reproduces
     exactly the structure used inside ``generate_synthetic``."""
@@ -155,7 +147,7 @@ def clean_targets(appearance: np.ndarray, label: int, structure: TaskStructure) 
     pre = (padded[0:t_len] @ structure.map_prev[label]
            + padded[1:t_len + 1] @ structure.map_cur[label]
            + padded[2:t_len + 2] @ structure.map_next[label])
-    return _squash(pre)
+    return _sigmoid_stable(pre)
 
 
 def generate_synthetic(spec: SyntheticTaskSpec) -> tuple[list[FeatureRecord], list[FeatureRecord]]:

@@ -14,7 +14,6 @@ operation (``add_rowvec``).
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -28,8 +27,6 @@ class GradientError(ValueError):
     """Backward-pass contract violation (e.g. non-scalar loss)."""
 
 
-_next_id = itertools.count()
-
 # Innermost entry wins; ``None`` marks a paused-recording scope.
 _TAPE_STACK: list["Tape | None"] = []
 
@@ -41,15 +38,15 @@ class Tensor:
     recorded computation; parameter updates rebind ``data`` to a fresh array
     instead of writing through it.  ``grad`` is only ever assigned by
     ``backward`` (accumulating across calls) or cleared by ``zero_grad``.
+    Tensors hash by identity, which is how the reverse sweep keys them.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "id")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self.id = next(_next_id)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -96,14 +93,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=requires_grad)
 
 
 class TapeNode:
@@ -214,14 +203,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"transpose: need a 2-D tensor, got {a.shape}")
-    out = _out(a.data.T.copy(), (a,))
-    _record("transpose", (a,), (out,))
-    return out
-
-
 def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
@@ -229,6 +210,12 @@ def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def _softmax_stable(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of a numpy array, max-shifted."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -259,40 +246,10 @@ def abs_(a: Tensor) -> Tensor:
     return out
 
 
-_ELEMENTWISE: dict[str, Callable] = {}
-
-
-def elementwise(op: str, *inputs: Tensor) -> Tensor:
-    """Dispatch an elementwise operation by name: add, mul, sigmoid, tanh, relu."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ValueError(f"elementwise: unknown op {op!r}; known: {sorted(_ELEMENTWISE)}") from None
-    return fn(*inputs)
-
-
-_ELEMENTWISE.update({"add": add, "mul": mul, "sigmoid": sigmoid, "tanh": tanh, "relu": relu})
-
-
 def tsum(a: Tensor) -> Tensor:
     """Sum of all elements, as a scalar (shape ()) tensor."""
     out = _out(np.asarray(a.data.sum()), (a,))
     _record("sum", (a,), (out,), (a.shape,))
-    return out
-
-
-def sum_axis0(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"sum_axis0: need a 2-D tensor, got {a.shape}")
-    out = _out(a.data.sum(axis=0), (a,))
-    _record("sum_axis0", (a,), (out,), (a.shape[0],))
-    return out
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    data = a.data.reshape(shape).copy()
-    out = _out(data, (a,))
-    _record("reshape", (a,), (out,), (a.shape,))
     return out
 
 
@@ -362,34 +319,9 @@ def shift_rows(x: Tensor, k: int) -> Tensor:
     return out
 
 
-def row(m: Tensor, i: int) -> Tensor:
-    """Select row ``i`` of a 2-D tensor as a (D,) tensor."""
-    if m.ndim != 2:
-        raise ShapeError(f"row: need a 2-D tensor, got {m.shape}")
-    if not 0 <= i < m.shape[0]:
-        raise ShapeError(f"row: index {i} out of range for shape {m.shape}")
-    out = _out(m.data[i].copy(), (m,))
-    _record("row", (m,), (out,), (i, m.shape))
-    return out
-
-
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack T tensors of shape (D,) into a (T, D) tensor."""
-    if not rows:
-        raise ShapeError("stack_rows: need at least one row")
-    for r in rows:
-        if r.ndim != 1 or r.shape != rows[0].shape:
-            raise ShapeError(f"stack_rows: rows must share a 1-D shape, got {[t.shape for t in rows]}")
-    out = _out(np.stack([r.data for r in rows]), tuple(rows))
-    _record("stack_rows", tuple(rows), (out,))
-    return out
-
-
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis, numerically stabilized."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax_stable(a.data)
     out = _out(y, (a,))
     _record("softmax", (a,), (out,), (y,))
     return out
@@ -454,11 +386,6 @@ def _bw_matmul(node, gs):
     return g @ b.data.T, a.data.T @ g
 
 
-def _bw_transpose(node, gs):
-    (g,) = gs
-    return (g.T,)
-
-
 def _bw_sigmoid(node, gs):
     (g,) = gs
     (y,) = node.saved
@@ -487,18 +414,6 @@ def _bw_sum(node, gs):
     (g,) = gs
     (shape,) = node.saved
     return (np.full(shape, float(g)),)
-
-
-def _bw_sum_axis0(node, gs):
-    (g,) = gs
-    (n,) = node.saved
-    return (np.tile(g, (n, 1)),)
-
-
-def _bw_reshape(node, gs):
-    (g,) = gs
-    (shape,) = node.saved
-    return (g.reshape(shape),)
 
 
 def _bw_concat(node, gs):
@@ -532,19 +447,6 @@ def _bw_shift_rows(node, gs):
     return (_shifted(g, -k),)
 
 
-def _bw_row(node, gs):
-    (g,) = gs
-    i, shape = node.saved
-    full = np.zeros(shape)
-    full[i] = g
-    return (full,)
-
-
-def _bw_stack_rows(node, gs):
-    (g,) = gs
-    return tuple(g[i] for i in range(len(node.inputs)))
-
-
 def _bw_softmax(node, gs):
     (g,) = gs
     (y,) = node.saved
@@ -567,38 +469,34 @@ BACKWARD_RULES: dict[str, Callable] = {
     "scale": _bw_scale,
     "add_rowvec": _bw_add_rowvec,
     "matmul": _bw_matmul,
-    "transpose": _bw_transpose,
     "sigmoid": _bw_sigmoid,
     "tanh": _bw_tanh,
     "relu": _bw_relu,
     "abs": _bw_abs,
     "sum": _bw_sum,
-    "sum_axis0": _bw_sum_axis0,
-    "reshape": _bw_reshape,
     "concat": _bw_concat,
     "split": _bw_split,
     "cat_rows": _bw_cat_rows,
     "shift_rows": _bw_shift_rows,
-    "row": _bw_row,
-    "stack_rows": _bw_stack_rows,
     "softmax": _bw_softmax,
     "group_softmax": _bw_group_softmax,
 }
 
 
-def _sweep(tape: Tape, seeds: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """Replay the tape in reverse, returning accumulated gradients by tensor id."""
+def _sweep(tape: Tape, seeds: dict[Tensor, np.ndarray]) -> dict[Tensor, np.ndarray]:
+    """Replay the tape in reverse, returning the accumulated gradient of
+    every tensor the seeds reach (the seeds included)."""
     acc = dict(seeds)
     for node in reversed(tape.nodes):
-        gs = tuple(acc.get(t.id) for t in node.outputs)
+        gs = tuple(acc.get(t) for t in node.outputs)
         if all(g is None for g in gs):
             continue
         in_grads = BACKWARD_RULES[node.op](node, gs)
         for t, g in zip(node.inputs, in_grads):
             if g is None:
                 continue
-            prev = acc.get(t.id)
-            acc[t.id] = g if prev is None else prev + g
+            prev = acc.get(t)
+            acc[t] = g if prev is None else prev + g
     return acc
 
 
@@ -610,19 +508,11 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """
     if loss.size != 1:
         raise GradientError(f"backward: loss must be scalar, got shape {loss.shape}")
-    acc = _sweep(tape, {loss.id: np.ones(loss.shape)})
-    seen: set[int] = set()
-    for node in tape.nodes:
-        for t in node.inputs + node.outputs:
-            if t.id in seen:
-                continue
-            seen.add(t.id)
-            if t.requires_grad and t.id in acc:
-                g = acc[t.id]
-                t.grad = g.copy() if t.grad is None else t.grad + g
-    if loss.requires_grad and loss.id not in seen:
-        t = loss
-        t.grad = acc[t.id].copy() if t.grad is None else t.grad + acc[t.id]
+    for t, g in _sweep(tape, {loss: np.ones(loss.shape)}).items():
+        if t.requires_grad:
+            # A first assignment copies: rules such as add's hand one array
+            # to several inputs.
+            t.grad = g.copy() if t.grad is None else t.grad + g
 
 
 def jacobian(output: Tensor, wrt: Tensor, tape: Tape) -> np.ndarray:
@@ -635,8 +525,7 @@ def jacobian(output: Tensor, wrt: Tensor, tape: Tape) -> np.ndarray:
     for j in range(output.size):
         seed = np.zeros(output.size)
         seed[j] = 1.0
-        acc = _sweep(tape, {output.id: seed.reshape(output.shape)})
-        g = acc.get(wrt.id)
+        g = _sweep(tape, {output: seed.reshape(output.shape)}).get(wrt)
         if g is not None:
             jac[j] = g.ravel()
     return jac

@@ -17,12 +17,11 @@ import json
 
 import numpy as np
 
-from .cells import Hallucinator, collect_tensors
-from .classify import LinearClassifier, _np_softmax, class_probabilities_steps
+from .cells import Hallucinator
+from .classify import (PROB_SUM_TOL, LinearClassifier, _np_softmax,
+                       class_probabilities_steps)
 from .data import FeatureRecord
 from .tensor import Tape, Tensor, abs_, add, mul, scale, sub, tsum
-
-PROB_SUM_TOL = 1e-9
 
 
 class TrainingDiverged(RuntimeError):
@@ -219,12 +218,14 @@ def hallucinate_array(model: Hallucinator, app: np.ndarray) -> np.ndarray:
 class EvalResult:
     mse: float
     top1: float | None
+    hallucinated: np.ndarray  # (n, T, output_dim) model output, full f64
 
 
 def evaluate(model: Hallucinator, records: list[FeatureRecord],
              classifier: LinearClassifier | None = None) -> EvalResult:
     """Val-set metrics: feature MSE, plus teacher top-1 on the hallucinated
-    features when a classifier is supplied.
+    features when a classifier is supplied.  The hallucinated features come
+    back too, so callers need not run the model again.
 
     The MSE uses full f64 outputs.  The top-1 path first rounds the
     hallucinated features to the f32 precision the dataset files carry, so
@@ -240,7 +241,7 @@ def evaluate(model: Hallucinator, records: list[FeatureRecord],
         pred32 = pred.astype(np.float32).astype(np.float64)
         probs = _np_softmax(pred32.mean(axis=1) @ classifier.W.T + classifier.b)
         top1 = float(np.mean(np.argmax(probs, axis=1) == labels))
-    return EvalResult(mse=mse, top1=top1)
+    return EvalResult(mse=mse, top1=top1, hallucinated=pred)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ from monet.cells import (BidirParams, CellConfig, Conv1dParams, ConvStage,
                          count_params, gru_step, init_bidir, init_gru,
                          init_conv1d, init_lstm, init_monet, lstm_step,
                          match_params, monet_forward, monet_steps,
-                         monet_unit, bidirectional_forward, conv1d_forward,
-                         conv1d_steps)
+                         monet_unit, conv1d_steps)
 from monet.tensor import (ShapeError, Tape, Tensor, cat_rows,
                           finite_diff_grad, jacobian, matmul, mul,
                           relative_error, tsum)
@@ -319,7 +318,7 @@ def test_bidir_zero_backward_params_equals_forward_branch():
     for t in collect_tensors(p.bwd):
         t.data[...] = 0.0
     X = Tensor(rng.uniform(-1, 1, (6, 3)))
-    out = bidirectional_forward(X, p, "bi-gru")
+    out = Hallucinator(CellConfig(family="bi-gru", d_x=3, d_s=4), p).forward(X)
 
     from monet.cells import stacked_steps
     from monet.tensor import split, add_rowvec
@@ -336,7 +335,7 @@ def test_bidir_palindrome_with_tied_params_is_palindromic():
                        proj_bwd=p.proj_fwd, b_out=p.b_out)
     half = rng.uniform(-1, 1, (3, 3))
     X = Tensor(np.vstack([half, half[::-1]]))  # palindrome, T=6
-    out = bidirectional_forward(X, tied, "bi-gru").data
+    out = Hallucinator(CellConfig(family="bi-gru", d_x=3, d_s=4), tied).forward(X).data
     np.testing.assert_array_equal(out, out[::-1])
 
 
@@ -344,16 +343,17 @@ def test_bidir_gradient_matches_finite_differences():
     rng = np.random.default_rng(23)
     p = init_bidir("lstm", 2, 3, 1, rng)
     X = Tensor(rng.uniform(-1, 1, (4, 2)))
+    model = Hallucinator(CellConfig(family="bi-lstm", d_x=2, d_s=3), p)
     leaf = p.proj_bwd
     with Tape() as tape:
-        loss = tsum(bidirectional_forward(X, p, "bi-lstm"))
+        loss = tsum(model.forward(X))
     tape.backward(loss)
 
     def f(t):
         keep = leaf.data
         leaf.data = t.data
         try:
-            return tsum(bidirectional_forward(X, p, "bi-lstm"))
+            return tsum(model.forward(X))
         finally:
             leaf.data = keep
 
@@ -368,7 +368,8 @@ def test_conv1d_identity_delta_is_linear_projection():
     stage = ConvStage(taps=[Tensor(np.zeros((3, 4))), Tensor(proj), Tensor(np.zeros((3, 4)))],
                       bias=Tensor(np.zeros(4)))
     X = Tensor(rng.uniform(-1, 1, (5, 3)))
-    out = conv1d_forward(X, Conv1dParams(stages=[stage]))
+    model = Hallucinator(CellConfig(family="conv1d", d_x=3, d_s=4), Conv1dParams(stages=[stage]))
+    out = model.forward(X)
     np.testing.assert_allclose(out.data, X.data @ proj, rtol=1e-12)
 
 
@@ -379,7 +380,7 @@ def test_conv1d_receptive_field_two_layers_kernel_three():
     t_len = 7
     X = Tensor(rng.uniform(-1, 1, (t_len, 3)), requires_grad=True)
     with Tape() as tape:
-        out = conv1d_forward(X, p)
+        out = Hallucinator(CellConfig(family="conv1d", d_x=3, d_s=4, layers=2), p).forward(X)
     jac = jacobian(out, X, tape)
     mags = _band_blocks(jac, t_len, 4, 3)
     for t in range(t_len):
@@ -397,7 +398,8 @@ def test_conv1d_causal_only_blocks_future():
     t_len = 5
     X = Tensor(rng.uniform(-1, 1, (t_len, 2)), requires_grad=True)
     with Tape() as tape:
-        out = conv1d_forward(X, p, causal_only=True)
+        out = Hallucinator(CellConfig(family="conv1d", d_x=2, d_s=3, causal_only=True),
+                           p).forward(X)
     jac = jacobian(out, X, tape)
     mags = _band_blocks(jac, t_len, 3, 2)
     for t in range(t_len):
@@ -411,16 +413,17 @@ def test_conv1d_gradient_matches_finite_differences():
     from monet.cells import init_conv1d
     p = init_conv1d(2, 3, layers=2, kernel=3, rng=rng)
     X = Tensor(rng.uniform(-1, 1, (4, 2)))
+    model = Hallucinator(CellConfig(family="conv1d", d_x=2, d_s=3, layers=2), p)
     leaf = p.stages[1].taps[0]
     with Tape() as tape:
-        loss = tsum(conv1d_forward(X, p))
+        loss = tsum(model.forward(X))
     tape.backward(loss)
 
     def f(t):
         keep = leaf.data
         leaf.data = t.data
         try:
-            return tsum(conv1d_forward(X, p))
+            return tsum(model.forward(X))
         finally:
             leaf.data = keep
 

@@ -9,7 +9,8 @@ import pytest
 
 from monet.cells import CellConfig, Hallucinator, flops_per_step
 from monet.cli import main
-from monet.data import read_dataset, read_dataset_header, write_dataset
+from monet.data import (FeatureRecord, read_dataset, read_dataset_header,
+                        write_dataset)
 
 TASK = dict(n_classes=3, seq_len=8, d_x=6, d_s=4, n_train=24, n_val=9,
             noise_sigma=0.05, seed=1)
@@ -248,6 +249,63 @@ def test_hallucinate_keeps_class_count_of_shard_without_top_class(trained_dir, c
                      "--data", str(shard), "--out", str(out_path))
     assert code == 0
     assert read_dataset_header(str(out_path))["n_classes"] == TASK["n_classes"] == 3
+
+
+def _eval_with(run_dir, capsys, teacher=None, appearance=None):
+    return run(capsys, "eval", "--checkpoint", str(run_dir / "checkpoint.monw"),
+               "--data", str(run_dir / "val.mofe"),
+               "--teacher", teacher or str(run_dir / "teacher.json"),
+               "--appearance", appearance or str(run_dir / "appearance.json"))
+
+
+@pytest.mark.parametrize("payload", [
+    {"W": [["a", "b"]], "b": [0.0]},
+    {"W": [[1.0, 2.0], [3.0]], "b": [0.0, 0.0]},
+    {"W": [[1.0, None]], "b": [0.0]},
+], ids=["non-numeric", "ragged", "non-finite"])
+def test_eval_malformed_classifier_is_invalid_input(trained_dir, capsys, tmp_path, payload):
+    bad = write_json(tmp_path / "bad.json", payload)
+    code, out, err = _eval_with(trained_dir / "run", capsys, teacher=bad)
+    assert code == 2 and out == ""
+    assert err.startswith("error: classifier file")
+
+
+def test_eval_teacher_dim_mismatch_is_runtime_failure(trained_dir, capsys, tmp_path):
+    # The checkpoint emits 4 features; this teacher reads 5.
+    teacher = write_json(tmp_path / "t.json", {"W": np.zeros((3, 5)).tolist(), "b": [0.0] * 3})
+    code, out, err = _eval_with(trained_dir / "run", capsys, teacher=teacher)
+    assert code == 1 and out == ""
+    assert err.startswith("failed: teacher classifier reads 5 features")
+
+
+def test_eval_appearance_dim_mismatch_is_runtime_failure(trained_dir, capsys, tmp_path):
+    # The data has d_x=6; this classifier reads 4.
+    app = write_json(tmp_path / "a.json", {"W": np.zeros((3, 4)).tolist(), "b": [0.0] * 3})
+    code, out, err = _eval_with(trained_dir / "run", capsys, appearance=app)
+    assert code == 1 and out == ""
+    assert err.startswith("failed: appearance classifier reads 4 features")
+
+
+def test_eval_class_count_mismatch_is_runtime_failure(trained_dir, capsys, tmp_path):
+    app = write_json(tmp_path / "a.json", {"W": np.zeros((2, 6)).tolist(), "b": [0.0] * 2})
+    code, out, err = _eval_with(trained_dir / "run", capsys, appearance=app)
+    assert code == 1 and out == ""
+    assert err.startswith("failed: teacher has 3 classes but the appearance classifier has 2")
+
+
+@pytest.mark.parametrize("command", ["eval", "hallucinate"])
+def test_zero_length_sequences_are_runtime_failure(trained_dir, capsys, tmp_path, command):
+    empty = [FeatureRecord(id=f"r{i}", label=i, appearance=np.zeros((0, 6)),
+                           flow_target=np.zeros((0, 4))) for i in range(2)]
+    path = tmp_path / "empty.mofe"
+    write_dataset(str(path), empty, n_classes=3)
+    extra = ["--out", str(tmp_path / "h.mofe")] if command == "hallucinate" else []
+    code, out, err = run(capsys, command, "--checkpoint",
+                         str(trained_dir / "run" / "checkpoint.monw"),
+                         "--data", str(path), *extra)
+    assert code == 1 and out == ""
+    assert err == "failed: dataset sequences have length 0\n"
+    assert not (tmp_path / "h.mofe").exists()
 
 
 # -- gradcheck ---------------------------------------------------------------
