@@ -112,6 +112,13 @@ def _read_records(path: str) -> list[FeatureRecord]:
         raise UsageError(f"dataset file {path}: {e}") from None
 
 
+def _write_records(path: str, records: list[FeatureRecord], n_classes: int) -> None:
+    try:
+        write_dataset(path, records, n_classes=n_classes)
+    except ValueError as e:
+        raise PipelineError(f"cannot write {path}: {e}") from None
+
+
 def _load_model(path: str) -> Hallucinator:
     try:
         return Hallucinator.load(path)
@@ -147,7 +154,7 @@ def cmd_gen_data(args) -> int:
     paths = {}
     for name, recs in (("train", train_recs), ("val", val_recs)):
         path = os.path.join(args.out, f"{name}.mofe")
-        write_dataset(path, recs, n_classes=spec.n_classes)
+        _write_records(path, recs, spec.n_classes)
         write_manifest(os.path.join(args.out, f"{name}.manifest.json"),
                        dataset_manifest(path, spec))
         paths[name] = path
@@ -191,11 +198,14 @@ def cmd_train(args) -> int:
         raise UsageError(f"cell d_x {cell.d_x} does not match task d_x {task.d_x}")
     if cell.output_dim != task.d_s:
         raise UsageError(f"cell output dim {cell.output_dim} does not match task d_s {task.d_s}")
+    if task.n_train < 1 or task.n_val < 1:
+        raise UsageError(f"task spec: training needs n_train >= 1 and n_val >= 1, "
+                         f"got {task.n_train} and {task.n_val}")
     os.makedirs(out_dir, exist_ok=True)
     train_gen, val_gen = generate_synthetic(task)
     for name, recs in (("train", train_gen), ("val", val_gen)):
         path = os.path.join(out_dir, f"{name}.mofe")
-        write_dataset(path, recs, n_classes=task.n_classes)
+        _write_records(path, recs, task.n_classes)
         write_manifest(os.path.join(out_dir, f"{name}.manifest.json"),
                        dataset_manifest(path, task))
     # Train from the files just written so later evaluation of those files
@@ -273,7 +283,7 @@ def cmd_hallucinate(args) -> int:
                                  flow_target=halluc[i])
                    for i, r in enumerate(records)]
     n_classes = read_dataset_header(args.data)["n_classes"]
-    write_dataset(args.out, out_records, n_classes=n_classes)
+    _write_records(args.out, out_records, n_classes)
     print(json.dumps({"out": args.out, "n_records": len(out_records)}))
     return 0
 

@@ -182,7 +182,10 @@ def generate_synthetic(spec: SyntheticTaskSpec) -> tuple[list[FeatureRecord], li
 
 def write_dataset(path: str, records: list[FeatureRecord], n_classes: int | None = None) -> None:
     """Write records to one file: fixed header (counts), then per record the
-    id, label, and both sequences as little-endian f32 row-major payloads."""
+    id, label, and both sequences as little-endian f32 row-major payloads.
+    Every record is checked before the file is opened, including that its
+    values fit f32, so a write never leaves a file that reads back as
+    non-finite."""
     for r in records:
         r.validate()
     if records:
@@ -198,16 +201,24 @@ def write_dataset(path: str, records: list[FeatureRecord], n_classes: int | None
     for r in records:
         if r.label >= n_classes:
             raise ValueError(f"record {r.id}: label {r.label} outside [0, {n_classes})")
+    n = len(records)
+    with np.errstate(over="ignore"):
+        appearance = np.array([r.appearance for r in records], dtype="<f4").reshape(n, t_len, d_x)
+        flow = np.array([r.flow_target for r in records], dtype="<f4").reshape(n, t_len, d_s)
+    fits = np.isfinite(appearance).all(axis=(1, 2)) & np.isfinite(flow).all(axis=(1, 2))
+    if not fits.all():
+        bad = records[int(np.argmin(fits))]
+        raise ValueError(f"record {bad.id}: values outside the f32 range the file stores")
     with open(path, "wb") as f:
         f.write(DATASET_MAGIC)
         write_u32(f, DATASET_VERSION)
-        for value in (len(records), n_classes, t_len, d_x, d_s):
+        for value in (n, n_classes, t_len, d_x, d_s):
             write_u32(f, value)
-        for r in records:
+        for r, a, s in zip(records, appearance, flow):
             write_str(f, r.id)
             write_u32(f, r.label)
-            f.write(np.ascontiguousarray(r.appearance, dtype="<f4").tobytes())
-            f.write(np.ascontiguousarray(r.flow_target, dtype="<f4").tobytes())
+            f.write(a.tobytes())
+            f.write(s.tobytes())
 
 
 def read_dataset(path: str) -> list[FeatureRecord]:

@@ -14,6 +14,7 @@ operation (``add_rowvec``).
 
 from __future__ import annotations
 
+import collections
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -204,12 +205,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic sigmoid in one pass, bit-identical to the two-branch form
+    ``1 / (1 + exp(-x))`` for x >= 0 and ``exp(x) / (1 + exp(x))`` below.
+    Both branches are ``where(x >= 0, 1, e) / (1 + e)`` with
+    ``e = exp(-|x|)``, which never overflows.  -|x| is taken as
+    ``minimum(x, -x)``, which passes a nan input through unchanged, as the
+    two-branch form does.  Past |x| ~ 708 ``e`` is subnormal, which is the
+    right value, so that underflow is not reported."""
+    with np.errstate(under="ignore"):
+        e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softmax_stable(x: np.ndarray) -> np.ndarray:
@@ -508,11 +513,21 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """
     if loss.size != 1:
         raise GradientError(f"backward: loss must be scalar, got shape {loss.shape}")
-    for t, g in _sweep(tape, {loss: np.ones(loss.shape)}).items():
-        if t.requires_grad:
-            # A first assignment copies: rules such as add's hand one array
-            # to several inputs.
-            t.grad = g.copy() if t.grad is None else t.grad + g
+    grads = _sweep(tape, {loss: np.ones(loss.shape)})
+    # Rules may hand one array to several tensors (add's two inputs, sub's
+    # first input and its output) or hand out views of an output's gradient
+    # (cat_rows, concat, group_softmax).  Only those buffers are copied on a
+    # first assignment; every other one belongs to a single tensor already.
+    holders = collections.Counter(id(g) for g in grads.values())
+    for t, g in grads.items():
+        if not t.requires_grad:
+            continue
+        if t.grad is not None:
+            t.grad = t.grad + g
+        elif holders[id(g)] > 1 or g.base is not None:
+            t.grad = g.copy()
+        else:
+            t.grad = g
 
 
 def jacobian(output: Tensor, wrt: Tensor, tape: Tape) -> np.ndarray:

@@ -21,7 +21,7 @@ from .cells import Hallucinator
 from .classify import (PROB_SUM_TOL, LinearClassifier, _np_softmax,
                        class_probabilities_steps)
 from .data import FeatureRecord
-from .tensor import Tape, Tensor, abs_, add, mul, scale, sub, tsum
+from .tensor import Tape, Tensor, abs_, add, cat_rows, mul, scale, sub, tsum
 
 
 class TrainingDiverged(RuntimeError):
@@ -89,6 +89,14 @@ def _to_steps(x) -> list[Tensor]:
     return list(x)
 
 
+def _joined(steps: list[Tensor]) -> Tensor:
+    """The steps stacked into one (T*N, D) tensor: one ``cat_rows`` node if
+    they carry gradient, joined off the tape if they are constants."""
+    if any(s.requires_grad for s in steps):
+        return cat_rows(steps)
+    return Tensor(np.concatenate([s.data for s in steps]))
+
+
 def _check_prob_rows(p: Tensor, name: str) -> None:
     sums = p.data.sum(axis=-1)
     if np.max(np.abs(sums - 1.0)) > PROB_SUM_TOL:
@@ -102,22 +110,20 @@ def hallucination_loss(predicted, target, pred_probs: Tensor | None,
     ``predicted`` and ``target`` are either single (T, D) tensors or lists
     of per-timestep (N, D) tensors; the probability tensors are (C,) or
     (N, C).  The feature term averages over all of N, T, and D; the
-    probability term averages over N and C and is scaled by alpha.
+    probability term averages over N and C and is scaled by alpha.  Step
+    lists are joined into one (T*N, D) matrix first, so the feature term
+    records the same few tape nodes whatever T is.
     """
     cfg.validate()
     pred_steps = _to_steps(predicted)
     tgt_steps = _to_steps(target)
     if len(pred_steps) != len(tgt_steps):
         raise ValueError(f"sequence lengths differ: {len(pred_steps)} vs {len(tgt_steps)}")
-    sq_total = None
     for p, t in zip(pred_steps, tgt_steps):
         if p.shape != t.shape:
             raise ValueError(f"feature shapes differ: {p.shape} vs {t.shape}")
-        diff = sub(p, t)
-        term = tsum(mul(diff, diff))
-        sq_total = term if sq_total is None else add(sq_total, term)
-    count = len(pred_steps) * pred_steps[0].size
-    loss = scale(sq_total, 1.0 / count)
+    diff = sub(_joined(pred_steps), _joined(tgt_steps))
+    loss = scale(tsum(mul(diff, diff)), 1.0 / diff.size)
     if cfg.alpha > 0:
         if pred_probs is None or target_probs is None:
             raise ValueError("alpha > 0 requires both probability tensors")
@@ -282,6 +288,9 @@ def train(model: Hallucinator, train_records: list[FeatureRecord],
     parameters and the report holds the full per-epoch history."""
     cfg.validate()
     loss_cfg.validate()
+    if not train_records or not val_records:
+        raise ValueError(f"train needs at least one training and one validation record, "
+                         f"got {len(train_records)} and {len(val_records)}")
     app, flow, _ = records_arrays(train_records)
     n, t_len = app.shape[0], app.shape[1]
     clf = loss_cfg.classifier if loss_cfg.alpha > 0 else None

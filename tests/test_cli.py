@@ -199,6 +199,18 @@ def test_train_rejects_cell_task_dim_mismatch(tmp_path, capsys):
     assert "does not match task d_s" in err
 
 
+@pytest.mark.parametrize("counts", [{"n_val": 0}, {"n_train": 0}])
+def test_train_rejects_empty_split_before_writing(tmp_path, capsys, counts):
+    config = {"task": dict(TASK, **counts),
+              "cell": {"family": "monet", "d_x": 6, "d_s": 4},
+              "out_dir": str(tmp_path / "run")}
+    cfg_path = write_json(tmp_path / "config.json", config)
+    code, _, err = run(capsys, "train", "--config", cfg_path)
+    assert code == 2
+    assert "n_train >= 1 and n_val >= 1" in err
+    assert not (tmp_path / "run").exists()
+
+
 # -- eval / hallucinate error paths -----------------------------------------
 
 def test_eval_missing_checkpoint_is_invalid_input(trained_dir, capsys, tmp_path):
@@ -249,6 +261,19 @@ def test_hallucinate_keeps_class_count_of_shard_without_top_class(trained_dir, c
                      "--data", str(shard), "--out", str(out_path))
     assert code == 0
     assert read_dataset_header(str(out_path))["n_classes"] == TASK["n_classes"] == 3
+
+
+def test_hallucinate_output_beyond_f32_is_runtime_failure(trained_dir, capsys, tmp_path):
+    run_dir = trained_dir / "run"
+    model = Hallucinator.load(str(run_dir / "checkpoint.monw"))
+    model.params.b_h.data = np.full_like(model.params.b_h.data, 1e39)
+    model.save(str(tmp_path / "huge.monw"))
+    out_path = tmp_path / "h.mofe"
+    code, _, err = run(capsys, "hallucinate", "--checkpoint", str(tmp_path / "huge.monw"),
+                       "--data", str(run_dir / "val.mofe"), "--out", str(out_path))
+    assert code == 1
+    assert err.startswith("failed: ") and "f32 range" in err
+    assert not out_path.exists()
 
 
 def _eval_with(run_dir, capsys, teacher=None, appearance=None):

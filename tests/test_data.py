@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,25 @@ def test_non_finite_payload_rejected_at_read(tmp_path):
     open(path, "wb").write(bytes(raw))
     with pytest.raises(FormatError, match="non-finite"):
         read_dataset(path)
+
+
+def test_values_beyond_f32_rejected_before_the_file_is_opened(tmp_path):
+    path = tmp_path / "d.mofe"
+    for appearance, flow in (([[1e39]], [[0.5]]), ([[0.5]], [[-4e38]])):
+        records = [FeatureRecord(id="ok", label=0, appearance=np.zeros((1, 1)),
+                                 flow_target=np.zeros((1, 1))),
+                   FeatureRecord(id="huge", label=0, appearance=np.array(appearance),
+                                 flow_target=np.array(flow))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="record huge: .*f32"):
+                write_dataset(str(path), records)
+        assert not path.exists()
+    # The largest f32 itself still fits.
+    edge = np.array([[np.finfo(np.float32).max]], dtype=np.float64)
+    write_dataset(str(path), [FeatureRecord(id="edge", label=0, appearance=edge,
+                                            flow_target=-edge)])
+    assert read_dataset(str(path))[0].appearance[0, 0] == edge[0, 0]
 
 
 def test_label_outside_declared_classes_rejected(tmp_path):

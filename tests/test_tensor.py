@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from monet.tensor import (BACKWARD_RULES, GradientError, ShapeError, Tape,
-                          Tensor, abs_, add, add_rowvec, cat_rows, concat,
-                          finite_diff_grad, group_softmax, jacobian, matmul,
-                          mul, pause_recording, relative_error, relu,
-                          shift_rows, sigmoid, softmax, split, sub, tanh, tsum)
+                          Tensor, _sigmoid_stable, abs_, add, add_rowvec,
+                          cat_rows, concat, finite_diff_grad, group_softmax,
+                          jacobian, matmul, mul, pause_recording,
+                          relative_error, relu, shift_rows, sigmoid, softmax,
+                          split, sub, tanh, tsum)
 
 
 def test_matmul_identity():
@@ -46,6 +47,27 @@ def test_matmul_shape_mismatch_names_both_shapes():
 
 def test_sigmoid_at_zero():
     assert sigmoid(Tensor([0.0])).data[0] == 0.5
+
+
+def test_sigmoid_kernel_matches_two_branch_formula_bit_for_bit():
+    def two_branch(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    edges = np.array([0.0, 1e-300, 36.7, 709.0, 745.0, np.inf])
+    finite = np.concatenate([edges, -edges,
+                             np.random.default_rng(17).normal(0.0, 40.0, 100_000)])
+    x = np.concatenate([finite, [np.nan, -np.nan]])
+    with np.errstate(all="ignore"):
+        expected = two_branch(x)
+    got = _sigmoid_stable(x)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    with np.errstate(all="raise"):
+        _sigmoid_stable(finite)
 
 
 def test_relu_values():
@@ -297,6 +319,32 @@ def test_backward_gives_each_input_its_own_array():
     assert a.grad is not b.grad
     a.grad += 1.0
     np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
+
+def test_backward_hands_out_no_shared_gradient_buffers():
+    rng = np.random.default_rng(29)
+    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    with Tape() as tape:
+        s = add(a, b)
+        top, rest = split(cat_rows([s, a, b]), [2, 4])
+        p, q = group_softmax([concat(top, tanh(a), axis=1), concat(b, s, axis=1)])
+        loss = add(add(tsum(mul(p, Tensor(rng.normal(size=(2, 6))))), tsum(mul(q, q))),
+                   tsum(mul(rest, rest)))
+    tape.backward(loss)
+    reached = {t for node in tape.nodes for t in node.inputs + node.outputs
+               if t.grad is not None}
+    assert {a, b, s, top, rest, p, q, loss} <= reached
+    reached = list(reached)
+    for i, t in enumerate(reached):
+        for u in reached[i + 1:]:
+            assert not np.shares_memory(t.grad, u.grad), (t, u)
+    for t in reached:
+        others = [u for u in reached if u is not t]
+        before = [u.grad.copy() for u in others]
+        t.grad += 1.0
+        for u, saved in zip(others, before):
+            np.testing.assert_array_equal(u.grad, saved)
 
 
 def test_backward_reaches_requires_grad_intermediates():

@@ -104,6 +104,37 @@ def test_loss_matches_hand_summed_formula():
     assert math.isclose(loss.item(), expected, rel_tol=1e-12)
 
 
+def _loss_with_grad(pred, tgt):
+    with Tape() as tape:
+        loss = hallucination_loss(pred, tgt, None, None, LossConfig(alpha=0.0))
+    tape.backward(loss)
+    return loss.item(), len(tape)
+
+
+def test_list_form_loss_matches_matrix_form():
+    rng = np.random.default_rng(4)
+    t_len, n, d = 7, 3, 5
+    pred = rng.normal(size=(t_len * n, d))
+    tgt = rng.normal(size=(t_len * n, d))
+    steps = [Tensor(pred[t * n:(t + 1) * n].copy(), requires_grad=True) for t in range(t_len)]
+    listed, _ = _loss_with_grad(steps, [Tensor(tgt[t * n:(t + 1) * n]) for t in range(t_len)])
+    whole = Tensor(pred.copy(), requires_grad=True)
+    joined, _ = _loss_with_grad(whole, Tensor(tgt))
+    joined_grad = np.concatenate([s.grad for s in steps])
+    assert np.array_equal(joined_grad.view(np.int64), whole.grad.view(np.int64))
+    assert math.isclose(listed, joined, rel_tol=1e-12)
+
+
+def test_list_form_loss_tape_size_does_not_depend_on_length():
+    rng = np.random.default_rng(6)
+    sizes = set()
+    for t_len in (1, 4, 20):
+        steps = [Tensor(rng.normal(size=(3, 2)), requires_grad=True) for _ in range(t_len)]
+        _, nodes = _loss_with_grad(steps, [Tensor(rng.normal(size=(3, 2))) for _ in range(t_len)])
+        sizes.add(nodes)
+    assert len(sizes) == 1, sizes
+
+
 def test_loss_is_nonnegative_on_random_inputs():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -281,6 +312,18 @@ def test_non_finite_gradient_aborts_before_any_update(monkeypatch):
               LossConfig(alpha=0.0))
     for t, before in zip(model.tensors(), calls[-1]):
         assert np.array_equal(t.data, before)
+
+
+def test_train_rejects_empty_record_sets_before_any_step():
+    tr, va = small_task(n_train=8, n_val=4)
+    model = fresh_model()
+    before = [t.data.copy() for t in model.tensors()]
+    for train_recs, val_recs in (([], va), (tr, [])):
+        with pytest.raises(ValueError, match="at least one training and one validation"):
+            train(model, train_recs, val_recs, TrainConfig(max_epochs=1, batch_size=4),
+                  LossConfig(alpha=0.0))
+    for t, saved in zip(model.tensors(), before):
+        assert np.array_equal(t.data, saved)
 
 
 def test_hallucinate_array_blocks_match_whole_sequence_forward():
