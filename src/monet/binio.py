@@ -4,11 +4,15 @@ Both on-disk formats (weight checkpoints, feature datasets) are built from
 the same few primitives: little-endian u32 scalars, length-prefixed UTF-8
 strings, and contiguous row-major float arrays with an explicit dims header.
 Keeping the primitives here means both formats fail the same way on damage:
-a short read raises ``TruncatedError`` naming what was being read.
+a field declared longer than what is left of the file raises
+``TruncatedError`` naming what was being read.
 """
 
 from __future__ import annotations
 
+import math
+import os
+import stat
 import struct
 from typing import BinaryIO
 
@@ -31,7 +35,20 @@ class TruncatedError(FormatError):
     """File ended before a declared field was complete."""
 
 
+def require(f: BinaryIO, n: int, what: str) -> None:
+    """Raise ``TruncatedError`` unless a regular file still holds ``n``
+    bytes, so a damaged length never turns into a huge read or allocation."""
+    st = os.fstat(f.fileno())
+    left = st.st_size - f.tell() if stat.S_ISREG(st.st_mode) else n
+    if n > left:
+        raise TruncatedError(f"expected {n} bytes for {what}, {left} left in the file")
+
+
 def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
+    # Reads up to 64 KiB cannot be a hazard and are checked after the fact:
+    # an fstat for every small field doubled the read time of a dataset.
+    if n > 1 << 16:
+        require(f, n, what)
     buf = f.read(n)
     if len(buf) != n:
         raise TruncatedError(f"expected {n} bytes for {what}, got {len(buf)}")
@@ -56,7 +73,10 @@ def write_str(f: BinaryIO, s: str) -> None:
 
 def read_str(f: BinaryIO, what: str = "string") -> str:
     n = read_u32(f, f"{what} length")
-    return read_exact(f, n, what).decode("utf-8")
+    try:
+        return read_exact(f, n, what).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{what} is not valid UTF-8: {e}") from None
 
 
 def write_array(f: BinaryIO, arr: np.ndarray, dtype: str) -> None:
@@ -74,7 +94,7 @@ def read_array(f: BinaryIO, dtype: str, what: str = "array") -> np.ndarray:
         raise FormatError(f"{what}: implausible rank {rank}")
     shape = tuple(read_u32(f, f"{what} dim {i}") for i in range(rank))
     dt = np.dtype(dtype).newbyteorder("<")
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    count = math.prod(shape)
     raw = read_exact(f, count * dt.itemsize, f"{what} payload")
     return np.frombuffer(raw, dtype=dt).reshape(shape).astype(np.float64)
 
@@ -85,8 +105,7 @@ def check_magic(f: BinaryIO, expected: bytes) -> None:
         raise BadMagicError(f"bad magic: expected {expected!r}, got {got!r}")
 
 
-def check_version(f: BinaryIO, supported: int) -> int:
+def check_version(f: BinaryIO, supported: int) -> None:
     version = read_u32(f, "format version")
     if version != supported:
         raise VersionError(f"unsupported format version {version}, expected {supported}")
-    return version

@@ -21,12 +21,16 @@ import math
 import numpy as np
 
 from .binio import (FormatError, check_magic, check_version, read_array,
-                    read_str, read_u32, write_array, write_str, write_u32)
+                    read_str, read_u32, require, write_array, write_str,
+                    write_u32)
 from .tensor import (ShapeError, Tensor, add, add_rowvec, cat_rows, concat,
                      group_softmax, matmul, mul, relu, shift_rows, sigmoid,
                      split, tanh)
 
 FAMILIES = ("vanilla-rnn", "gru", "lstm", "bi-gru", "bi-lstm", "conv1d", "monet")
+
+# Expansion passes add no parameters, so no file size bounds a header's depth.
+MAX_LAYERS = 1024
 
 CHECKPOINT_MAGIC = b"MONW"
 CHECKPOINT_VERSION = 1
@@ -49,8 +53,8 @@ class CellConfig:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
         if self.d_x < 1 or self.d_s < 1:
             raise ValueError(f"dims must be >= 1, got d_x={self.d_x}, d_s={self.d_s}")
-        if self.layers < 1:
-            raise ValueError(f"layers must be >= 1, got {self.layers}")
+        if not 1 <= self.layers <= MAX_LAYERS:
+            raise ValueError(f"layers must be in [1, {MAX_LAYERS}], got {self.layers}")
         if self.family == "conv1d" and (self.kernel < 1 or self.kernel % 2 == 0):
             raise ValueError(f"conv kernel must be odd and >= 1, got {self.kernel}")
         if self.causal_only and self.family.startswith("bi-"):
@@ -366,8 +370,9 @@ def _monet_base(pre_z: Tensor, pre_h: Tensor, ones: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Sequence runners (lists of per-timestep row matrices)
+# Sequence runners
 # ---------------------------------------------------------------------------
+# The recurrent runners step through lists of per-timestep (N, d) matrices.
 # The expansion and convolution runners read only the previous pass's (or
 # stage's) outputs, so they run each pass over every position at once on a
 # time-major (T*N, d) matrix: row t*N + i holds sequence i at step t, and a
@@ -380,15 +385,13 @@ def _time_major(xs: list[Tensor]) -> tuple[Tensor, int]:
     return cat_rows(xs), xs[0].shape[0]
 
 
-def _per_step(m: Tensor, n: int) -> list[Tensor]:
-    return list(split(m, [n] * (m.shape[0] // n), axis=0))
-
-
 def _monet_rows(X: Tensor, n: int, p: MoNetParams, layers: int,
                 causal_only: bool) -> Tensor:
-    """The expansion over a time-major (T*n, d_x) matrix; the neighbours of
-    every position in a pass are the previous states shifted by one step,
-    zero past either end of the sequence."""
+    """Expand the shared unit over a time-major (T*n, d_x) matrix: one
+    context-free base pass, then ``layers`` neighbour passes, so position t
+    at the end depends on inputs t-layers..t+layers exactly (t-layers..t
+    when causal_only).  The neighbours of every position in a pass are the
+    previous states shifted by one step, zero past either end."""
     ones = Tensor(np.ones((X.shape[0], p.b_h.shape[0])))
     pre_r = add_rowvec(matmul(X, p.W_r), p.b_r)
     pre_z = add_rowvec(matmul(X, p.W_z), p.b_z)
@@ -402,13 +405,7 @@ def _monet_rows(X: Tensor, n: int, p: MoNetParams, layers: int,
     return states
 
 
-def monet_steps(xs: list[Tensor], p: MoNetParams, layers: int,
-                causal_only: bool = False) -> list[Tensor]:
-    """Expand the shared unit over the sequence: one context-free base pass,
-    then ``layers`` neighbor passes, so position t at the end depends on
-    inputs t-layers..t+layers exactly (t-layers..t when causal_only)."""
-    X, n = _time_major(xs)
-    return _per_step(_monet_rows(X, n, p, layers, causal_only), n)
+_STEPS = {"vanilla-rnn": vanilla_step, "gru": gru_step, "lstm": lstm_step}
 
 
 def stacked_steps(xs: list[Tensor], layer_params: list, family: str) -> list[Tensor]:
@@ -419,18 +416,12 @@ def stacked_steps(xs: list[Tensor], layer_params: list, family: str) -> list[Ten
     for p in layer_params:
         d_s = p.b.shape[0] if family == "vanilla-rnn" else (
             p.b_r.shape[0] if family == "gru" else p.b_i.shape[0])
+        zero = Tensor(np.zeros((n, d_s)))
+        state = (zero, zero) if family == "lstm" else zero
         out = []
-        if family == "lstm":
-            state = (Tensor(np.zeros((n, d_s))), Tensor(np.zeros((n, d_s))))
-            for x in seq:
-                state = lstm_step(x, state, p)
-                out.append(state[0])
-        else:
-            step = vanilla_step if family == "vanilla-rnn" else gru_step
-            s = Tensor(np.zeros((n, d_s)))
-            for x in seq:
-                s = step(x, s, p)
-                out.append(s)
+        for x in seq:
+            state = _STEPS[family](x, state, p)
+            out.append(state[0] if family == "lstm" else state)
         seq = out
     return seq
 
@@ -441,10 +432,8 @@ def bidir_steps(xs: list[Tensor], p: BidirParams, family: str) -> list[Tensor]:
     base = family.removeprefix("bi-")
     fwd = stacked_steps(xs, p.fwd, base)
     bwd = list(reversed(stacked_steps(list(reversed(xs)), p.bwd, base)))
-    out = []
-    for f, b in zip(fwd, bwd):
-        out.append(add_rowvec(add(matmul(f, p.proj_fwd), matmul(b, p.proj_bwd)), p.b_out))
-    return out
+    return [add_rowvec(add(matmul(f, p.proj_fwd), matmul(b, p.proj_bwd)), p.b_out)
+            for f, b in zip(fwd, bwd)]
 
 
 def _conv1d_rows(X: Tensor, n: int, p: Conv1dParams, causal_only: bool) -> Tensor:
@@ -462,13 +451,6 @@ def _conv1d_rows(X: Tensor, n: int, p: Conv1dParams, causal_only: bool) -> Tenso
         if idx + 1 < len(p.stages):
             X = relu(X)
     return X
-
-
-def conv1d_steps(xs: list[Tensor], p: Conv1dParams, causal_only: bool = False) -> list[Tensor]:
-    """Stacked temporal convolutions with zero padding and ReLU between
-    stages only."""
-    X, n = _time_major(xs)
-    return _per_step(_conv1d_rows(X, n, p, causal_only), n)
 
 
 def monet_forward(X: Tensor, p: MoNetParams, layers: int, causal_only: bool = False) -> Tensor:
@@ -499,7 +481,6 @@ class Hallucinator:
 
     @classmethod
     def build(cls, config: CellConfig, rng: np.random.Generator) -> "Hallucinator":
-        config.validate()
         params = init_params(config, rng)
         readout = None
         if config.out_dim is not None and config.out_dim != config.d_s:
@@ -508,25 +489,27 @@ class Hallucinator:
                                     b=_bias(config.out_dim))
         return cls(config, params, readout)
 
-    def forward_steps(self, xs: list[Tensor]) -> list[Tensor]:
+    def forward_steps(self, xs: list[Tensor]) -> Tensor:
+        """Per-timestep (N, d_x) inputs in, one time-major (T*N, output_dim)
+        matrix out: row t*N + i holds sequence i at step t."""
         c = self.config
-        if c.family == "monet":
-            states = monet_steps(xs, self.params, c.layers, c.causal_only)
-        elif c.family in ("vanilla-rnn", "gru", "lstm"):
-            states = stacked_steps(xs, self.params, c.family)
+        if c.family in ("monet", "conv1d"):
+            X, n = _time_major(xs)
+            out = (_monet_rows(X, n, self.params, c.layers, c.causal_only) if c.family == "monet"
+                   else _conv1d_rows(X, n, self.params, c.causal_only))
         elif c.family in ("bi-gru", "bi-lstm"):
-            states = bidir_steps(xs, self.params, c.family)
+            out = cat_rows(bidir_steps(xs, self.params, c.family))
         else:
-            states = conv1d_steps(xs, self.params, c.causal_only)
+            out = cat_rows(stacked_steps(xs, self.params, c.family))
         if self.readout is not None:
-            states = [add_rowvec(matmul(s, self.readout.W), self.readout.b) for s in states]
-        return states
+            out = add_rowvec(matmul(out, self.readout.W), self.readout.b)
+        return out
 
     def forward(self, X: Tensor) -> Tensor:
         """(T, d_x) sequence in, (T, output_dim) sequence out."""
         if X.ndim != 2 or X.shape[1] != self.config.d_x:
             raise ShapeError(f"forward: need (T, {self.config.d_x}), got {X.shape}")
-        return cat_rows(self.forward_steps(_per_step(X, 1)))
+        return self.forward_steps(list(split(X, [1] * X.shape[0])))
 
     def tensors(self) -> list[Tensor]:
         out = collect_tensors(self.params)
@@ -566,15 +549,21 @@ class Hallucinator:
             config = CellConfig(family=family, d_x=d_x, d_s=d_s, layers=layers,
                                 kernel=kernel, causal_only=bool(causal),
                                 out_dim=None if out_dim == 0 else out_dim)
+            try:
+                config.validate()
+            except ValueError as e:
+                raise FormatError(f"checkpoint header: {e}") from None
+            require(f, 8 * count_params(config), "the weight shapes the header declares")
             model = cls.build(config, np.random.default_rng(0))
             for t in model.tensors():
                 arr = read_array(f, "<f8", "weight array")
                 if arr.shape != t.shape:
                     raise FormatError(f"weight shape mismatch: file has {arr.shape}, "
                                       f"config needs {t.shape}")
+                if not np.isfinite(arr).all():
+                    raise FormatError("non-finite weight array")
                 t.data = arr
-            trailing = f.read(1)
-            if trailing:
+            if f.read(1):
                 raise FormatError("trailing bytes after final weight array")
         return model
 

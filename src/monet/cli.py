@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .binio import FormatError
-from .cells import (CellConfig, FAMILIES, Hallucinator, count_params,
+from .cells import (CellConfig, Hallucinator, count_params,
                     flops_per_sequence, flops_per_step, match_params)
 from .classify import (LinearClassifier, Prediction, classify, ensemble,
                        fit_linear_classifier, pooled_matrix, predictions_csv,
@@ -60,11 +60,8 @@ def _strict_build(cls, raw: dict, what: str):
         raise UsageError(f"{what}: unknown key(s) {unknown}; allowed: {sorted(names)}")
     try:
         obj = cls(**raw)
-    except TypeError as e:
-        raise UsageError(f"{what}: {e}") from None
-    try:
         obj.validate()
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise UsageError(f"{what}: {e}") from None
     return obj
 
@@ -103,13 +100,14 @@ def _load_classifier(path: str) -> LinearClassifier:
     return clf
 
 
-def _read_records(path: str) -> list[FeatureRecord]:
+def _read_file(reader, path: str, what: str):
+    """``reader(path)``, with a missing or damaged file as invalid input."""
     try:
-        return read_dataset(path)
+        return reader(path)
     except FileNotFoundError:
-        raise UsageError(f"dataset file not found: {path}") from None
+        raise UsageError(f"{what} file not found: {path}") from None
     except FormatError as e:
-        raise UsageError(f"dataset file {path}: {e}") from None
+        raise UsageError(f"{what} file {path}: {e}") from None
 
 
 def _write_records(path: str, records: list[FeatureRecord], n_classes: int) -> None:
@@ -119,20 +117,11 @@ def _write_records(path: str, records: list[FeatureRecord], n_classes: int) -> N
         raise PipelineError(f"cannot write {path}: {e}") from None
 
 
-def _load_model(path: str) -> Hallucinator:
-    try:
-        return Hallucinator.load(path)
-    except FileNotFoundError:
-        raise UsageError(f"checkpoint file not found: {path}") from None
-    except FormatError as e:
-        raise UsageError(f"checkpoint file {path}: {e}") from None
-
-
 def _model_and_records(args) -> tuple[Hallucinator, list[FeatureRecord]]:
     """The checkpoint and the records it will run on; a dataset the model
     cannot run on is a runtime failure."""
-    model = _load_model(args.checkpoint)
-    records = _read_records(args.data)
+    model = _read_file(Hallucinator.load, args.checkpoint, "checkpoint")
+    records = _read_file(read_dataset, args.data, "dataset")
     if not records:
         raise PipelineError("dataset holds no records")
     t_len, d_x = records[0].appearance.shape
@@ -237,6 +226,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.csv and not (args.teacher and args.appearance):
+        raise UsageError("--csv needs both --teacher and --appearance")
     model, records = _model_and_records(args)
     out_dim = model.config.output_dim
     d_s = records[0].flow_target.shape[1]
@@ -289,8 +280,13 @@ def cmd_hallucinate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.family not in FAMILIES:
-        raise UsageError(f"unknown family {args.family!r}; choose from {FAMILIES}")
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
+    for layers in args.layers:
+        try:
+            CellConfig(family=args.family, d_x=1, d_s=1, layers=layers).validate()
+        except ValueError as e:
+            raise UsageError(str(e)) from None
     failed = False
     for layers in args.layers:
         result = check_family(args.family, layers, instances=args.trials, seed=args.seed)
@@ -302,6 +298,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_flops(args) -> int:
+    if args.seq_len < 1:
+        raise UsageError(f"--seq-len must be >= 1, got {args.seq_len}")
     cell = _strict_build(CellConfig, _load_json(args.config, "cell config"), "cell config")
     baseline = match_params(cell, "gru").config if cell.family != "gru" \
         else match_params(cell, "monet").config
@@ -344,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--teacher", default=None, help="motion-stream classifier JSON")
     p.add_argument("--appearance", default=None, help="appearance-stream classifier JSON")
-    p.add_argument("--csv", default=None, help="write fused predictions CSV here")
+    p.add_argument("--csv", default=None, help="write fused predictions CSV here "
+                                              "(needs --teacher and --appearance)")
 
     p = sub.add_parser("hallucinate", help="write a dataset whose motion features "
                                            "are the model's output")

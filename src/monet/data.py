@@ -221,17 +221,17 @@ def write_dataset(path: str, records: list[FeatureRecord], n_classes: int | None
             f.write(s.tobytes())
 
 
+def _read_header(f) -> dict:
+    check_magic(f, DATASET_MAGIC)
+    check_version(f, DATASET_VERSION)
+    return {k: read_u32(f, k) for k in ("n_records", "n_classes", "seq_len", "d_x", "d_s")}
+
+
 def read_dataset(path: str) -> list[FeatureRecord]:
     """Read a dataset file back; values come out as the f32 the file stores,
     widened to f64.  Non-finite payloads are rejected."""
     with open(path, "rb") as f:
-        check_magic(f, DATASET_MAGIC)
-        check_version(f, DATASET_VERSION)
-        n = read_u32(f, "record count")
-        n_classes = read_u32(f, "class count")
-        t_len = read_u32(f, "sequence length")
-        d_x = read_u32(f, "appearance dim")
-        d_s = read_u32(f, "target dim")
+        n, n_classes, t_len, d_x, d_s = _read_header(f).values()
         records = []
         for i in range(n):
             rid = read_str(f, f"record {i} id")
@@ -253,10 +253,7 @@ def read_dataset(path: str) -> list[FeatureRecord]:
 
 def read_dataset_header(path: str) -> dict:
     with open(path, "rb") as f:
-        check_magic(f, DATASET_MAGIC)
-        check_version(f, DATASET_VERSION)
-        keys = ("n_records", "n_classes", "seq_len", "d_x", "d_s")
-        return {k: read_u32(f, k) for k in keys}
+        return _read_header(f)
 
 
 def dataset_manifest(path: str, spec: SyntheticTaskSpec | None = None) -> dict:

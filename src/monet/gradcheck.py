@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from .cells import CellConfig, Hallucinator
-from .tensor import Tape, Tensor, add, finite_diff_grad, mul, relative_error, sub, tsum
+from .tensor import Tape, Tensor, finite_diff_grad, mul, relative_error, sub, tsum
 
 
 @dataclasses.dataclass
@@ -32,11 +32,8 @@ class GradCheckResult:
 
 
 def _loss_value(model: Hallucinator, xs: list[Tensor], targets: list[np.ndarray]) -> float:
-    ys = model.forward_steps(xs)
-    total = 0.0
-    for y, z in zip(ys, targets):
-        total += float(np.sum((y.data - z) ** 2))
-    return total
+    ys = model.forward_steps(xs).data.reshape(len(targets), *targets[0].shape)
+    return sum(float(np.sum((y - z) ** 2)) for y, z in zip(ys, targets))
 
 
 def check_instance(model: Hallucinator, rng: np.random.Generator,
@@ -47,12 +44,8 @@ def check_instance(model: Hallucinator, rng: np.random.Generator,
     xs = [Tensor(rng.normal(size=(1, c.d_x)), requires_grad=True) for _ in range(t_len)]
     targets = [rng.normal(size=(1, c.output_dim)) for _ in range(t_len)]
     with Tape() as tape:
-        ys = model.forward_steps(xs)
-        loss = None
-        for y, z in zip(ys, targets):
-            diff = sub(y, Tensor(z))
-            term = tsum(mul(diff, diff))
-            loss = term if loss is None else add(loss, term)
+        diff = sub(model.forward_steps(xs), Tensor(np.concatenate(targets)))
+        loss = tsum(mul(diff, diff))
     tape.backward(loss)
     worst = 0.0
     for leaf in model.tensors() + xs:

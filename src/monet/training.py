@@ -21,7 +21,8 @@ from .cells import Hallucinator
 from .classify import (PROB_SUM_TOL, LinearClassifier, _np_softmax,
                        class_probabilities_steps)
 from .data import FeatureRecord
-from .tensor import Tape, Tensor, abs_, add, cat_rows, mul, scale, sub, tsum
+from .tensor import (Tape, Tensor, abs_, add, cat_rows, mul, scale, split, sub,
+                     tsum)
 
 
 class TrainingDiverged(RuntimeError):
@@ -83,18 +84,15 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 # Objective
 # ---------------------------------------------------------------------------
 
-def _to_steps(x) -> list[Tensor]:
+def _as_matrix(x) -> Tensor:
+    """A (T*N, D) tensor as it is, or per-timestep (N, D) steps stacked into
+    one: one ``cat_rows`` node if they carry gradient, joined off the tape
+    if they are constants."""
     if isinstance(x, Tensor):
-        return [x]
-    return list(x)
-
-
-def _joined(steps: list[Tensor]) -> Tensor:
-    """The steps stacked into one (T*N, D) tensor: one ``cat_rows`` node if
-    they carry gradient, joined off the tape if they are constants."""
-    if any(s.requires_grad for s in steps):
-        return cat_rows(steps)
-    return Tensor(np.concatenate([s.data for s in steps]))
+        return x
+    if any(s.requires_grad for s in x):
+        return cat_rows(x)
+    return Tensor(np.concatenate([s.data for s in x]))
 
 
 def _check_prob_rows(p: Tensor, name: str) -> None:
@@ -107,22 +105,24 @@ def hallucination_loss(predicted, target, pred_probs: Tensor | None,
                        target_probs: Tensor | None, cfg: LossConfig) -> Tensor:
     """Scalar objective for one batch.
 
-    ``predicted`` and ``target`` are either single (T, D) tensors or lists
-    of per-timestep (N, D) tensors; the probability tensors are (C,) or
-    (N, C).  The feature term averages over all of N, T, and D; the
-    probability term averages over N and C and is scaled by alpha.  Step
-    lists are joined into one (T*N, D) matrix first, so the feature term
-    records the same few tape nodes whatever T is.
+    ``predicted`` and ``target`` are either (T*N, D) tensors (a single
+    sequence is N = 1) or lists of per-timestep (N, D) tensors; the
+    probability tensors are (C,) or (N, C).  The feature term averages over
+    all of N, T, and D; the probability term averages over N and C and is
+    scaled by alpha.  Step lists are joined into one matrix first, so the
+    feature term records the same few tape nodes whatever T is.
     """
     cfg.validate()
-    pred_steps = _to_steps(predicted)
-    tgt_steps = _to_steps(target)
-    if len(pred_steps) != len(tgt_steps):
-        raise ValueError(f"sequence lengths differ: {len(pred_steps)} vs {len(tgt_steps)}")
-    for p, t in zip(pred_steps, tgt_steps):
-        if p.shape != t.shape:
-            raise ValueError(f"feature shapes differ: {p.shape} vs {t.shape}")
-    diff = sub(_joined(pred_steps), _joined(tgt_steps))
+    if not isinstance(predicted, Tensor) and not isinstance(target, Tensor):
+        if len(predicted) != len(target):
+            raise ValueError(f"sequence lengths differ: {len(predicted)} vs {len(target)}")
+        for p, t in zip(predicted, target):
+            if p.shape != t.shape:
+                raise ValueError(f"feature shapes differ: {p.shape} vs {t.shape}")
+    pred, tgt = _as_matrix(predicted), _as_matrix(target)
+    if pred.shape != tgt.shape:
+        raise ValueError(f"feature shapes differ: {pred.shape} vs {tgt.shape}")
+    diff = sub(pred, tgt)
     loss = scale(tsum(mul(diff, diff)), 1.0 / diff.size)
     if cfg.alpha > 0:
         if pred_probs is None or target_probs is None:
@@ -216,7 +216,8 @@ def hallucinate_array(model: Hallucinator, app: np.ndarray) -> np.ndarray:
     for start in range(0, app.shape[0], _HALLUCINATE_BLOCK):
         block = app[start:start + _HALLUCINATE_BLOCK]
         xs = [Tensor(np.ascontiguousarray(block[:, t, :])) for t in range(block.shape[1])]
-        out.append(np.stack([y.data for y in model.forward_steps(xs)], axis=1))
+        rows = model.forward_steps(xs).data
+        out.append(rows.reshape(block.shape[1], block.shape[0], -1).transpose(1, 0, 2))
     return np.concatenate(out)
 
 
@@ -312,14 +313,14 @@ def train(model: Hallucinator, train_records: list[FeatureRecord],
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             batch_app = app[idx]
-            batch_flow = flow[idx]
             xs = [Tensor(np.ascontiguousarray(batch_app[:, t, :])) for t in range(t_len)]
-            tgt = [Tensor(np.ascontiguousarray(batch_flow[:, t, :])) for t in range(t_len)]
+            tgt = Tensor(flow[idx].transpose(1, 0, 2).reshape(t_len * len(idx), -1))
             with Tape() as tape:
                 pred = model.forward_steps(xs)
                 pred_probs = target_probs = None
                 if clf is not None:
-                    pred_probs = class_probabilities_steps(pred, clf)
+                    steps = split(pred, [len(idx)] * t_len)
+                    pred_probs = class_probabilities_steps(list(steps), clf)
                     target_probs = Tensor(target_probs_all[idx])
                 loss = hallucination_loss(pred, tgt, pred_probs, target_probs, loss_cfg)
             value = loss.item()

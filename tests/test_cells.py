@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from monet.binio import BadMagicError, FormatError, TruncatedError, VersionError
-from monet.cells import (BidirParams, CellConfig, Conv1dParams, ConvStage,
-                         Hallucinator, MoNetParams, collect_tensors,
+from monet.cells import (FAMILIES, BidirParams, CellConfig, Conv1dParams,
+                         ConvStage, Hallucinator, MoNetParams, collect_tensors,
                          count_params, gru_step, init_bidir, init_gru,
                          init_conv1d, init_lstm, init_monet, lstm_step,
-                         match_params, monet_forward, monet_steps,
-                         monet_unit, conv1d_steps)
+                         MAX_LAYERS, match_params, monet_forward, monet_unit)
 from monet.tensor import (ShapeError, Tape, Tensor, cat_rows,
                           finite_diff_grad, jacobian, matmul, mul,
                           relative_error, tsum)
@@ -269,25 +268,34 @@ def _monet_unit_loop(xs, p, layers, causal_only):
     return states
 
 
+def _monet_forward_steps(xs, p, layers, causal_only):
+    d_x, d_s = p.W_r.shape
+    config = CellConfig(family="monet", d_x=d_x, d_s=d_s, layers=layers,
+                        causal_only=causal_only)
+    return Hallucinator(config, p).forward_steps(xs)
+
+
 @pytest.mark.parametrize("causal_only", [False, True])
 @pytest.mark.parametrize("layers", [1, 3])
 @pytest.mark.parametrize("t_len", [1, 2, 5])
 def test_monet_steps_matches_per_step_unit_loop(t_len, layers, causal_only):
+    """The time-parallel expansion behind ``forward_steps`` against T unit
+    calls per pass."""
     rng = np.random.default_rng(14)
     p = init_monet(3, 4, rng)
     xs = [Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True) for _ in range(t_len)]
-    weights = [Tensor(rng.uniform(-1, 1, (3, 4))) for _ in range(t_len)]
+    weights = Tensor(rng.uniform(-1, 1, (t_len * 3, 4)))
+    looped = lambda *args: cat_rows(_monet_unit_loop(*args))
     grads = []
-    for run in (monet_steps, _monet_unit_loop):
+    for run in (_monet_forward_steps, looped):
         for x in xs:
             x.zero_grad()
         with Tape() as tape:
-            outs = run(xs, p, layers, causal_only)
-            loss = tsum(cat_rows([mul(o, w) for o, w in zip(outs, weights)]))
+            out = run(xs, p, layers, causal_only)
+            loss = tsum(mul(out, weights))
         tape.backward(loss)
-        grads.append(([o.data for o in outs], [x.grad for x in xs]))
-    (batched, batched_g), (looped, looped_g) = grads
-    for a, b in zip(batched + batched_g, looped + looped_g):
+        grads.append([out.data] + [x.grad for x in xs])
+    for a, b in zip(*grads):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
@@ -307,7 +315,23 @@ def test_time_parallel_tape_size_does_not_depend_on_length(family):
 def test_monet_steps_rejects_ragged_steps():
     p = init_monet(3, 4, np.random.default_rng(16))
     with pytest.raises(ShapeError):
-        monet_steps([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))], p, 1)
+        _monet_forward_steps([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))], p, 1, False)
+
+
+@pytest.mark.parametrize("out_dim", [None, 5])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_forward_steps_returns_time_major_rows(family, out_dim):
+    """Row t*N + i of the batch output is sequence i's step t, as the
+    single-sequence forward computes it."""
+    n, t_len = 3, 4
+    config = CellConfig(family=family, d_x=3, d_s=4, layers=2, out_dim=out_dim)
+    model = Hallucinator.build(config, np.random.default_rng(17))
+    seqs = np.random.default_rng(18).uniform(-1, 1, (n, t_len, 3))
+    rows = model.forward_steps([Tensor(seqs[:, t]) for t in range(t_len)])
+    assert rows.shape == (t_len * n, config.output_dim)
+    for i in range(n):
+        np.testing.assert_allclose(rows.data[i::n], model.forward(Tensor(seqs[i])).data,
+                                   rtol=0, atol=1e-12)
 
 
 # -- Bidirectional wrappers -------------------------------------------------
@@ -457,8 +481,11 @@ def test_conv1d_steps_matches_per_tap_loop(t_len, layers, kernel, causal_only):
     for stage in p.stages:
         stage.bias.data = rng.uniform(-0.5, 0.5, stage.bias.shape)
     xs = [Tensor(rng.uniform(-1, 1, (3, 3))) for _ in range(t_len)]
-    for got, want in zip(conv1d_steps(xs, p, causal_only), _conv1d_tap_loop(xs, p, causal_only)):
-        np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
+    config = CellConfig(family="conv1d", d_x=3, d_s=4, layers=layers, kernel=kernel,
+                        causal_only=causal_only)
+    got = Hallucinator(config, p).forward_steps(xs).data
+    for t, want in enumerate(_conv1d_tap_loop(xs, p, causal_only)):
+        np.testing.assert_allclose(got[t * 3:(t + 1) * 3], want, rtol=0, atol=1e-12)
 
 
 # -- Parameter accounting ---------------------------------------------------
@@ -518,6 +545,12 @@ def test_cell_config_rejects_bad_values():
         CellConfig(family="gru", d_x=4, d_s=4, layers=0).validate()
     with pytest.raises(ValueError):
         CellConfig(family="bi-gru", d_x=4, d_s=4, causal_only=True).validate()
+
+
+def test_cell_config_bounds_the_depth():
+    CellConfig(family="monet", d_x=4, d_s=4, layers=MAX_LAYERS).validate()
+    with pytest.raises(ValueError, match="layers"):
+        CellConfig(family="monet", d_x=4, d_s=4, layers=MAX_LAYERS + 1).validate()
 
 
 # -- Checkpoint round trip --------------------------------------------------
@@ -593,4 +626,46 @@ def test_checkpoint_header_weight_shape_mismatch(tmp_path):
     raw[offset:offset + 4] = (5).to_bytes(4, "little")
     open(path, "wb").write(bytes(raw))
     with pytest.raises(FormatError, match="shape"):
+        Hallucinator.load(path)
+
+
+def _damaged_checkpoint(tmp_path, offset, patch):
+    model = Hallucinator.build(CellConfig(family="monet", d_x=4, d_s=4),
+                               np.random.default_rng(0))
+    path = str(tmp_path / "m.monw")
+    model.save(path)
+    raw = bytearray(open(path, "rb").read())
+    raw[offset:offset + len(patch)] = patch
+    open(path, "wb").write(bytes(raw))
+    return path
+
+
+# header layout: magic(4) version(4) strlen(4) tag, then six u32 fields
+_TAG = 12
+_WEIGHTS = _TAG + len("monet") + 6 * 4
+
+
+def test_checkpoint_header_beyond_the_file_fails_before_building(tmp_path, monkeypatch):
+    path = _damaged_checkpoint(tmp_path, _TAG + 5 + 4, (100_000).to_bytes(4, "little"))
+
+    def no_build(*_):
+        raise AssertionError("parameters built for a header the file cannot hold")
+
+    monkeypatch.setattr(Hallucinator, "build", no_build)
+    with pytest.raises(TruncatedError):
+        Hallucinator.load(path)
+
+
+def test_checkpoint_array_dims_whose_product_wraps_are_truncated(tmp_path):
+    # rank 4, every dim 2**16: the element count is 2**64, 0 in int64
+    dims = (4).to_bytes(4, "little") + (1 << 16).to_bytes(4, "little") * 4
+    path = _damaged_checkpoint(tmp_path, _WEIGHTS, dims)
+    with pytest.raises(TruncatedError):
+        Hallucinator.load(path)
+
+
+def test_checkpoint_non_finite_weight_is_format_error(tmp_path):
+    # first weight array: rank(4) and two dims(8), then the payload
+    path = _damaged_checkpoint(tmp_path, _WEIGHTS + 12, np.float64(np.inf).tobytes())
+    with pytest.raises(FormatError, match="non-finite"):
         Hallucinator.load(path)

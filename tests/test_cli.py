@@ -91,6 +91,15 @@ def test_gen_data_unknown_key_rejected(tmp_path, capsys):
     assert "n_clases" in err
 
 
+def test_config_value_of_the_wrong_type_is_invalid_input(tmp_path, capsys):
+    spec_path = write_json(tmp_path / "spec.json", dict(TASK, seq_len="8"))
+    code, out, err = run(capsys, "gen-data", "--spec", spec_path,
+                         "--out", str(tmp_path / "d"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: task spec: ")
+    assert not (tmp_path / "d").exists()
+
+
 def test_malformed_json_is_invalid_input(tmp_path, capsys):
     bad = tmp_path / "spec.json"
     bad.write_text("{not json")
@@ -333,6 +342,48 @@ def test_zero_length_sequences_are_runtime_failure(trained_dir, capsys, tmp_path
     assert not (tmp_path / "h.mofe").exists()
 
 
+# Byte patches that damage one field: (file, offset, bytes, error text).  A
+# .mofe record id starts after the 28-byte header and its 4-byte length (16
+# and 20 hold the sequence length and appearance dim); a .monw family tag
+# starts after magic, version and the tag length.
+DAMAGED_FILES = {
+    "mofe-id-not-utf8": ("val.mofe", 32, b"\xff", "record 0 id is not valid UTF-8"),
+    "mofe-lengths-beyond-file": ("val.mofe", 16, b"\xff" * 8, "left in the file"),
+    "monw-tag-not-utf8": ("checkpoint.monw", 12, b"\xff", "family tag is not valid UTF-8"),
+    "monw-unknown-family": ("checkpoint.monw", 12, b"gruuu", "unknown family 'gruuu'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGED_FILES))
+def test_eval_damaged_file_is_invalid_input(trained_dir, capsys, tmp_path, case):
+    name, offset, patch, text = DAMAGED_FILES[case]
+    paths = {n: tmp_path / n for n in ("val.mofe", "checkpoint.monw")}
+    for n, path in paths.items():
+        raw = bytearray((trained_dir / "run" / n).read_bytes())
+        if n == name:
+            raw[offset:offset + len(patch)] = patch
+        path.write_bytes(bytes(raw))
+    code, out, err = run(capsys, "eval", "--checkpoint", str(paths["checkpoint.monw"]),
+                         "--data", str(paths["val.mofe"]))
+    assert code == 2 and out == ""
+    assert err.startswith(("error: dataset file", "error: checkpoint file")) and text in err
+
+
+@pytest.mark.parametrize("flags", [("--csv",), ("--csv", "--teacher"),
+                                   ("--csv", "--appearance")])
+def test_eval_csv_without_both_classifiers_is_invalid_input(trained_dir, capsys,
+                                                           tmp_path, flags):
+    run_dir = trained_dir / "run"
+    values = {"--csv": str(tmp_path / "p.csv"), "--teacher": str(run_dir / "teacher.json"),
+              "--appearance": str(run_dir / "appearance.json")}
+    code, out, err = run(capsys, "eval", "--checkpoint", str(run_dir / "checkpoint.monw"),
+                         "--data", str(run_dir / "val.mofe"),
+                         *[arg for flag in flags for arg in (flag, values[flag])])
+    assert code == 2 and out == ""
+    assert err == "error: --csv needs both --teacher and --appearance\n"
+    assert not (tmp_path / "p.csv").exists()
+
+
 # -- gradcheck ---------------------------------------------------------------
 
 def test_gradcheck_passes_for_gru(capsys):
@@ -352,6 +403,14 @@ def test_gradcheck_unknown_family_is_invalid_input(capsys):
     code, _, err = run(capsys, "gradcheck", "--family", "transformer")
     assert code == 2
     assert "unknown family" in err
+
+
+@pytest.mark.parametrize("flags", [("--trials", "0"), ("--trials", "-3"),
+                                   ("--layers", "0"), ("--layers", "1", "0")])
+def test_gradcheck_out_of_range_flags_are_invalid_input(capsys, flags):
+    code, out, err = run(capsys, "gradcheck", "--family", "gru", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "must be" in err
 
 
 def test_gradcheck_detects_corrupted_backward_rule(capsys, monkeypatch):
@@ -381,6 +440,13 @@ def test_flops_gru_step_formula(tmp_path, capsys):
     assert rows["configured"]["per_step"]["total_madds"] == 6 * d * d + 3 * d
     assert rows["configured"]["per_step"]["activations"] > 0
     assert rows["matched_baseline"]["family"] == "monet"
+
+
+def test_flops_zero_seq_len_is_invalid_input(tmp_path, capsys):
+    cfg_path = write_json(tmp_path / "cell.json", {"family": "gru", "d_x": 4, "d_s": 4})
+    code, out, err = run(capsys, "flops", "--config", cfg_path, "--seq-len", "0")
+    assert code == 2 and out == ""
+    assert err == "error: --seq-len must be >= 1, got 0\n"
 
 
 def test_flops_monet_exceeds_gru_at_equal_dims():

@@ -211,6 +211,15 @@ def test_non_finite_payload_rejected_at_read(tmp_path):
         read_dataset(path)
 
 
+def test_declared_lengths_beyond_the_file_are_truncated_before_reading(tmp_path):
+    path, _ = write_small(tmp_path)
+    raw = bytearray(open(path, "rb").read())
+    raw[16:24] = b"\xff" * 8  # sequence length and appearance dim
+    open(path, "wb").write(bytes(raw))
+    with pytest.raises(TruncatedError, match="appearance"):
+        read_dataset(path)
+
+
 def test_values_beyond_f32_rejected_before_the_file_is_opened(tmp_path):
     path = tmp_path / "d.mofe"
     for appearance, flow in (([[1e39]], [[0.5]]), ([[0.5]], [[-4e38]])):

@@ -336,6 +336,29 @@ def test_hallucinate_array_blocks_match_whole_sequence_forward():
         np.testing.assert_allclose(out[i], model.forward(Tensor(app[i])).data, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("alpha,splits", [(0.0, 0), (10.0, 1)])
+def test_training_step_keeps_the_batch_time_major(monkeypatch, alpha, splits):
+    """The model hands the loss its time-major output: the inputs are the
+    step's one ``cat_rows``, and only the teacher term splits the output
+    into steps."""
+    tr, va = small_task(n_train=8, n_val=4)
+    model = fresh_model(layers=3)
+    recorded = []
+    real_backward = Tape.backward
+
+    def recording_backward(tape, loss):
+        recorded.append([node.op for node in tape.nodes])
+        real_backward(tape, loss)
+
+    monkeypatch.setattr(Tape, "backward", recording_backward)
+    clf = teacher_for(tr, 4) if alpha > 0 else None
+    train(model, tr, va, TrainConfig(max_epochs=1, batch_size=8),
+          LossConfig(alpha=alpha, classifier=clf))
+    [ops] = recorded
+    assert ops.count("cat_rows") == 1
+    assert ops.count("split") == splits
+
+
 def test_report_json_round_trip():
     tr, va = small_task(n_train=16, n_val=8)
     model = fresh_model()
