@@ -246,9 +246,13 @@ def cmd_eval(args) -> int:
         raise PipelineError(f"teacher has {teacher.n_classes} classes but the appearance "
                             f"classifier has {appearance_clf.n_classes}")
     result = evaluate(model, records, teacher)
+    if not np.isfinite(result.hallucinated).all():
+        raise PipelineError("the hallucinated features are not finite: the checkpoint's "
+                            "weights overflow on this data")
     out = {"val_mse": result.mse, "val_top1": result.top1}
     labels = [r.label for r in records]
     flow_preds: list[Prediction] | None = None
+    fused: list[Prediction] | None = None
     if teacher is not None:
         halluc = result.hallucinated.astype(np.float32).astype(np.float64)
         flow_preds = [classify(halluc[i], teacher) for i in range(len(records))]
@@ -259,10 +263,14 @@ def cmd_eval(args) -> int:
         if flow_preds is not None:
             fused = [ensemble(a, b) for a, b in zip(app_preds, flow_preds)]
             out["top1_fused"] = top1_accuracy(fused, labels)
-            if args.csv:
-                with open(args.csv, "w", encoding="utf-8") as f:
-                    f.write(predictions_csv([r.id for r in records], labels, fused))
-    print(json.dumps(out))
+    bad = [k for k, v in out.items() if v is not None and not np.isfinite(v)]
+    if bad:
+        raise PipelineError(f"non-finite metrics {bad}: the checkpoint's weights "
+                            f"overflow on this data")
+    if args.csv and fused is not None:
+        with open(args.csv, "w", encoding="utf-8") as f:
+            f.write(predictions_csv([r.id for r in records], labels, fused))
+    print(json.dumps(out, allow_nan=False))
     return 0
 
 

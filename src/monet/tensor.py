@@ -146,12 +146,24 @@ def _record(op: str, inputs: tuple[Tensor, ...], outputs: tuple[Tensor, ...], sa
 
 
 def _out(data: np.ndarray, inputs: Sequence[Tensor]) -> Tensor:
-    return Tensor(data, requires_grad=any(t.requires_grad for t in inputs))
+    """Wrap an op's result, which is float64 already, skipping the public
+    constructor's cast.  Only an op on 0-d operands needs converting: numpy
+    hands back a scalar there."""
+    out = Tensor.__new__(Tensor)
+    out.data = data if type(data) is np.ndarray else np.asarray(data)
+    out.grad = None
+    out.requires_grad = False
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad = True
+            break
+    return out
 
 
 def _require_equal_shapes(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes must match exactly, got {a.shape} and {b.shape}")
+    a_shape, b_shape = a.data.shape, b.data.shape
+    if a_shape != b_shape:
+        raise ShapeError(f"{op}: shapes must match exactly, got {a_shape} and {b_shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -187,19 +199,21 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
     """Add a length-D vector to every row of an (N, D) matrix."""
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ShapeError(f"add_rowvec: need (N, D) and (D,), got {m.shape} and {v.shape}")
-    out = _out(m.data + v.data, (m, v))
+    md, vd = m.data, v.data
+    if md.ndim != 2 or vd.ndim != 1 or md.shape[1] != vd.shape[0]:
+        raise ShapeError(f"add_rowvec: need (N, D) and (D,), got {md.shape} and {vd.shape}")
+    out = _out(md + vd, (m, v))
     _record("add_rowvec", (m, v), (out,))
     return out
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul: both operands must be 2-D, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree, got {a.shape} and {b.shape}")
-    out = _out(a.data @ b.data, (a, b))
+    ad, bd = a.data, b.data
+    if ad.ndim != 2 or bd.ndim != 2:
+        raise ShapeError(f"matmul: both operands must be 2-D, got {ad.shape} and {bd.shape}")
+    if ad.shape[1] != bd.shape[0]:
+        raise ShapeError(f"matmul: inner dimensions disagree, got {ad.shape} and {bd.shape}")
+    out = _out(ad @ bd, (a, b))
     _record("matmul", (a, b), (out,))
     return out
 
@@ -357,6 +371,8 @@ def group_softmax(stack: Sequence[Tensor]) -> tuple[Tensor, ...]:
 # ---------------------------------------------------------------------------
 # Each rule maps (node, per-output gradients) to per-input gradients.  A None
 # output gradient means nothing reached that output; rules see zeros instead.
+# For an input that does not require grad a rule may return None instead;
+# the rules whose gradient for it would cost a product or a reduction do.
 
 def _bw_add(node, gs):
     (g,) = gs
@@ -365,13 +381,14 @@ def _bw_add(node, gs):
 
 def _bw_sub(node, gs):
     (g,) = gs
-    return g, -g
+    return g, (-g if node.inputs[1].requires_grad else None)
 
 
 def _bw_mul(node, gs):
     (g,) = gs
     a, b = node.inputs
-    return g * b.data, g * a.data
+    return (g * b.data if a.requires_grad else None,
+            g * a.data if b.requires_grad else None)
 
 
 def _bw_scale(node, gs):
@@ -382,13 +399,14 @@ def _bw_scale(node, gs):
 
 def _bw_add_rowvec(node, gs):
     (g,) = gs
-    return g, g.sum(axis=0)
+    return g, (g.sum(axis=0) if node.inputs[1].requires_grad else None)
 
 
 def _bw_matmul(node, gs):
     (g,) = gs
     a, b = node.inputs
-    return g @ b.data.T, a.data.T @ g
+    return (g @ b.data.T if a.requires_grad else None,
+            a.data.T @ g if b.requires_grad else None)
 
 
 def _bw_sigmoid(node, gs):
@@ -490,17 +508,30 @@ BACKWARD_RULES: dict[str, Callable] = {
 
 def _sweep(tape: Tape, seeds: dict[Tensor, np.ndarray]) -> dict[Tensor, np.ndarray]:
     """Replay the tape in reverse, returning the accumulated gradient of
-    every tensor the seeds reach (the seeds included)."""
+    every requires-grad tensor the seeds reach (the seeds included).
+
+    A gradient for an input that does not require grad is never stored,
+    whatever its rule returns.  Nothing upstream of such a tensor requires
+    grad either, so every stored gradient sums the same terms in the same
+    order as a sweep that kept them all."""
     acc = dict(seeds)
+    get = acc.get
     for node in reversed(tape.nodes):
-        gs = tuple(acc.get(t) for t in node.outputs)
-        if all(g is None for g in gs):
-            continue
-        in_grads = BACKWARD_RULES[node.op](node, gs)
-        for t, g in zip(node.inputs, in_grads):
+        outputs = node.outputs
+        if len(outputs) == 1:
+            g = get(outputs[0])
             if g is None:
                 continue
-            prev = acc.get(t)
+            gs = (g,)
+        else:
+            gs = tuple(get(t) for t in outputs)
+            if all(g is None for g in gs):
+                continue
+        in_grads = BACKWARD_RULES[node.op](node, gs)
+        for t, g in zip(node.inputs, in_grads):
+            if g is None or not t.requires_grad:
+                continue
+            prev = get(t)
             acc[t] = g if prev is None else prev + g
     return acc
 
@@ -534,8 +565,12 @@ def jacobian(output: Tensor, wrt: Tensor, tape: Tape) -> np.ndarray:
     """Full jacobian d(output)/d(wrt) of shape (output.size, wrt.size).
 
     Runs one reverse sweep per output coordinate; entries with no path from
-    ``wrt`` to ``output`` come out exactly 0.0.
+    ``wrt`` to ``output`` come out exactly 0.0.  The sweep keeps gradients
+    of requires-grad tensors only, so ``wrt`` must require grad.
     """
+    if not wrt.requires_grad:
+        raise GradientError(f"jacobian: wrt {wrt!r} does not require grad, so the sweep "
+                            f"keeps no gradient for it")
     jac = np.zeros((output.size, wrt.size))
     for j in range(output.size):
         seed = np.zeros(output.size)

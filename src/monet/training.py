@@ -257,11 +257,18 @@ def evaluate(model: Hallucinator, records: list[FeatureRecord],
 
 @dataclasses.dataclass
 class EpochStats:
+    """One epoch of the report.  The gradient fields describe the global
+    norm of each batch's gradients before clipping: their mean and max,
+    and the fraction of batches whose norm exceeded ``clip_norm`` and were
+    scaled down."""
     epoch: int
     lr: float
     train_loss: float
     val_mse: float
     val_top1: float | None
+    grad_norm_mean: float
+    grad_norm_max: float
+    clip_fraction: float
 
 
 @dataclasses.dataclass
@@ -310,6 +317,7 @@ def train(model: Hallucinator, train_records: list[FeatureRecord],
         lr = lr_at(epoch, cfg)
         order = rng.permutation(n)
         loss_sum = 0.0
+        norms: list[float] = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             batch_app = app[idx]
@@ -337,9 +345,13 @@ def train(model: Hallucinator, train_records: list[FeatureRecord],
                                        f"batch {start // cfg.batch_size}")
             optimizer.step(params, grads, lr)
             loss_sum += value * len(idx)
+            norms.append(norm)
         val = evaluate(model, val_records, clf)
         history.append(EpochStats(epoch=epoch, lr=lr, train_loss=loss_sum / n,
-                                  val_mse=val.mse, val_top1=val.top1))
+                                  val_mse=val.mse, val_top1=val.top1,
+                                  grad_norm_mean=sum(norms) / len(norms),
+                                  grad_norm_max=max(norms),
+                                  clip_fraction=sum(x > cfg.clip_norm for x in norms) / len(norms)))
         if val.mse < best_val:
             best_val = val.mse
             best_epoch = epoch

@@ -119,7 +119,8 @@ def test_train_writes_artifacts(trained_dir):
     report = json.loads((run_dir / "report.json").read_text())
     assert len(report["epochs"]) == 3
     assert set(report["epochs"][0]) == {"epoch", "lr", "train_loss", "val_mse",
-                                        "val_top1"}
+                                        "val_top1", "grad_norm_mean", "grad_norm_max",
+                                        "clip_fraction"}
 
 
 def test_eval_reproduces_reported_validation_numbers(trained_dir, capsys):
@@ -283,6 +284,30 @@ def test_hallucinate_output_beyond_f32_is_runtime_failure(trained_dir, capsys, t
     assert code == 1
     assert err.startswith("failed: ") and "f32 range" in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("huge_W_h,message", [
+    (lambda w: w * 1e300, "non-finite metrics ['val_mse']"),
+    (lambda w: np.sign(w) * 1.7e308, "hallucinated features are not finite"),
+], ids=["metric-overflows", "features-overflow"])
+def test_eval_of_overflowing_checkpoint_is_runtime_failure(trained_dir, capsys, tmp_path,
+                                                           huge_W_h, message):
+    """Finite but huge weights load, then overflow: eval must fail, not
+    print an Infinity that is not JSON, and must write no CSV."""
+    run_dir = trained_dir / "run"
+    model = Hallucinator.load(str(run_dir / "checkpoint.monw"))
+    model.params.W_h.data = huge_W_h(model.params.W_h.data)
+    model.save(str(tmp_path / "huge.monw"))
+    csv_path = tmp_path / "fused.csv"
+    code, out, err = run(capsys, "eval", "--checkpoint", str(tmp_path / "huge.monw"),
+                         "--data", str(run_dir / "val.mofe"),
+                         "--teacher", str(run_dir / "teacher.json"),
+                         "--appearance", str(run_dir / "appearance.json"),
+                         "--csv", str(csv_path))
+    assert code == 1
+    assert err.startswith("failed: ") and message in err
+    assert out == ""
+    assert not csv_path.exists()
 
 
 def _eval_with(run_dir, capsys, teacher=None, appearance=None):

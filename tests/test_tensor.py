@@ -1,5 +1,6 @@
 """Tensor arithmetic and tape-based reverse-mode differentiation."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,8 +10,8 @@ from monet.tensor import (BACKWARD_RULES, GradientError, ShapeError, Tape,
                           Tensor, _sigmoid_stable, abs_, add, add_rowvec,
                           cat_rows, concat, finite_diff_grad, group_softmax,
                           jacobian, matmul, mul, pause_recording,
-                          relative_error, relu, shift_rows, sigmoid, softmax,
-                          split, sub, tanh, tsum)
+                          relative_error, relu, scale, shift_rows, sigmoid,
+                          softmax, split, sub, tanh, tsum)
 
 
 def test_matmul_identity():
@@ -444,6 +445,61 @@ def test_jacobian_matches_finite_differences():
         fd = finite_diff_grad(
             lambda t, j=j: tsum(mul(softmax(t), Tensor(np.eye(3)[j]))), x)
         assert relative_error(jac[j], fd) < 1e-6
+
+
+def test_jacobian_wrt_a_constant_is_an_error():
+    c = Tensor([1.0, 2.0])
+    x = Tensor([3.0, 4.0], requires_grad=True)
+    with Tape() as tape:
+        y = mul(x, c)
+    with pytest.raises(GradientError, match="does not require grad"):
+        jacobian(y, c, tape)
+
+
+# Every recorded op with operand shapes it accepts; the elementwise ones
+# also on 0-d operands, where numpy computes a scalar rather than an array.
+OP_CASES = {
+    "add": (add, [[(2, 3), (2, 3)], [(), ()]]),
+    "sub": (sub, [[(2, 3), (2, 3)], [(), ()]]),
+    "mul": (mul, [[(2, 3), (2, 3)], [(), ()]]),
+    "scale": (lambda a: scale(a, -0.5), [[(2, 3)], [()]]),
+    "add_rowvec": (add_rowvec, [[(2, 3), (3,)]]),
+    "matmul": (matmul, [[(2, 3), (3, 4)]]),
+    "sigmoid": (sigmoid, [[(2, 3)], [()]]),
+    "tanh": (tanh, [[(2, 3)], [()]]),
+    "relu": (relu, [[(2, 3)], [()]]),
+    "abs": (abs_, [[(2, 3)], [()]]),
+    "sum": (tsum, [[(2, 3)], [()]]),
+    "concat": (lambda a, b: concat(a, b, axis=1), [[(2, 3), (2, 1)]]),
+    "split": (lambda a: split(a, [1, 2]), [[(3, 2)]]),
+    "cat_rows": (lambda *ps: cat_rows(ps), [[(2, 3), (1, 3), (2, 3)]]),
+    "shift_rows": (lambda a: shift_rows(a, 1), [[(4, 2)]]),
+    "softmax": (softmax, [[(2, 3)]]),
+    "group_softmax": (lambda *ps: group_softmax(ps), [[(2, 3)] * 3]),
+}
+
+
+def test_op_cases_cover_every_backward_rule():
+    assert set(OP_CASES) == set(BACKWARD_RULES)
+
+
+@pytest.mark.parametrize("op", sorted(OP_CASES))
+def test_op_output_is_float64_array_requiring_grad_exactly_when_an_input_does(op):
+    fn, shape_sets = OP_CASES[op]
+    rng = np.random.default_rng(47)
+    for shapes in shape_sets:
+        for flags in itertools.product((False, True), repeat=len(shapes)):
+            inputs = [Tensor(rng.uniform(-2, 2, shape), requires_grad=flag)
+                      for shape, flag in zip(shapes, flags)]
+            with Tape() as tape:
+                result = fn(*inputs)
+            [node] = tape.nodes
+            assert node.op == op
+            for out in (result if isinstance(result, tuple) else (result,)):
+                assert type(out.data) is np.ndarray and out.data.dtype == np.float64, \
+                    (op, shapes, type(out.data))
+                assert out.requires_grad is any(flags), (op, shapes, flags)
+                assert out.grad is None
 
 
 def test_add_rowvec_value_and_gradient():

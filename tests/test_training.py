@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from monet.cells import CellConfig, Hallucinator
-from monet.classify import _np_softmax, fit_linear_classifier, pooled_matrix
+from monet.cells import CellConfig, Hallucinator, match_params
+from monet.classify import (_np_softmax, class_probabilities_steps,
+                            fit_linear_classifier, pooled_matrix)
 from monet.data import SyntheticTaskSpec, generate_synthetic
-from monet.tensor import Tape, Tensor
+from monet.tensor import Tape, Tensor, _sweep, split
 from monet.training import (Adam, LossConfig, Sgd, TrainConfig, TrainReport,
                             TrainingDiverged, clip_global_norm, evaluate,
                             global_norm, hallucinate_array,
-                            hallucination_loss, lr_at, train)
+                            hallucination_loss, lr_at, records_arrays, train)
 
 
 def small_task(**overrides):
@@ -384,3 +385,78 @@ def test_evaluate_rejects_dim_mismatch():
     wrong = fresh_model(d_s=5)
     with pytest.raises(ValueError, match="dims"):
         evaluate(wrong, va)
+
+
+# -- What the reverse sweep differentiates -------------------------------------
+
+def _training_step(model, records, clf, inputs_require_grad):
+    """One batch of ``train``'s step, alpha 10, with the appearance steps,
+    the target features and the target probabilities created with the
+    given ``requires_grad``.  Returns the tape and the loss."""
+    app, flow, _ = records_arrays(records)
+    n, t_len = app.shape[0], app.shape[1]
+    xs = [Tensor(np.ascontiguousarray(app[:, t, :]), requires_grad=inputs_require_grad)
+          for t in range(t_len)]
+    tgt = Tensor(flow.transpose(1, 0, 2).reshape(t_len * n, -1),
+                 requires_grad=inputs_require_grad)
+    target_probs = Tensor(_np_softmax(flow.mean(axis=1) @ clf.W.T + clf.b),
+                          requires_grad=inputs_require_grad)
+    with Tape() as tape:
+        pred = model.forward_steps(xs)
+        pred_probs = class_probabilities_steps(list(split(pred, [n] * t_len)), clf)
+        loss = hallucination_loss(pred, tgt, pred_probs, target_probs,
+                                  LossConfig(alpha=10.0, classifier=clf))
+    return tape, loss
+
+
+def _step_models():
+    monet = CellConfig(family="monet", d_x=8, d_s=6, layers=3)
+    return [monet, match_params(monet, "gru").config]
+
+
+@pytest.mark.parametrize("config", _step_models(), ids=["monet-L3", "matched-gru"])
+def test_parameter_gradients_do_not_depend_on_whether_inputs_require_grad(config):
+    tr, _ = small_task(n_train=32, n_val=0)
+    clf = teacher_for(tr, 4)
+    model = Hallucinator.build(config, np.random.default_rng(0))
+    runs = []
+    for inputs_require_grad in (True, False):
+        tape, loss = _training_step(model, tr, clf, inputs_require_grad)
+        for p in model.tensors():
+            p.zero_grad()
+        tape.backward(loss)
+        runs.append([p.grad for p in model.tensors()])
+    for with_inputs, without in zip(*runs):
+        assert without is not None and np.array_equal(with_inputs, without)
+
+
+def test_sweep_keeps_no_gradient_for_a_constant():
+    tr, _ = small_task(n_train=32, n_val=0)
+    clf = teacher_for(tr, 4)
+    model = fresh_model(layers=3)
+    tape, loss = _training_step(model, tr, clf, inputs_require_grad=False)
+    grads = _sweep(tape, {loss: np.ones(loss.shape)})
+    assert set(model.tensors()) <= set(grads)
+    assert [t for t in grads if not t.requires_grad] == []
+
+
+def test_epoch_stats_summarise_the_pre_clip_gradient_norms(monkeypatch):
+    tr, va = small_task(n_train=16, n_val=8)
+    seen = []
+
+    def recording_clip(grads, max_norm):
+        result = clip_global_norm(grads, max_norm)
+        seen.append(result[1])
+        return result
+
+    monkeypatch.setattr("monet.training.clip_global_norm", recording_clip)
+    clip_norm = 0.2
+    report = train(fresh_model(), tr, va,
+                   TrainConfig(lr=3e-3, max_epochs=2, batch_size=4, clip_norm=clip_norm, seed=0),
+                   LossConfig(alpha=0.0))
+    assert len(seen) == 8
+    for stats, norms in zip(report.epochs, (seen[:4], seen[4:])):
+        assert stats.grad_norm_mean == sum(norms) / len(norms)
+        assert stats.grad_norm_max == max(norms)
+        assert stats.clip_fraction == sum(x > clip_norm for x in norms) / 4
+    assert [e.clip_fraction for e in report.epochs] == [0.75, 0.25]
