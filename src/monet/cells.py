@@ -25,7 +25,7 @@ from .binio import (FormatError, check_magic, check_version, read_array,
                     write_u32)
 from .tensor import (ShapeError, Tensor, add, add_rowvec, cat_rows, concat,
                      group_softmax, matmul, mul, relu, shift_rows, sigmoid,
-                     split, tanh)
+                     split, sub, tanh)
 
 FAMILIES = ("vanilla-rnn", "gru", "lstm", "bi-gru", "bi-lstm", "conv1d", "monet")
 
@@ -293,30 +293,56 @@ def init_params(config: CellConfig, rng):
 # Single-step cells
 # ---------------------------------------------------------------------------
 
+def _vanilla_core(pre: Tensor, s: Tensor, p: VanillaRnnParams) -> Tensor:
+    return tanh(add(pre, matmul(s, p.U)))
+
+
 def vanilla_step(x: Tensor, s: Tensor, p: VanillaRnnParams) -> Tensor:
-    return tanh(add(add_rowvec(matmul(x, p.W), p.b), matmul(s, p.U)))
+    return _vanilla_core(add_rowvec(matmul(x, p.W), p.b), s, p)
+
+
+def _gru_core(pre_r: Tensor, pre_z: Tensor, pre_h: Tensor, s: Tensor,
+              ones: Tensor, p: GruParams) -> Tensor:
+    """GRU step from precomputed input projections ``x @ W + b``."""
+    r = sigmoid(add(pre_r, matmul(s, p.U_r)))
+    z = sigmoid(add(pre_z, matmul(s, p.U_z)))
+    h = tanh(add(pre_h, matmul(mul(r, s), p.U_h)))
+    return add(mul(z, s), mul(sub(ones, z), h))
 
 
 def gru_step(x: Tensor, s: Tensor, p: GruParams) -> Tensor:
     """One gated-recurrent step: reset and update gates, tanh candidate,
     convex blend of previous state and candidate."""
-    r = sigmoid(add(add_rowvec(matmul(x, p.W_r), p.b_r), matmul(s, p.U_r)))
-    z = sigmoid(add(add_rowvec(matmul(x, p.W_z), p.b_z), matmul(s, p.U_z)))
-    h = tanh(add(add_rowvec(matmul(x, p.W_h), p.b_h), matmul(mul(r, s), p.U_h)))
-    one_minus_z = add_rowvec(-z, Tensor(np.ones(z.shape[1])))
-    return add(mul(z, s), mul(one_minus_z, h))
+    return _gru_core(add_rowvec(matmul(x, p.W_r), p.b_r), add_rowvec(matmul(x, p.W_z), p.b_z),
+                     add_rowvec(matmul(x, p.W_h), p.b_h), s, Tensor(np.ones(s.shape)), p)
+
+
+def _lstm_core(pre_i: Tensor, pre_f: Tensor, pre_o: Tensor, pre_g: Tensor,
+               state: tuple[Tensor, Tensor], p: LstmParams) -> tuple[Tensor, Tensor]:
+    """LSTM step from precomputed input projections ``x @ W + b``."""
+    s, c = state
+    i = sigmoid(add(pre_i, matmul(s, p.U_i)))
+    f = sigmoid(add(pre_f, matmul(s, p.U_f)))
+    o = sigmoid(add(pre_o, matmul(s, p.U_o)))
+    g = tanh(add(pre_g, matmul(s, p.U_g)))
+    c_next = add(mul(f, c), mul(i, g))
+    return mul(o, tanh(c_next)), c_next
 
 
 def lstm_step(x: Tensor, state: tuple[Tensor, Tensor], p: LstmParams) -> tuple[Tensor, Tensor]:
     """Standard LSTM step; state is the (hidden, cell) pair."""
-    s, c = state
-    gate = lambda W, b, U: add(add_rowvec(matmul(x, W), b), matmul(s, U))
-    i = sigmoid(gate(p.W_i, p.b_i, p.U_i))
-    f = sigmoid(gate(p.W_f, p.b_f, p.U_f))
-    o = sigmoid(gate(p.W_o, p.b_o, p.U_o))
-    g = tanh(gate(p.W_g, p.b_g, p.U_g))
-    c_next = add(mul(f, c), mul(i, g))
-    return mul(o, tanh(c_next)), c_next
+    pre = [add_rowvec(matmul(x, W), b) for W, b in _input_gates(p)]
+    return _lstm_core(*pre, state, p)
+
+
+def _input_gates(p) -> list[tuple[Tensor, Tensor]]:
+    """The (W, b) input side of each gate of a recurrent cell, in the order
+    its core function takes the projections."""
+    if isinstance(p, VanillaRnnParams):
+        return [(p.W, p.b)]
+    if isinstance(p, GruParams):
+        return [(p.W_r, p.b_r), (p.W_z, p.b_z), (p.W_h, p.b_h)]
+    return [(p.W_i, p.b_i), (p.W_f, p.b_f), (p.W_o, p.b_o), (p.W_g, p.b_g)]
 
 
 def _monet_core(pre_r: Tensor, pre_z: Tensor, pre_h: Tensor,
@@ -372,11 +398,12 @@ def _monet_base(pre_z: Tensor, pre_h: Tensor, ones: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # Sequence runners
 # ---------------------------------------------------------------------------
-# The recurrent runners step through lists of per-timestep (N, d) matrices.
-# The expansion and convolution runners read only the previous pass's (or
-# stage's) outputs, so they run each pass over every position at once on a
-# time-major (T*N, d) matrix: row t*N + i holds sequence i at step t, and a
-# shift by N rows is a shift by one time step that never crosses sequences.
+# Every runner works on a time-major (T*N, d) matrix: row t*N + i holds
+# sequence i at step t.  The expansion and convolution runners read only the
+# previous pass's (or stage's) outputs, so they run each pass over every
+# position at once, and a shift by N rows is a shift by one time step that
+# never crosses sequences.  The recurrent runners project every step's input
+# in one matmul per gate and loop over the steps for the state side only.
 
 def _time_major(xs: list[Tensor]) -> tuple[Tensor, int]:
     """Per-timestep (N, d) inputs as one (T*N, d) matrix, plus N."""
@@ -405,35 +432,40 @@ def _monet_rows(X: Tensor, n: int, p: MoNetParams, layers: int,
     return states
 
 
-_STEPS = {"vanilla-rnn": vanilla_step, "gru": gru_step, "lstm": lstm_step}
-
-
-def stacked_steps(xs: list[Tensor], layer_params: list, family: str) -> list[Tensor]:
-    """Left-to-right pass through a stack of causal cells; fresh parameters
-    per depth level, zero initial state."""
-    n = xs[0].shape[0]
-    seq = xs
+def stacked_steps(X: Tensor, n: int, layer_params: list, family: str,
+                  reverse: bool = False) -> Tensor:
+    """A stack of causal cells over a time-major (T*n, d) matrix, returning
+    the top layer's states as a time-major (T*n, d_s) matrix.  Fresh
+    parameters per depth level, zero initial state; ``reverse`` runs every
+    layer from the last step to the first."""
+    t_len = X.shape[0] // n
+    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
     for p in layer_params:
-        d_s = p.b.shape[0] if family == "vanilla-rnn" else (
-            p.b_r.shape[0] if family == "gru" else p.b_i.shape[0])
-        zero = Tensor(np.zeros((n, d_s)))
+        gates = _input_gates(p)
+        pres = [split(add_rowvec(matmul(X, W), b), [n] * t_len) for W, b in gates]
+        zero = Tensor(np.zeros((n, gates[0][1].shape[0])))
+        ones = Tensor(np.ones(zero.shape))
         state = (zero, zero) if family == "lstm" else zero
-        out = []
-        for x in seq:
-            state = _STEPS[family](x, state, p)
-            out.append(state[0] if family == "lstm" else state)
-        seq = out
-    return seq
+        out: list = [None] * t_len
+        for t in order:
+            if family == "gru":
+                state = _gru_core(pres[0][t], pres[1][t], pres[2][t], state, ones, p)
+            elif family == "lstm":
+                state = _lstm_core(pres[0][t], pres[1][t], pres[2][t], pres[3][t], state, p)
+            else:
+                state = _vanilla_core(pres[0][t], state, p)
+            out[t] = state[0] if family == "lstm" else state
+        X = cat_rows(out)
+    return X
 
 
-def bidir_steps(xs: list[Tensor], p: BidirParams, family: str) -> list[Tensor]:
-    """Independent left-to-right and right-to-left stacks, merged per
-    timestep by summing the two projected states."""
+def bidir_steps(X: Tensor, n: int, p: BidirParams, family: str) -> Tensor:
+    """Independent left-to-right and right-to-left stacks over a time-major
+    (T*n, d) matrix, merged by summing the two projected states."""
     base = family.removeprefix("bi-")
-    fwd = stacked_steps(xs, p.fwd, base)
-    bwd = list(reversed(stacked_steps(list(reversed(xs)), p.bwd, base)))
-    return [add_rowvec(add(matmul(f, p.proj_fwd), matmul(b, p.proj_bwd)), p.b_out)
-            for f, b in zip(fwd, bwd)]
+    fwd = stacked_steps(X, n, p.fwd, base)
+    bwd = stacked_steps(X, n, p.bwd, base, reverse=True)
+    return add_rowvec(add(matmul(fwd, p.proj_fwd), matmul(bwd, p.proj_bwd)), p.b_out)
 
 
 def _conv1d_rows(X: Tensor, n: int, p: Conv1dParams, causal_only: bool) -> Tensor:
@@ -493,14 +525,15 @@ class Hallucinator:
         """Per-timestep (N, d_x) inputs in, one time-major (T*N, output_dim)
         matrix out: row t*N + i holds sequence i at step t."""
         c = self.config
-        if c.family in ("monet", "conv1d"):
-            X, n = _time_major(xs)
-            out = (_monet_rows(X, n, self.params, c.layers, c.causal_only) if c.family == "monet"
-                   else _conv1d_rows(X, n, self.params, c.causal_only))
+        X, n = _time_major(xs)
+        if c.family == "monet":
+            out = _monet_rows(X, n, self.params, c.layers, c.causal_only)
+        elif c.family == "conv1d":
+            out = _conv1d_rows(X, n, self.params, c.causal_only)
         elif c.family in ("bi-gru", "bi-lstm"):
-            out = cat_rows(bidir_steps(xs, self.params, c.family))
+            out = bidir_steps(X, n, self.params, c.family)
         else:
-            out = cat_rows(stacked_steps(xs, self.params, c.family))
+            out = stacked_steps(X, n, self.params, c.family)
         if self.readout is not None:
             out = add_rowvec(matmul(out, self.readout.W), self.readout.b)
         return out

@@ -12,8 +12,8 @@ import dataclasses
 
 import numpy as np
 
-from .tensor import (Tensor, _softmax_stable as _np_softmax, add, add_rowvec,
-                     matmul, scale, softmax)
+from .tensor import (Tensor, _softmax_stable as _np_softmax, add_rowvec,
+                     cat_rows, matmul, scale, softmax, sum_row_blocks)
 
 PROB_SUM_TOL = 1e-9
 
@@ -103,14 +103,20 @@ def predictions_csv(ids: list[str], labels: list[int], preds: list[Prediction]) 
 # Tape path (frozen classifier, gradient flows through the features)
 # ---------------------------------------------------------------------------
 
-def class_probabilities_steps(steps: list[Tensor], clf: LinearClassifier) -> Tensor:
-    """Per-example class probabilities for a batch given as per-timestep
-    (N, D) tensors.  Classifier weights enter as constants, so backward
-    reaches the features only."""
-    total = steps[0]
-    for s in steps[1:]:
-        total = add(total, s)
-    pooled = scale(total, 1.0 / len(steps))
+def class_probabilities_steps(steps: Tensor | list[Tensor], clf: LinearClassifier,
+                              n: int | None = None) -> Tensor:
+    """Per-example class probabilities for a batch of N sequences, given as
+    per-timestep (N, D) tensors or as their time-major (T*N, D) matrix with
+    ``n`` = N.  Each sequence is mean-pooled over time, summed first step to
+    last.  Classifier weights enter as constants, so backward reaches the
+    features only."""
+    if isinstance(steps, Tensor):
+        if n is None:
+            raise ValueError("a time-major feature matrix needs its batch size n")
+        rows = steps
+    else:
+        rows, n = cat_rows(steps), steps[0].shape[0]
+    pooled = scale(sum_row_blocks(rows, n), 1.0 / (rows.shape[0] // n))
     logits = add_rowvec(matmul(pooled, Tensor(clf.W.T.copy())), Tensor(clf.b.copy()))
     return softmax(logits)
 

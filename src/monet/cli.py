@@ -24,8 +24,8 @@ from .classify import (LinearClassifier, Prediction, classify, ensemble,
                        fit_linear_classifier, pooled_matrix, predictions_csv,
                        top1_accuracy)
 from .data import (FeatureRecord, SyntheticTaskSpec, dataset_manifest,
-                   generate_synthetic, read_dataset, read_dataset_header,
-                   write_dataset, write_manifest)
+                   file_sha256, generate_synthetic, read_dataset,
+                   read_dataset_header, write_dataset, write_manifest)
 from .gradcheck import check_family
 from .training import (LossConfig, TrainConfig, TrainingDiverged, evaluate,
                        hallucinate_array, records_arrays, train)
@@ -117,10 +117,29 @@ def _write_records(path: str, records: list[FeatureRecord], n_classes: int) -> N
         raise PipelineError(f"cannot write {path}: {e}") from None
 
 
+def _verify_manifest(data_path: str) -> None:
+    """Check a ``<stem>.mofe`` dataset against the sha256 that ``gen-data``
+    and ``train`` record in ``<stem>.manifest.json``, when that sidecar
+    exists: damage that still parses must not be read silently.  A dataset
+    without a sidecar is read unchecked."""
+    if not data_path.endswith(".mofe"):
+        return
+    manifest_path = data_path.removesuffix(".mofe") + ".manifest.json"
+    if not os.path.exists(manifest_path):
+        return
+    expected = _load_json(manifest_path, "dataset manifest").get("sha256")
+    if not isinstance(expected, str):
+        raise UsageError(f"dataset manifest file {manifest_path} has no sha256 string")
+    if _read_file(file_sha256, data_path, "dataset") != expected:
+        raise UsageError(f"dataset file {data_path} does not match the sha256 in "
+                         f"{manifest_path}")
+
+
 def _model_and_records(args) -> tuple[Hallucinator, list[FeatureRecord]]:
     """The checkpoint and the records it will run on; a dataset the model
     cannot run on is a runtime failure."""
     model = _read_file(Hallucinator.load, args.checkpoint, "checkpoint")
+    _verify_manifest(args.data)
     records = _read_file(read_dataset, args.data, "dataset")
     if not records:
         raise PipelineError("dataset holds no records")

@@ -256,15 +256,20 @@ def read_dataset_header(path: str) -> dict:
         return _read_header(f)
 
 
-def dataset_manifest(path: str, spec: SyntheticTaskSpec | None = None) -> dict:
-    """JSON-ready description of a dataset file: header counts plus a sha256
-    of the exact bytes, and the generating spec when known."""
+def file_sha256(path: str) -> str:
+    """Hex sha256 of a file's exact bytes."""
     digest = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             digest.update(chunk)
+    return digest.hexdigest()
+
+
+def dataset_manifest(path: str, spec: SyntheticTaskSpec | None = None) -> dict:
+    """JSON-ready description of a dataset file: header counts plus a sha256
+    of the exact bytes, and the generating spec when known."""
     manifest = {"format": "MOFE", "version": DATASET_VERSION,
-                "header": read_dataset_header(path), "sha256": digest.hexdigest()}
+                "header": read_dataset_header(path), "sha256": file_sha256(path)}
     if spec is not None:
         manifest["spec"] = dataclasses.asdict(spec)
     return manifest

@@ -14,7 +14,6 @@ operation (``add_rowvec``).
 
 from __future__ import annotations
 
-import collections
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -42,12 +41,30 @@ class Tensor:
     Tensors hash by identity, which is how the reverse sweep keys them.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "_grad", "_grad_shared")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
+        self._grad: np.ndarray | None = None
+        self._grad_shared = False
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        """The accumulated gradient, an array this tensor owns.  ``backward``
+        stores the sweep's buffers as they are, and a rule may hand one
+        buffer to several tensors or hand out a view of another tensor's
+        gradient, so a stored buffer is copied here once, on first read:
+        a gradient nobody reads is never copied."""
+        if self._grad_shared:
+            self._grad = self._grad.copy()
+            self._grad_shared = False
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._grad = value
+        self._grad_shared = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -151,7 +168,8 @@ def _out(data: np.ndarray, inputs: Sequence[Tensor]) -> Tensor:
     hands back a scalar there."""
     out = Tensor.__new__(Tensor)
     out.data = data if type(data) is np.ndarray else np.asarray(data)
-    out.grad = None
+    out._grad = None
+    out._grad_shared = False
     out.requires_grad = False
     for t in inputs:
         if t.requires_grad:
@@ -272,6 +290,24 @@ def tsum(a: Tensor) -> Tensor:
     return out
 
 
+def sum_row_blocks(x: Tensor, n: int) -> Tensor:
+    """Sum the consecutive ``n``-row blocks of a 2-D tensor, first to last:
+    (T*n, D) in, (n, D) out.  On a time-major matrix this sums each
+    sequence over time, in the order a chain of ``add`` nodes would."""
+    xd = x.data
+    if xd.ndim != 2 or n < 1 or xd.shape[0] < n or xd.shape[0] % n:
+        raise ShapeError(f"sum_row_blocks: need a 2-D tensor whose rows are a positive "
+                         f"multiple of {n}, got {xd.shape}")
+    blocks = xd.reshape(-1, n, xd.shape[1])
+    # An explicit loop: numpy may sum a reduced axis pairwise, not in order.
+    total = blocks[0].copy()
+    for block in blocks[1:]:
+        total += block
+    out = _out(total, (x,))
+    _record("sum_row_blocks", (x,), (out,), (len(blocks),))
+    return out
+
+
 def concat(a: Tensor, b: Tensor, axis: int = 0) -> Tensor:
     if a.ndim != b.ndim:
         raise ShapeError(f"concat: ranks differ, got {a.shape} and {b.shape}")
@@ -292,9 +328,14 @@ def split(a: Tensor, sizes: Sequence[int], axis: int = 0) -> tuple[Tensor, ...]:
     axis = axis % a.ndim
     if sum(sizes) != a.shape[axis]:
         raise ShapeError(f"split: sizes {list(sizes)} do not cover axis {axis} of shape {a.shape}")
-    offsets = np.cumsum(sizes)[:-1]
-    parts = np.split(a.data, offsets, axis=axis)
-    outs = tuple(_out(p.copy(), (a,)) for p in parts)
+    # Slicing directly: np.split's own set-up costs more than the parts'
+    # copies at the sizes the recurrent runners split into steps.
+    data, lead = a.data, (slice(None),) * axis
+    outs, start = [], 0
+    for size in sizes:
+        outs.append(_out(data[lead + (slice(start, start + size),)].copy(), (a,)))
+        start += size
+    outs = tuple(outs)
     _record("split", (a,), outs, (axis, tuple(sizes)))
     return outs
 
@@ -439,6 +480,12 @@ def _bw_sum(node, gs):
     return (np.full(shape, float(g)),)
 
 
+def _bw_sum_row_blocks(node, gs):
+    (g,) = gs
+    (blocks,) = node.saved
+    return (np.tile(g, (blocks, 1)),)
+
+
 def _bw_concat(node, gs):
     (g,) = gs
     axis, first = node.saved
@@ -497,6 +544,7 @@ BACKWARD_RULES: dict[str, Callable] = {
     "relu": _bw_relu,
     "abs": _bw_abs,
     "sum": _bw_sum,
+    "sum_row_blocks": _bw_sum_row_blocks,
     "concat": _bw_concat,
     "split": _bw_split,
     "cat_rows": _bw_cat_rows,
@@ -545,20 +593,16 @@ def backward(loss: Tensor, tape: Tape) -> None:
     if loss.size != 1:
         raise GradientError(f"backward: loss must be scalar, got shape {loss.shape}")
     grads = _sweep(tape, {loss: np.ones(loss.shape)})
-    # Rules may hand one array to several tensors (add's two inputs, sub's
-    # first input and its output) or hand out views of an output's gradient
-    # (cat_rows, concat, group_softmax).  Only those buffers are copied on a
-    # first assignment; every other one belongs to a single tensor already.
-    holders = collections.Counter(id(g) for g in grads.values())
     for t, g in grads.items():
         if not t.requires_grad:
             continue
-        if t.grad is not None:
-            t.grad = t.grad + g
-        elif holders[id(g)] > 1 or g.base is not None:
-            t.grad = g.copy()
+        if t._grad is None:
+            t._grad = g
+            t._grad_shared = True
         else:
-            t.grad = g
+            # A new array: the stored buffer may be another tensor's too.
+            t._grad = t._grad + g
+            t._grad_shared = False
 
 
 def jacobian(output: Tensor, wrt: Tensor, tape: Tape) -> np.ndarray:

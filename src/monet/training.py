@@ -21,8 +21,7 @@ from .cells import Hallucinator
 from .classify import (PROB_SUM_TOL, LinearClassifier, _np_softmax,
                        class_probabilities_steps)
 from .data import FeatureRecord
-from .tensor import (Tape, Tensor, abs_, add, cat_rows, mul, scale, split, sub,
-                     tsum)
+from .tensor import Tape, Tensor, abs_, add, cat_rows, mul, scale, sub, tsum
 
 
 class TrainingDiverged(RuntimeError):
@@ -327,8 +326,7 @@ def train(model: Hallucinator, train_records: list[FeatureRecord],
                 pred = model.forward_steps(xs)
                 pred_probs = target_probs = None
                 if clf is not None:
-                    steps = split(pred, [len(idx)] * t_len)
-                    pred_probs = class_probabilities_steps(list(steps), clf)
+                    pred_probs = class_probabilities_steps(pred, clf, len(idx))
                     target_probs = Tensor(target_probs_all[idx])
                 loss = hallucination_loss(pred, tgt, pred_probs, target_probs, loss_cfg)
             value = loss.item()

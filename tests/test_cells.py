@@ -11,8 +11,9 @@ from monet.cells import (FAMILIES, BidirParams, CellConfig, Conv1dParams,
                          ConvStage, Hallucinator, MoNetParams, collect_tensors,
                          count_params, gru_step, init_bidir, init_gru,
                          init_conv1d, init_lstm, init_monet, lstm_step,
-                         MAX_LAYERS, match_params, monet_forward, monet_unit)
-from monet.tensor import (ShapeError, Tape, Tensor, cat_rows,
+                         MAX_LAYERS, match_params, monet_forward, monet_unit,
+                         vanilla_step)
+from monet.tensor import (ShapeError, Tape, Tensor, add, add_rowvec, cat_rows,
                           finite_diff_grad, jacobian, matmul, mul,
                           relative_error, tsum)
 
@@ -318,6 +319,77 @@ def test_monet_steps_rejects_ragged_steps():
         _monet_forward_steps([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))], p, 1, False)
 
 
+_RECURRENT = ["vanilla-rnn", "gru", "lstm", "bi-gru", "bi-lstm"]
+_STEP = {"vanilla-rnn": vanilla_step, "gru": gru_step, "lstm": lstm_step}
+
+
+def _step_loop(xs, layer_params, family):
+    """A stack of causal cells as one step call per layer and step."""
+    seq = xs
+    for p in layer_params:
+        # Every cell's last field is a bias as wide as its state.
+        zero = Tensor(np.zeros((xs[0].shape[0], collect_tensors(p)[-1].shape[0])))
+        state = (zero, zero) if family == "lstm" else zero
+        out = []
+        for x in seq:
+            state = _STEP[family](x, state, p)
+            out.append(state[0] if family == "lstm" else state)
+        seq = out
+    return seq
+
+
+def _recurrent_loop(xs, config, params):
+    """``forward_steps`` of a recurrent family, per step: the bi-RNN runs
+    the backward stack on the reversed steps and projects every step."""
+    if not config.family.startswith("bi-"):
+        return cat_rows(_step_loop(xs, params, config.family))
+    base = config.family.removeprefix("bi-")
+    fwd = _step_loop(xs, params.fwd, base)
+    bwd = _step_loop(xs[::-1], params.bwd, base)[::-1]
+    return cat_rows([add_rowvec(add(matmul(f, params.proj_fwd), matmul(b, params.proj_bwd)),
+                                params.b_out) for f, b in zip(fwd, bwd)])
+
+
+@pytest.mark.parametrize("t_len", [1, 4, 20])
+@pytest.mark.parametrize("family", _RECURRENT)
+def test_recurrent_runners_match_per_step_loop(family, t_len):
+    """The runners project every step's input at once; values and input
+    gradients equal stepping the public step functions."""
+    config = CellConfig(family=family, d_x=3, d_s=4, layers=2)
+    model = Hallucinator.build(config, np.random.default_rng(19))
+    rng = np.random.default_rng(20)
+    xs = [Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True) for _ in range(t_len)]
+    weights = Tensor(rng.uniform(-1, 1, (t_len * 3, 4)))
+    runs = []
+    for run in (model.forward_steps, lambda xs: _recurrent_loop(xs, config, model.params)):
+        for x in xs:
+            x.zero_grad()
+        with Tape() as tape:
+            out = run(xs)
+            loss = tsum(mul(out, weights))
+        tape.backward(loss)
+        runs.append([out.data] + [x.grad for x in xs])
+    for a, b in zip(*runs):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", _RECURRENT)
+def test_recurrent_input_matrices_enter_one_matmul_each(family):
+    config = CellConfig(family=family, d_x=3, d_s=4, layers=2)
+    model = Hallucinator.build(config, np.random.default_rng(21))
+    layers = model.params.fwd + model.params.bwd if family.startswith("bi-") else model.params
+    inputs = [getattr(p, f) for p in layers for f in vars(p) if f.startswith("W")]
+    assert len(inputs) == len(layers) * {"vanilla-rnn": 1, "gru": 3, "lstm": 4}[
+        family.removeprefix("bi-")]
+    for t_len in (1, 4, 20):
+        xs = [Tensor(np.ones((2, 3))) for _ in range(t_len)]
+        with Tape() as tape:
+            model.forward_steps(xs)
+        for W in inputs:
+            uses = [node for node in tape.nodes if any(t is W for t in node.inputs)]
+            assert [node.op for node in uses] == ["matmul"], (t_len, W.shape)
+
+
 @pytest.mark.parametrize("out_dim", [None, 5])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_forward_steps_returns_time_major_rows(family, out_dim):
@@ -345,11 +417,10 @@ def test_bidir_zero_backward_params_equals_forward_branch():
     out = Hallucinator(CellConfig(family="bi-gru", d_x=3, d_s=4), p).forward(X)
 
     from monet.cells import stacked_steps
-    from monet.tensor import split, add_rowvec
-    xs = list(split(X, [1] * 6, axis=0))
-    fwd = stacked_steps(xs, p.fwd, "gru")
-    expected = [add_rowvec(matmul(f, p.proj_fwd), p.b_out).data for f in fwd]
-    np.testing.assert_allclose(out.data, np.vstack(expected), rtol=0, atol=1e-15)
+    from monet.tensor import add_rowvec
+    fwd = stacked_steps(X, 1, p.fwd, "gru")  # one sequence: already time-major
+    expected = add_rowvec(matmul(fwd, p.proj_fwd), p.b_out).data
+    np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-15)
 
 
 def test_bidir_palindrome_with_tied_params_is_palindromic():

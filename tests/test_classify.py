@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from monet.classify import (LinearClassifier, Prediction,
+from monet.classify import (LinearClassifier, Prediction, _np_softmax,
                             class_probabilities_steps, classify, ensemble,
                             fit_linear_classifier, pooled_features,
                             pooled_matrix, predictions_csv, top1_accuracy)
@@ -172,6 +172,24 @@ def test_tape_probabilities_match_plain_inference():
         seq = np.stack([s[i] for s in steps_np])
         np.testing.assert_allclose(probs.data[i], classify(seq, clf).probs,
                                    rtol=1e-12)
+
+
+def test_tape_probabilities_of_the_time_major_matrix_match_the_step_chain():
+    """The matrix and the step list give the probabilities of pooling by a
+    chain of step additions, bit for bit."""
+    rng = np.random.default_rng(10)
+    clf = random_clf(rng, c=3, d=4)
+    steps_np = [rng.normal(size=(2, 4)) * 10.0 ** rng.uniform(-4, 4, (2, 4)) for _ in range(20)]
+    total = steps_np[0]
+    for s in steps_np[1:]:
+        total = total + s
+    expected = _np_softmax((total * (1.0 / 20)) @ clf.W.T.copy() + clf.b)
+    matrix = class_probabilities_steps(Tensor(np.concatenate(steps_np)), clf, 2)
+    listed = class_probabilities_steps([Tensor(s) for s in steps_np], clf)
+    for probs in (matrix, listed):
+        assert np.array_equal(probs.data.view(np.int64), expected.view(np.int64))
+    with pytest.raises(ValueError, match="batch size"):
+        class_probabilities_steps(Tensor(np.concatenate(steps_np)), clf)
 
 
 def test_tape_probabilities_gradient_reaches_features():

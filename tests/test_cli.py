@@ -394,6 +394,65 @@ def test_eval_damaged_file_is_invalid_input(trained_dir, capsys, tmp_path, case)
     assert err.startswith(("error: dataset file", "error: checkpoint file")) and text in err
 
 
+def _flip_first_appearance_exponent(src, dst):
+    """Copy a .mofe with one exponent bit of its first appearance value
+    flipped: damage that still parses.  That f32 starts after the 28-byte
+    header, the first id's length and bytes, and its label."""
+    raw = bytearray(src.read_bytes())
+    id_len = int.from_bytes(raw[28:32], "little")
+    raw[28 + 4 + id_len + 4 + 3] ^= 0x40
+    dst.write_bytes(bytes(raw))
+
+
+def _run_on_data(capsys, run_dir, data, command):
+    extra = ["--out", str(data.parent / "h.mofe")] if command == "hallucinate" else []
+    return run(capsys, command, "--checkpoint", str(run_dir / "checkpoint.monw"),
+               "--data", str(data), *extra)
+
+
+@pytest.mark.parametrize("command", ["eval", "hallucinate"])
+def test_dataset_not_matching_its_manifest_is_invalid_input(trained_dir, capsys, tmp_path,
+                                                           command):
+    run_dir = trained_dir / "run"
+    data = tmp_path / "val.mofe"
+    (tmp_path / "val.manifest.json").write_bytes((run_dir / "val.manifest.json").read_bytes())
+    data.write_bytes((run_dir / "val.mofe").read_bytes())
+    assert _run_on_data(capsys, run_dir, data, command)[0] == 0
+    (tmp_path / "h.mofe").unlink(missing_ok=True)
+    _flip_first_appearance_exponent(run_dir / "val.mofe", data)
+    code, out, err = _run_on_data(capsys, run_dir, data, command)
+    assert code == 2 and out == ""
+    assert err == (f"error: dataset file {data} does not match the sha256 in "
+                   f"{tmp_path / 'val.manifest.json'}\n")
+    assert not (tmp_path / "h.mofe").exists()
+
+
+@pytest.mark.parametrize("manifest", ["{not json", "[1, 2]", '{"sha256": 5}', "{}"])
+@pytest.mark.parametrize("command", ["eval", "hallucinate"])
+def test_unreadable_dataset_manifest_is_invalid_input(trained_dir, capsys, tmp_path,
+                                                      command, manifest):
+    run_dir = trained_dir / "run"
+    data = tmp_path / "val.mofe"
+    data.write_bytes((run_dir / "val.mofe").read_bytes())
+    (tmp_path / "val.manifest.json").write_text(manifest)
+    code, out, err = _run_on_data(capsys, run_dir, data, command)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: dataset manifest file {tmp_path / 'val.manifest.json'}")
+    assert not (tmp_path / "h.mofe").exists()
+
+
+def test_dataset_without_manifest_is_read_unchecked(trained_dir, capsys, tmp_path):
+    """Without a sidecar the damaged file is read as it is: only the
+    manifest lets damage that still parses be caught."""
+    run_dir = trained_dir / "run"
+    data = tmp_path / "val.mofe"
+    _flip_first_appearance_exponent(run_dir / "val.mofe", data)
+    code, out, _ = _run_on_data(capsys, run_dir, data, "eval")
+    assert code == 0
+    _, intact, _ = _run_on_data(capsys, run_dir, run_dir / "val.mofe", "eval")
+    assert last_json(out)["val_mse"] != last_json(intact)["val_mse"]
+
+
 @pytest.mark.parametrize("flags", [("--csv",), ("--csv", "--teacher"),
                                    ("--csv", "--appearance")])
 def test_eval_csv_without_both_classifiers_is_invalid_input(trained_dir, capsys,

@@ -11,7 +11,7 @@ from monet.tensor import (BACKWARD_RULES, GradientError, ShapeError, Tape,
                           cat_rows, concat, finite_diff_grad, group_softmax,
                           jacobian, matmul, mul, pause_recording,
                           relative_error, relu, scale, shift_rows, sigmoid,
-                          softmax, split, sub, tanh, tsum)
+                          softmax, split, sub, sum_row_blocks, tanh, tsum)
 
 
 def test_matmul_identity():
@@ -214,6 +214,33 @@ def test_cat_rows_errors():
         cat_rows([Tensor(np.ones(3))])
 
 
+@pytest.mark.parametrize("rows,n,cols", [(20, 4, 3), (20, 1, 1)])
+def test_sum_row_blocks_adds_blocks_in_order_and_tiles_the_gradient(rows, n, cols):
+    """Bit for bit a chain of ``add`` nodes, also where numpy would sum one
+    contiguous column pairwise (n = cols = 1)."""
+    rng = np.random.default_rng(0)
+    # Magnitudes spread over ten decades make the summation order visible.
+    x = Tensor(rng.normal(size=(rows, cols)) * 10.0 ** rng.uniform(-5, 5, (rows, cols)),
+               requires_grad=True)
+    weights = Tensor(rng.uniform(-1, 1, (n, cols)))
+    with Tape() as tape:
+        out = sum_row_blocks(x, n)
+        loss = tsum(mul(out, weights))
+    chain = Tensor(x.data[:n])
+    for t in range(1, rows // n):
+        chain = add(chain, Tensor(x.data[n * t:n * t + n]))
+    assert np.array_equal(out.data.view(np.int64), chain.data.view(np.int64))
+    tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, np.tile(weights.data, (rows // n, 1)))
+
+
+def test_sum_row_blocks_errors():
+    for bad in ((Tensor(np.ones((6, 3))), 4), (Tensor(np.ones((2, 3))), 4),
+                (Tensor(np.ones(4)), 2), (Tensor(np.ones((4, 3))), 0)):
+        with pytest.raises(ShapeError):
+            sum_row_blocks(*bad)
+
+
 def test_shift_rows_values():
     x = Tensor(np.arange(10.0).reshape(5, 2))
     np.testing.assert_array_equal(shift_rows(x, 2).data, [[0, 0], [0, 0], [0, 1], [2, 3], [4, 5]])
@@ -348,6 +375,34 @@ def test_backward_hands_out_no_shared_gradient_buffers():
             np.testing.assert_array_equal(u.grad, saved)
 
 
+def test_unread_shared_gradients_accumulate_into_new_arrays():
+    """``add`` hands one buffer to both inputs, and ``backward`` stores it
+    unread; a second call must not add into that shared buffer."""
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([3.0, 4.0], requires_grad=True)
+    with Tape() as tape:
+        loss = tsum(add(a, b))
+    tape.backward(loss)
+    tape.backward(loss)
+    np.testing.assert_array_equal(a.grad, [2.0, 2.0])
+    np.testing.assert_array_equal(b.grad, [2.0, 2.0])
+    assert not np.shares_memory(a.grad, b.grad)
+
+
+def test_gradient_is_copied_once_on_first_read():
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([3.0, 4.0], requires_grad=True)
+    with Tape() as tape:
+        s = add(a, b)
+        loss = tsum(s)
+    tape.backward(loss)
+    first = s.grad
+    assert s.grad is first
+    first += 1.0
+    np.testing.assert_array_equal(s.grad, [2.0, 2.0])
+    np.testing.assert_array_equal(a.grad, [1.0, 1.0])
+
+
 def test_backward_reaches_requires_grad_intermediates():
     x = Tensor([1.5, -2.0], requires_grad=True)
     with Tape() as tape:
@@ -470,6 +525,7 @@ OP_CASES = {
     "relu": (relu, [[(2, 3)], [()]]),
     "abs": (abs_, [[(2, 3)], [()]]),
     "sum": (tsum, [[(2, 3)], [()]]),
+    "sum_row_blocks": (lambda a: sum_row_blocks(a, 2), [[(6, 3)]]),
     "concat": (lambda a, b: concat(a, b, axis=1), [[(2, 3), (2, 1)]]),
     "split": (lambda a: split(a, [1, 2]), [[(3, 2)]]),
     "cat_rows": (lambda *ps: cat_rows(ps), [[(2, 3), (1, 3), (2, 3)]]),

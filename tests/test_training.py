@@ -9,7 +9,7 @@ from monet.cells import CellConfig, Hallucinator, match_params
 from monet.classify import (_np_softmax, class_probabilities_steps,
                             fit_linear_classifier, pooled_matrix)
 from monet.data import SyntheticTaskSpec, generate_synthetic
-from monet.tensor import Tape, Tensor, _sweep, split
+from monet.tensor import Tape, Tensor, _sweep
 from monet.training import (Adam, LossConfig, Sgd, TrainConfig, TrainReport,
                             TrainingDiverged, clip_global_norm, evaluate,
                             global_norm, hallucinate_array,
@@ -337,11 +337,11 @@ def test_hallucinate_array_blocks_match_whole_sequence_forward():
         np.testing.assert_allclose(out[i], model.forward(Tensor(app[i])).data, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("alpha,splits", [(0.0, 0), (10.0, 1)])
-def test_training_step_keeps_the_batch_time_major(monkeypatch, alpha, splits):
+@pytest.mark.parametrize("alpha,block_sums", [(0.0, 0), (10.0, 1)])
+def test_training_step_keeps_the_batch_time_major(monkeypatch, alpha, block_sums):
     """The model hands the loss its time-major output: the inputs are the
-    step's one ``cat_rows``, and only the teacher term splits the output
-    into steps."""
+    step's one ``cat_rows``, nothing splits the output into steps, and the
+    teacher term pools it over time with one block sum."""
     tr, va = small_task(n_train=8, n_val=4)
     model = fresh_model(layers=3)
     recorded = []
@@ -357,7 +357,8 @@ def test_training_step_keeps_the_batch_time_major(monkeypatch, alpha, splits):
           LossConfig(alpha=alpha, classifier=clf))
     [ops] = recorded
     assert ops.count("cat_rows") == 1
-    assert ops.count("split") == splits
+    assert ops.count("split") == 0
+    assert ops.count("sum_row_blocks") == block_sums
 
 
 def test_report_json_round_trip():
@@ -403,7 +404,7 @@ def _training_step(model, records, clf, inputs_require_grad):
                           requires_grad=inputs_require_grad)
     with Tape() as tape:
         pred = model.forward_steps(xs)
-        pred_probs = class_probabilities_steps(list(split(pred, [n] * t_len)), clf)
+        pred_probs = class_probabilities_steps(pred, clf, n)
         loss = hallucination_loss(pred, tgt, pred_probs, target_probs,
                                   LossConfig(alpha=10.0, classifier=clf))
     return tape, loss
