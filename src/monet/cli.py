@@ -117,15 +117,21 @@ def _write_records(path: str, records: list[FeatureRecord], n_classes: int) -> N
         raise PipelineError(f"cannot write {path}: {e}") from None
 
 
-def _verify_manifest(data_path: str) -> None:
-    """Check a ``<stem>.mofe`` dataset against the sha256 that ``gen-data``
-    and ``train`` record in ``<stem>.manifest.json``, when that sidecar
-    exists: damage that still parses must not be read silently.  A dataset
-    without a sidecar is read unchecked."""
+def _manifest_path(data_path: str) -> str | None:
+    """The sidecar of ``<stem>.mofe`` is ``<stem>.manifest.json``; a file
+    with another suffix has none."""
     if not data_path.endswith(".mofe"):
-        return
-    manifest_path = data_path.removesuffix(".mofe") + ".manifest.json"
-    if not os.path.exists(manifest_path):
+        return None
+    return data_path.removesuffix(".mofe") + ".manifest.json"
+
+
+def _verify_manifest(data_path: str) -> None:
+    """Check a ``<stem>.mofe`` dataset against the sha256 that ``gen-data``,
+    ``train`` and ``hallucinate`` record in ``<stem>.manifest.json``, when
+    that sidecar exists: damage that still parses must not be read
+    silently.  A dataset without a sidecar is read unchecked."""
+    manifest_path = _manifest_path(data_path)
+    if manifest_path is None or not os.path.exists(manifest_path):
         return
     expected = _load_json(manifest_path, "dataset manifest").get("sha256")
     if not isinstance(expected, str):
@@ -273,9 +279,10 @@ def cmd_eval(args) -> int:
     flow_preds: list[Prediction] | None = None
     fused: list[Prediction] | None = None
     if teacher is not None:
-        halluc = result.hallucinated.astype(np.float32).astype(np.float64)
-        flow_preds = [classify(halluc[i], teacher) for i in range(len(records))]
-        out["top1_flow"] = top1_accuracy(flow_preds, labels)
+        # The motion stream is the teacher classification behind val_top1.
+        flow_preds = [Prediction(probs=p, top1=int(np.argmax(p)))
+                      for p in result.teacher_probs]
+        out["top1_flow"] = result.top1
     if appearance_clf is not None:
         app_preds = [classify(r.appearance, appearance_clf) for r in records]
         out["top1_appearance"] = top1_accuracy(app_preds, labels)
@@ -302,6 +309,10 @@ def cmd_hallucinate(args) -> int:
                    for i, r in enumerate(records)]
     n_classes = read_dataset_header(args.data)["n_classes"]
     _write_records(args.out, out_records, n_classes)
+    # A sidecar left from the file this one replaced would no longer match.
+    manifest_path = _manifest_path(args.out)
+    if manifest_path is not None:
+        write_manifest(manifest_path, dataset_manifest(args.out))
     print(json.dumps({"out": args.out, "n_records": len(out_records)}))
     return 0
 

@@ -239,14 +239,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
     """Logistic sigmoid in one pass, bit-identical to the two-branch form
     ``1 / (1 + exp(-x))`` for x >= 0 and ``exp(x) / (1 + exp(x))`` below.
-    Both branches are ``where(x >= 0, 1, e) / (1 + e)`` with
-    ``e = exp(-|x|)``, which never overflows.  -|x| is taken as
+    Both branches are ``n / (1 + e)`` with ``e = exp(-|x|)``, which never
+    overflows, and numerator 1 for x >= 0, ``e`` below.  That numerator is
+    ``maximum(e, x >= 0)`` without a per-element branch: ``e <= 1`` exactly
+    when x >= 0, and a nan ``e`` passes through.  -|x| is taken as
     ``minimum(x, -x)``, which passes a nan input through unchanged, as the
     two-branch form does.  Past |x| ~ 708 ``e`` is subnormal, which is the
-    right value, so that underflow is not reported."""
+    right value, so that underflow is not reported.  The sum and the divide
+    run in place on the arrays this call made (on a 0-d operand numpy hands
+    back scalars, and the augmented assignments rebind them instead)."""
     with np.errstate(under="ignore"):
         e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    y = np.maximum(e, x >= 0)
+    e += 1.0
+    y /= e
+    return y
 
 
 def _softmax_stable(x: np.ndarray) -> np.ndarray:
@@ -355,12 +362,16 @@ def cat_rows(parts: Sequence[Tensor]) -> Tensor:
 
 
 def _shifted(a: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros_like(a)
     n = a.shape[0]
-    if 0 <= k < n:
+    if not -n < k < n:
+        return np.zeros_like(a)
+    out = np.empty_like(a)
+    if k >= 0:
+        out[:k] = 0.0
         out[k:] = a[:n - k]
-    elif -n < k < 0:
+    else:
         out[:n + k] = a[-k:]
+        out[n + k:] = 0.0
     return out
 
 
@@ -399,11 +410,27 @@ def group_softmax(stack: Sequence[Tensor]) -> tuple[Tensor, ...]:
     for t in stack:
         if t.shape != shape:
             raise ShapeError(f"group_softmax: shapes differ: {[t.shape for t in stack]}")
-    v = np.stack([t.data for t in stack])
-    e = np.exp(v - v.max(axis=0))
-    y = e / e.sum(axis=0)
-    outs = tuple(_out(y[i], tuple(stack)) for i in range(len(stack)))
-    _record("group_softmax", tuple(stack), outs, (y,))
+    # No (k, ...) stack: the max is a chain of maximum and the sum adds
+    # first to last, the order numpy reduces a stack's axis 0 in.  Every
+    # buffer is this call's own and is then updated in place; ``out=`` keeps
+    # a 0-d result an array, where numpy would hand back a scalar.
+    xs = [t.data for t in stack]
+    top = np.maximum(xs[0], xs[1], out=np.empty(shape))
+    for x in xs[2:]:
+        np.maximum(top, x, out=top)
+    ys = []
+    for x in xs:
+        e = np.subtract(x, top, out=np.empty(shape))
+        np.exp(e, out=e)
+        ys.append(e)
+    total = np.add(ys[0], ys[1], out=top)
+    for e in ys[2:]:
+        total += e
+    for y in ys:
+        y /= total
+    inputs = tuple(stack)
+    outs = tuple(_out(y, inputs) for y in ys)
+    _record("group_softmax", inputs, outs, tuple(ys))
     return outs
 
 
@@ -411,9 +438,11 @@ def group_softmax(stack: Sequence[Tensor]) -> tuple[Tensor, ...]:
 # Backward rules
 # ---------------------------------------------------------------------------
 # Each rule maps (node, per-output gradients) to per-input gradients.  A None
-# output gradient means nothing reached that output; rules see zeros instead.
-# For an input that does not require grad a rule may return None instead;
-# the rules whose gradient for it would cost a product or a reduction do.
+# output gradient means nothing reached that output.  For an input that does
+# not require grad a rule may return None instead; the rules whose gradient
+# for it would cost a product or a reduction do.  A rule writes in place
+# only into arrays it allocated itself, never into an upstream gradient or
+# a saved array.
 
 def _bw_add(node, gs):
     (g,) = gs
@@ -453,13 +482,18 @@ def _bw_matmul(node, gs):
 def _bw_sigmoid(node, gs):
     (g,) = gs
     (y,) = node.saved
-    return (g * y * (1.0 - y),)
+    d = g * y
+    d *= 1.0 - y
+    return (d,)
 
 
 def _bw_tanh(node, gs):
     (g,) = gs
     (y,) = node.saved
-    return (g * (1.0 - y * y),)
+    d = np.multiply(y, y, out=np.empty_like(y))
+    np.subtract(1.0, d, out=d)
+    np.multiply(g, d, out=d)
+    return (d,)
 
 
 def _bw_relu(node, gs):
@@ -525,11 +559,29 @@ def _bw_softmax(node, gs):
 
 
 def _bw_group_softmax(node, gs):
-    (y,) = node.saved
-    g = np.stack([np.zeros(y.shape[1:]) if gi is None else gi for gi in gs])
-    inner = (g * y).sum(axis=0)
-    d = y * (g - inner)
-    return tuple(d[i] for i in range(len(node.inputs)))
+    ys = node.saved
+    # inner = sum of g*y over the outputs, first to last.  A stacked
+    # reduction starts from +0.0, which turns a -0.0 first term into +0.0;
+    # a missing gradient's zero term adds +0.0, which changes nothing after
+    # that.
+    inner = None
+    for g, y in zip(gs, ys):
+        if g is None:
+            continue
+        if inner is None:
+            inner = np.multiply(g, y, out=np.empty(y.shape))
+            inner += 0.0
+        else:
+            inner += g * y
+    grads = []
+    for t, g, y in zip(node.inputs, gs, ys):
+        if not t.requires_grad:
+            grads.append(None)
+            continue
+        d = np.subtract(0.0 if g is None else g, inner, out=np.empty(y.shape))
+        np.multiply(y, d, out=d)
+        grads.append(d)
+    return grads
 
 
 BACKWARD_RULES: dict[str, Callable] = {

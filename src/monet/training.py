@@ -225,29 +225,33 @@ class EvalResult:
     mse: float
     top1: float | None
     hallucinated: np.ndarray  # (n, T, output_dim) model output, full f64
+    teacher_probs: np.ndarray | None = None  # (n, C) behind top1
 
 
 def evaluate(model: Hallucinator, records: list[FeatureRecord],
              classifier: LinearClassifier | None = None) -> EvalResult:
     """Val-set metrics: feature MSE, plus teacher top-1 on the hallucinated
     features when a classifier is supplied.  The hallucinated features come
-    back too, so callers need not run the model again.
+    back too, and so do the teacher's class probabilities, so callers need
+    not run the model or the classifier again.
 
     The MSE uses full f64 outputs.  The top-1 path first rounds the
     hallucinated features to the f32 precision the dataset files carry, so
     classifying a written-then-reread hallucination gives the same answer.
+    Each sequence's logits are one ``W @ x`` as ``classify`` computes them:
+    one batched matmul rounds the last bit differently.
     """
     app, flow, labels = records_arrays(records)
     pred = hallucinate_array(model, app)
     if pred.shape != flow.shape:
         raise ValueError(f"model emits {pred.shape[2]} dims but targets have {flow.shape[2]}")
     mse = float(np.mean((pred - flow) ** 2))
-    top1 = None
+    top1 = probs = None
     if classifier is not None:
-        pred32 = pred.astype(np.float32).astype(np.float64)
-        probs = _np_softmax(pred32.mean(axis=1) @ classifier.W.T + classifier.b)
+        pooled = pred.astype(np.float32).astype(np.float64).mean(axis=1)
+        probs = _np_softmax(np.stack([classifier.W @ x for x in pooled]) + classifier.b)
         top1 = float(np.mean(np.argmax(probs, axis=1) == labels))
-    return EvalResult(mse=mse, top1=top1, hallucinated=pred)
+    return EvalResult(mse=mse, top1=top1, hallucinated=pred, teacher_probs=probs)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,16 @@ hallucination, gradient checking, cost accounting, exit codes."""
 
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from monet.cells import CellConfig, Hallucinator, flops_per_step
+import monet.cli
 from monet.cli import main
-from monet.data import (FeatureRecord, read_dataset, read_dataset_header,
-                        write_dataset)
+from monet.data import (FeatureRecord, dataset_manifest, read_dataset,
+                        read_dataset_header, write_dataset)
 
 TASK = dict(n_classes=3, seq_len=8, d_x=6, d_s=4, n_train=24, n_val=9,
             noise_sigma=0.05, seed=1)
@@ -153,6 +155,30 @@ def test_eval_fused_path_and_csv(trained_dir, capsys, tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "example_id,label,top1,prob_0,prob_1,prob_2"
     assert len(lines) == 1 + 9
+
+
+def test_eval_classifies_the_teacher_once(trained_dir, capsys, tmp_path, monkeypatch):
+    """val_top1, top1_flow and the CSV's motion stream come from the one
+    teacher classification in ``evaluate``; only the appearance stream is
+    classified per record here."""
+    run_dir = trained_dir / "run"
+    classified = []
+    real_classify = monet.cli.classify
+
+    def spy(seq, clf):
+        classified.append(clf.feature_dim)
+        return real_classify(seq, clf)
+
+    monkeypatch.setattr(monet.cli, "classify", spy)
+    code, out, _ = run(capsys, "eval", "--checkpoint", str(run_dir / "checkpoint.monw"),
+                       "--data", str(run_dir / "val.mofe"),
+                       "--teacher", str(run_dir / "teacher.json"),
+                       "--appearance", str(run_dir / "appearance.json"),
+                       "--csv", str(tmp_path / "p.csv"))
+    assert code == 0
+    assert classified == [TASK["d_x"]] * TASK["n_val"]
+    result = last_json(out)
+    assert result["top1_flow"] == result["val_top1"]
 
 
 def test_hallucinate_then_eval_matches_direct_fused_path(trained_dir, capsys, tmp_path):
@@ -402,6 +428,42 @@ def _flip_first_appearance_exponent(src, dst):
     id_len = int.from_bytes(raw[28:32], "little")
     raw[28 + 4 + id_len + 4 + 3] ^= 0x40
     dst.write_bytes(bytes(raw))
+
+
+def test_hallucinate_onto_its_input_replaces_the_manifest(trained_dir, capsys, tmp_path):
+    """``--out`` onto a dataset that has a sidecar rewrites the sidecar, so
+    the hallucinated file still passes eval's checksum."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_dir / "run", run_dir)
+    data = run_dir / "val.mofe"
+    code, _, _ = run(capsys, "hallucinate", "--checkpoint", str(run_dir / "checkpoint.monw"),
+                     "--data", str(data), "--out", str(data))
+    assert code == 0
+    manifest = json.loads((run_dir / "val.manifest.json").read_text())
+    assert manifest == dataset_manifest(str(data))
+    assert manifest["sha256"] == hashlib.sha256(data.read_bytes()).hexdigest()
+    code, out, err = run(capsys, "eval", "--checkpoint", str(run_dir / "checkpoint.monw"),
+                         "--data", str(data))
+    assert code == 0, err
+    assert last_json(out)["val_mse"] < 1e-12
+
+
+def test_hallucinated_file_is_checked_against_its_new_manifest(trained_dir, capsys, tmp_path):
+    """A stale sidecar at the output is replaced, and damage to the written
+    file is then caught."""
+    run_dir = trained_dir / "run"
+    out_path = tmp_path / "h.mofe"
+    (tmp_path / "h.manifest.json").write_text('{"sha256": "stale"}')
+    code, _, _ = run(capsys, "hallucinate", "--checkpoint", str(run_dir / "checkpoint.monw"),
+                     "--data", str(run_dir / "val.mofe"), "--out", str(out_path))
+    assert code == 0
+    manifest = json.loads((tmp_path / "h.manifest.json").read_text())
+    assert manifest["sha256"] == hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert manifest["header"] == read_dataset_header(str(out_path))
+    _flip_first_appearance_exponent(out_path, out_path)
+    code, out, err = _run_on_data(capsys, run_dir, out_path, "eval")
+    assert code == 2 and out == ""
+    assert "does not match the sha256" in err
 
 
 def _run_on_data(capsys, run_dir, data, command):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from monet.tensor import (BACKWARD_RULES, GradientError, ShapeError, Tape,
-                          Tensor, _sigmoid_stable, abs_, add, add_rowvec,
+                          Tensor, _shifted, _sigmoid_stable, abs_, add, add_rowvec,
                           cat_rows, concat, finite_diff_grad, group_softmax,
                           jacobian, matmul, mul, pause_recording,
                           relative_error, relu, scale, shift_rows, sigmoid,
@@ -149,6 +149,115 @@ def test_group_softmax_shape_mismatch():
         group_softmax([Tensor([1.0]), Tensor([1.0, 2.0])])
     with pytest.raises(ShapeError):
         group_softmax([Tensor([1.0])])
+
+
+# Values that exercise a kernel's edges: signed zeros, infinities, nans of
+# both signs, subnormals and magnitudes past exp's range.
+EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                  2.2e-308, -2.2e-308, 1.0, -1.0, 745.0, -745.0, 1e300, -1e300])
+
+
+def edge_values(rng, shape):
+    """Normal draws with about a third of the entries swapped for edges."""
+    return np.where(rng.random(shape) < 0.35, rng.choice(EDGES, shape),
+                    rng.normal(0.0, 3.0, shape))
+
+
+def assert_same_bits(got, expected):
+    """Equal bit for bit, signed zeros included, except that a nan may carry
+    either sign: numpy's own reductions pick it by code path (the max over
+    axis 0 of a (3, 1) and of a (3, 20) stack of -nan, nan and 1.0 differ)."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape and got.dtype == expected.dtype == np.float64
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+
+def stacked_group_softmax(xs):
+    v = np.stack(xs)
+    e = np.exp(v - v.max(axis=0))
+    return e / e.sum(axis=0)
+
+
+def stacked_group_softmax_grads(gs, y):
+    g = np.stack([np.zeros(y.shape[1:]) if gi is None else gi for gi in gs])
+    inner = (g * y).sum(axis=0)
+    return y * (g - inner)
+
+
+@pytest.mark.parametrize("shape", [(), (6, 5)])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_group_softmax_matches_the_stacked_form_bit_for_bit(k, shape):
+    """Values and gradients equal the (k, ...) stack computation, with edge
+    inputs and gradients, missing output gradients, and all-(-0.0)
+    gradients, where the stacked sum starts from +0.0."""
+    rng = np.random.default_rng(60 + k)
+    for _ in range(80 if shape == () else 12):
+        xs = [edge_values(rng, shape) for _ in range(k)]
+        # The first input is a constant, as the fusion's `ones` logit is.
+        inputs = [Tensor(x, requires_grad=i > 0) for i, x in enumerate(xs)]
+        with np.errstate(all="ignore"):
+            expected = stacked_group_softmax(xs)
+            with Tape() as tape:
+                outs = group_softmax(inputs)
+        for out, y in zip(outs, expected):
+            assert_same_bits(out.data, y)
+        [node] = tape.nodes
+        y = np.stack([out.data for out in outs])
+        for missing in ([], [0], list(range(1, k)), [k - 1]):
+            gs = [None if i in missing else edge_values(rng, shape) for i in range(k)]
+            for grads in (gs, [None if g is None else np.full(shape, -0.0) for g in gs]):
+                with np.errstate(all="ignore"):
+                    got = BACKWARD_RULES["group_softmax"](node, grads)
+                    want = stacked_group_softmax_grads(grads, y)
+                assert got[0] is None
+                for i in range(1, k):
+                    assert_same_bits(got[i], want[i])
+
+
+@pytest.mark.parametrize("shape", [(), (40, 16)])
+@pytest.mark.parametrize("op,fn,old_rule", [
+    ("sigmoid", sigmoid, lambda g, y: g * y * (1.0 - y)),
+    ("tanh", tanh, lambda g, y: g * (1.0 - y * y)),
+])
+def test_sigmoid_and_tanh_rules_match_the_one_expression_form_bit_for_bit(op, fn, old_rule,
+                                                                           shape):
+    rng = np.random.default_rng(71)
+    for _ in range(80 if shape == () else 6):
+        x = Tensor(edge_values(rng, shape), requires_grad=True)
+        with np.errstate(all="ignore"), Tape() as tape:
+            fn(x)
+        [node] = tape.nodes
+        g = edge_values(rng, shape)
+        with np.errstate(all="ignore"):
+            (got,) = BACKWARD_RULES[op](node, (g,))
+            expected = old_rule(g, node.saved[0])
+        # The same products in the same operand order: nan bits agree too.
+        assert np.array_equal(np.asarray(got).view(np.int64),
+                              np.asarray(expected).view(np.int64))
+
+
+@pytest.mark.parametrize("k", [0, 1, -1, 4, -4, 12, -12, 13, -13, 30, -30])
+def test_shift_rows_matches_a_zero_filled_copy_bit_for_bit(k):
+    """Shifts by none, one row, one time step of n=4 rows, all 12 rows and
+    beyond, forward and (by -k) backward."""
+    rng = np.random.default_rng(73)
+    x = edge_values(rng, (12, 3))
+    for a, shift in ((x, k), (x, -k)):
+        expected = np.zeros_like(a)
+        for i in range(a.shape[0]):
+            if 0 <= i - shift < a.shape[0]:
+                expected[i] = a[i - shift]
+        got = _shifted(a, shift)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    t = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        out = shift_rows(t, k)
+    assert np.array_equal(out.data.view(np.int64), _shifted(x, k).view(np.int64))
+    g = edge_values(rng, x.shape)
+    (back,) = BACKWARD_RULES["shift_rows"](tape.nodes[0], (g,))
+    assert np.array_equal(back.view(np.int64), _shifted(g, -k).view(np.int64))
 
 
 def test_concat_basic():
@@ -556,6 +665,42 @@ def test_op_output_is_float64_array_requiring_grad_exactly_when_an_input_does(op
                     (op, shapes, type(out.data))
                 assert out.requires_grad is any(flags), (op, shapes, flags)
                 assert out.grad is None
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("op", sorted(OP_CASES))
+def test_kernels_write_only_into_buffers_they_allocated(op):
+    """Operands, outputs, saved arrays and upstream gradients are read-only
+    here, so a forward op or a backward rule that wrote into one of them
+    would raise instead of silently corrupting another tensor's data."""
+    fn, shape_sets = OP_CASES[op]
+    rng = np.random.default_rng(53)
+    for shapes in shape_sets:
+        for flags in itertools.product((False, True), repeat=len(shapes)):
+            inputs = [Tensor(rng.uniform(-2, 2, shape), requires_grad=flag)
+                      for shape, flag in zip(shapes, flags)]
+            for t in inputs:
+                _read_only(t.data)
+            before = [t.data.copy() for t in inputs]
+            with Tape() as tape:
+                fn(*inputs)
+            [node] = tape.nodes
+            for t in node.outputs:
+                _read_only(t.data)
+            for item in node.saved:
+                if isinstance(item, np.ndarray):
+                    _read_only(item)
+            n_out = len(node.outputs)
+            for missing in [None] + (list(range(n_out)) if n_out > 1 else []):
+                gs = tuple(None if i == missing else _read_only(rng.uniform(-1, 1, t.shape))
+                           for i, t in enumerate(node.outputs))
+                BACKWARD_RULES[op](node, gs)
+            for t, data in zip(inputs, before):
+                assert np.array_equal(t.data, data)
 
 
 def test_add_rowvec_value_and_gradient():

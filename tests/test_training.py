@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from monet.cells import CellConfig, Hallucinator, match_params
-from monet.classify import (_np_softmax, class_probabilities_steps,
+from monet.classify import (_np_softmax, class_probabilities_steps, classify,
                             fit_linear_classifier, pooled_matrix)
 from monet.data import SyntheticTaskSpec, generate_synthetic
 from monet.tensor import Tape, Tensor, _sweep
@@ -379,6 +379,21 @@ def test_evaluate_reports_teacher_top1():
     result = evaluate(model, va, clf)
     assert result.mse > 0.0
     assert 0.0 <= result.top1 <= 1.0
+
+
+def test_evaluate_teacher_probs_are_the_per_sequence_classification():
+    """The probabilities behind top1 are, bit for bit, ``classify`` on each
+    f32-rounded hallucination, so ``monet eval`` can reuse them for its
+    per-record CSV; without a classifier there are none."""
+    tr, va = small_task()
+    clf = teacher_for(tr, 4)
+    result = evaluate(fresh_model(), va, clf)
+    rounded = result.hallucinated.astype(np.float32).astype(np.float64)
+    expected = np.stack([classify(seq, clf).probs for seq in rounded])
+    assert np.array_equal(result.teacher_probs.view(np.int64), expected.view(np.int64))
+    labels = np.array([r.label for r in va])
+    assert result.top1 == float(np.mean(np.argmax(expected, axis=1) == labels))
+    assert evaluate(fresh_model(), va).teacher_probs is None
 
 
 def test_evaluate_rejects_dim_mismatch():
