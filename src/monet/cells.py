@@ -23,9 +23,8 @@ import numpy as np
 from .binio import (FormatError, check_magic, check_version, read_array,
                     read_str, read_u32, require, write_array, write_str,
                     write_u32)
-from .tensor import (ShapeError, Tensor, add, add_rowvec, cat_rows, concat,
-                     group_softmax, matmul, mul, relu, shift_rows, sigmoid,
-                     split, sub, tanh)
+from .tensor import (ShapeError, Tensor, add, add_rowvec, concat, group_softmax,
+                     matmul, mul, relu, shift_rows, sigmoid, split, sub, tanh)
 
 FAMILIES = ("vanilla-rnn", "gru", "lstm", "bi-gru", "bi-lstm", "conv1d", "monet")
 
@@ -298,7 +297,7 @@ def _vanilla_core(pre: Tensor, s: Tensor, p: VanillaRnnParams) -> Tensor:
 
 
 def vanilla_step(x: Tensor, s: Tensor, p: VanillaRnnParams) -> Tensor:
-    return _vanilla_core(add_rowvec(matmul(x, p.W), p.b), s, p)
+    return _vanilla_core(*_project(x, p), s, p)
 
 
 def _gru_core(pre_r: Tensor, pre_z: Tensor, pre_h: Tensor, s: Tensor,
@@ -313,8 +312,7 @@ def _gru_core(pre_r: Tensor, pre_z: Tensor, pre_h: Tensor, s: Tensor,
 def gru_step(x: Tensor, s: Tensor, p: GruParams) -> Tensor:
     """One gated-recurrent step: reset and update gates, tanh candidate,
     convex blend of previous state and candidate."""
-    return _gru_core(add_rowvec(matmul(x, p.W_r), p.b_r), add_rowvec(matmul(x, p.W_z), p.b_z),
-                     add_rowvec(matmul(x, p.W_h), p.b_h), s, Tensor(np.ones(s.shape)), p)
+    return _gru_core(*_project(x, p), s, Tensor(np.ones(s.shape)), p)
 
 
 def _lstm_core(pre_i: Tensor, pre_f: Tensor, pre_o: Tensor, pre_g: Tensor,
@@ -331,18 +329,20 @@ def _lstm_core(pre_i: Tensor, pre_f: Tensor, pre_o: Tensor, pre_g: Tensor,
 
 def lstm_step(x: Tensor, state: tuple[Tensor, Tensor], p: LstmParams) -> tuple[Tensor, Tensor]:
     """Standard LSTM step; state is the (hidden, cell) pair."""
-    pre = [add_rowvec(matmul(x, W), b) for W, b in _input_gates(p)]
-    return _lstm_core(*pre, state, p)
+    return _lstm_core(*_project(x, p), state, p)
 
 
-def _input_gates(p) -> list[tuple[Tensor, Tensor]]:
-    """The (W, b) input side of each gate of a recurrent cell, in the order
-    its core function takes the projections."""
+def _project(X: Tensor, p) -> list[Tensor]:
+    """The input projection ``X @ W + b`` of each gate of a cell, in the
+    order its core function takes them.  MoNet's gates are named as the
+    GRU's."""
     if isinstance(p, VanillaRnnParams):
-        return [(p.W, p.b)]
-    if isinstance(p, GruParams):
-        return [(p.W_r, p.b_r), (p.W_z, p.b_z), (p.W_h, p.b_h)]
-    return [(p.W_i, p.b_i), (p.W_f, p.b_f), (p.W_o, p.b_o), (p.W_g, p.b_g)]
+        gates = [(p.W, p.b)]
+    elif isinstance(p, (GruParams, MoNetParams)):
+        gates = [(p.W_r, p.b_r), (p.W_z, p.b_z), (p.W_h, p.b_h)]
+    else:
+        gates = [(p.W_i, p.b_i), (p.W_f, p.b_f), (p.W_o, p.b_o), (p.W_g, p.b_g)]
+    return [add_rowvec(matmul(X, W), b) for W, b in gates]
 
 
 def _monet_core(pre_r: Tensor, pre_z: Tensor, pre_h: Tensor,
@@ -358,7 +358,7 @@ def _monet_core(pre_r: Tensor, pre_z: Tensor, pre_h: Tensor,
     reset_right = sigmoid(add(pre_r, matmul(s_right, p.U_r_right)))
     mix_left = sigmoid(add(pre_z, matmul(s_left, p.U_z_left)))
     mix_right = sigmoid(add(pre_z, matmul(s_right, p.U_z_right)))
-    gated = concat(mul(s_right, reset_right), mul(s_left, reset_left), axis=1)
+    gated = concat([mul(s_right, reset_right), mul(s_left, reset_left)], axis=1)
     candidate = relu(add(pre_h, matmul(gated, p.U_h)))
     weight_cand, weight_right, weight_left = group_softmax([ones, mix_right, mix_left])
     out = add(add(mul(weight_cand, candidate), mul(weight_right, s_right)),
@@ -378,11 +378,7 @@ def monet_unit(x: Tensor, s_left: Tensor, s_right: Tensor, p: MoNetParams) -> Mo
     if s_left.shape != s_right.shape or x.shape[0] != s_left.shape[0]:
         raise ShapeError(f"monet_unit: row counts and state dims must agree, "
                          f"got {x.shape}, {s_left.shape}, {s_right.shape}")
-    pre_r = add_rowvec(matmul(x, p.W_r), p.b_r)
-    pre_z = add_rowvec(matmul(x, p.W_z), p.b_z)
-    pre_h = add_rowvec(matmul(x, p.W_h), p.b_h)
-    ones = Tensor(np.ones(s_left.shape))
-    return _monet_core(pre_r, pre_z, pre_h, s_left, s_right, ones, p)
+    return _monet_core(*_project(x, p), s_left, s_right, Tensor(np.ones(s_left.shape)), p)
 
 
 def _monet_base(pre_z: Tensor, pre_h: Tensor, ones: Tensor) -> Tensor:
@@ -409,7 +405,7 @@ def _time_major(xs: list[Tensor]) -> tuple[Tensor, int]:
     """Per-timestep (N, d) inputs as one (T*N, d) matrix, plus N."""
     if not xs or any(x.shape != xs[0].shape for x in xs):
         raise ShapeError(f"need at least one step, all of one shape, got {[x.shape for x in xs]}")
-    return cat_rows(xs), xs[0].shape[0]
+    return concat(xs), xs[0].shape[0]
 
 
 def _monet_rows(X: Tensor, n: int, p: MoNetParams, layers: int,
@@ -419,10 +415,8 @@ def _monet_rows(X: Tensor, n: int, p: MoNetParams, layers: int,
     at the end depends on inputs t-layers..t+layers exactly (t-layers..t
     when causal_only).  The neighbours of every position in a pass are the
     previous states shifted by one step, zero past either end."""
-    ones = Tensor(np.ones((X.shape[0], p.b_h.shape[0])))
-    pre_r = add_rowvec(matmul(X, p.W_r), p.b_r)
-    pre_z = add_rowvec(matmul(X, p.W_z), p.b_z)
-    pre_h = add_rowvec(matmul(X, p.W_h), p.b_h)
+    pre_r, pre_z, pre_h = _project(X, p)
+    ones = Tensor(np.ones(pre_h.shape))
     states = _monet_base(pre_z, pre_h, ones)
     zero = Tensor(np.zeros(ones.shape))
     for _ in range(layers):
@@ -441,9 +435,8 @@ def stacked_steps(X: Tensor, n: int, layer_params: list, family: str,
     t_len = X.shape[0] // n
     order = range(t_len - 1, -1, -1) if reverse else range(t_len)
     for p in layer_params:
-        gates = _input_gates(p)
-        pres = [split(add_rowvec(matmul(X, W), b), [n] * t_len) for W, b in gates]
-        zero = Tensor(np.zeros((n, gates[0][1].shape[0])))
+        pres = [split(pre, [n] * t_len) for pre in _project(X, p)]
+        zero = Tensor(np.zeros(pres[0][0].shape))
         ones = Tensor(np.ones(zero.shape))
         state = (zero, zero) if family == "lstm" else zero
         out: list = [None] * t_len
@@ -455,7 +448,7 @@ def stacked_steps(X: Tensor, n: int, layer_params: list, family: str,
             else:
                 state = _vanilla_core(pres[0][t], state, p)
             out[t] = state[0] if family == "lstm" else state
-        X = cat_rows(out)
+        X = concat(out)
     return X
 
 
@@ -521,11 +514,9 @@ class Hallucinator:
                                     b=_bias(config.out_dim))
         return cls(config, params, readout)
 
-    def forward_steps(self, xs: list[Tensor]) -> Tensor:
-        """Per-timestep (N, d_x) inputs in, one time-major (T*N, output_dim)
-        matrix out: row t*N + i holds sequence i at step t."""
+    def _rows(self, X: Tensor, n: int) -> Tensor:
+        """A time-major (T*n, d_x) matrix in, (T*n, output_dim) out."""
         c = self.config
-        X, n = _time_major(xs)
         if c.family == "monet":
             out = _monet_rows(X, n, self.params, c.layers, c.causal_only)
         elif c.family == "conv1d":
@@ -538,11 +529,17 @@ class Hallucinator:
             out = add_rowvec(matmul(out, self.readout.W), self.readout.b)
         return out
 
+    def forward_steps(self, xs: list[Tensor]) -> Tensor:
+        """Per-timestep (N, d_x) inputs in, one time-major (T*N, output_dim)
+        matrix out: row t*N + i holds sequence i at step t."""
+        return self._rows(*_time_major(xs))
+
     def forward(self, X: Tensor) -> Tensor:
-        """(T, d_x) sequence in, (T, output_dim) sequence out."""
-        if X.ndim != 2 or X.shape[1] != self.config.d_x:
-            raise ShapeError(f"forward: need (T, {self.config.d_x}), got {X.shape}")
-        return self.forward_steps(list(split(X, [1] * X.shape[0])))
+        """(T, d_x) sequence in, (T, output_dim) sequence out.  One sequence
+        is already the time-major matrix of a batch of one."""
+        if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] != self.config.d_x:
+            raise ShapeError(f"forward: need (T, {self.config.d_x}) with T >= 1, got {X.shape}")
+        return self._rows(X, 1)
 
     def tensors(self) -> list[Tensor]:
         out = collect_tensors(self.params)

@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 
 from .tensor import (Tensor, _softmax_stable as _np_softmax, add_rowvec,
-                     cat_rows, matmul, scale, softmax, sum_row_blocks)
+                     matmul, scale, softmax, sum_row_blocks)
 
 PROB_SUM_TOL = 1e-9
 
@@ -103,19 +103,11 @@ def predictions_csv(ids: list[str], labels: list[int], preds: list[Prediction]) 
 # Tape path (frozen classifier, gradient flows through the features)
 # ---------------------------------------------------------------------------
 
-def class_probabilities_steps(steps: Tensor | list[Tensor], clf: LinearClassifier,
-                              n: int | None = None) -> Tensor:
-    """Per-example class probabilities for a batch of N sequences, given as
-    per-timestep (N, D) tensors or as their time-major (T*N, D) matrix with
-    ``n`` = N.  Each sequence is mean-pooled over time, summed first step to
-    last.  Classifier weights enter as constants, so backward reaches the
-    features only."""
-    if isinstance(steps, Tensor):
-        if n is None:
-            raise ValueError("a time-major feature matrix needs its batch size n")
-        rows = steps
-    else:
-        rows, n = cat_rows(steps), steps[0].shape[0]
+def class_probabilities_steps(rows: Tensor, clf: LinearClassifier, n: int) -> Tensor:
+    """Per-example class probabilities for a batch of ``n`` sequences, given
+    as their time-major (T*n, D) matrix.  Each sequence is mean-pooled over
+    time, summed first step to last.  Classifier weights enter as constants,
+    so backward reaches the features only."""
     pooled = scale(sum_row_blocks(rows, n), 1.0 / (rows.shape[0] // n))
     logits = add_rowvec(matmul(pooled, Tensor(clf.W.T.copy())), Tensor(clf.b.copy()))
     return softmax(logits)

@@ -52,12 +52,30 @@ def _load_json(path: str, what: str) -> dict:
     return raw
 
 
+# The JSON values each annotated config field type takes.
+_JSON_KINDS = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
+def _fits(annotation: str, value) -> bool:
+    """Whether a JSON value fits a field annotated ``annotation``: null only
+    an optional field, and a boolean only a bool field (Python's bool is an
+    int)."""
+    if value is None:
+        return annotation.endswith(" | None")
+    kinds = _JSON_KINDS[annotation.removesuffix(" | None")]
+    return isinstance(value, kinds) and isinstance(value, bool) == (kinds == (bool,))
+
+
 def _strict_build(cls, raw: dict, what: str):
-    """Instantiate a config dataclass from a dict, rejecting unknown keys."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(raw) - names)
+    """Instantiate a config dataclass from a dict, rejecting unknown keys
+    and values of the wrong JSON type."""
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(raw) - set(fields))
     if unknown:
-        raise UsageError(f"{what}: unknown key(s) {unknown}; allowed: {sorted(names)}")
+        raise UsageError(f"{what}: unknown key(s) {unknown}; allowed: {sorted(fields)}")
+    for name, value in raw.items():
+        if not _fits(fields[name], value):
+            raise UsageError(f"{what}: {name} must be {fields[name]}, got {value!r}")
     try:
         obj = cls(**raw)
         obj.validate()
@@ -110,11 +128,18 @@ def _read_file(reader, path: str, what: str):
         raise UsageError(f"{what} file {path}: {e}") from None
 
 
-def _write_records(path: str, records: list[FeatureRecord], n_classes: int) -> None:
+def _write_records(path: str, records: list[FeatureRecord], n_classes: int,
+                   spec: SyntheticTaskSpec | None = None) -> None:
+    """Write a dataset file and, for a ``<stem>.mofe`` file, its
+    ``<stem>.manifest.json``: a sidecar left from the file this one
+    replaces would no longer match."""
     try:
         write_dataset(path, records, n_classes=n_classes)
     except ValueError as e:
         raise PipelineError(f"cannot write {path}: {e}") from None
+    manifest_path = _manifest_path(path)
+    if manifest_path is not None:
+        write_manifest(manifest_path, dataset_manifest(path, spec))
 
 
 def _manifest_path(data_path: str) -> str | None:
@@ -167,11 +192,8 @@ def cmd_gen_data(args) -> int:
     train_recs, val_recs = generate_synthetic(spec)
     paths = {}
     for name, recs in (("train", train_recs), ("val", val_recs)):
-        path = os.path.join(args.out, f"{name}.mofe")
-        _write_records(path, recs, spec.n_classes)
-        write_manifest(os.path.join(args.out, f"{name}.manifest.json"),
-                       dataset_manifest(path, spec))
-        paths[name] = path
+        paths[name] = os.path.join(args.out, f"{name}.mofe")
+        _write_records(paths[name], recs, spec.n_classes, spec)
     print(json.dumps({"train": paths["train"], "val": paths["val"],
                       "n_train": len(train_recs), "n_val": len(val_recs)}))
     return 0
@@ -193,11 +215,13 @@ def _experiment_parts(raw: dict):
         raise UsageError(f"loss config: unknown key(s) {sorted(set(loss_raw) - {'alpha'})}; "
                          f"allowed: ['alpha']")
     alpha = loss_raw.get("alpha", 10.0)
-    if not isinstance(alpha, (int, float)) or alpha < 0:
+    if not _fits("float", alpha) or alpha < 0:
         raise UsageError(f"loss config: alpha must be a nonnegative number, got {alpha!r}")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not _fits("int", seed) or seed < 0:
         raise UsageError(f"experiment config: seed must be a nonnegative integer, got {seed!r}")
+    if not _fits("str", raw["out_dir"]):
+        raise UsageError(f"experiment config: out_dir must be a string, got {raw['out_dir']!r}")
     return task, cell, tcfg, float(alpha), raw["out_dir"], seed
 
 
@@ -218,10 +242,7 @@ def cmd_train(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     train_gen, val_gen = generate_synthetic(task)
     for name, recs in (("train", train_gen), ("val", val_gen)):
-        path = os.path.join(out_dir, f"{name}.mofe")
-        _write_records(path, recs, task.n_classes)
-        write_manifest(os.path.join(out_dir, f"{name}.manifest.json"),
-                       dataset_manifest(path, task))
+        _write_records(os.path.join(out_dir, f"{name}.mofe"), recs, task.n_classes, task)
     # Train from the files just written so later evaluation of those files
     # sees byte-for-byte the features the reported numbers came from.
     train_recs = read_dataset(os.path.join(out_dir, "train.mofe"))
@@ -309,10 +330,6 @@ def cmd_hallucinate(args) -> int:
                    for i, r in enumerate(records)]
     n_classes = read_dataset_header(args.data)["n_classes"]
     _write_records(args.out, out_records, n_classes)
-    # A sidecar left from the file this one replaced would no longer match.
-    manifest_path = _manifest_path(args.out)
-    if manifest_path is not None:
-        write_manifest(manifest_path, dataset_manifest(args.out))
     print(json.dumps({"out": args.out, "n_records": len(out_records)}))
     return 0
 

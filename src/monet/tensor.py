@@ -15,6 +15,7 @@ operation (``add_rowvec``).
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from itertools import accumulate
 
 import numpy as np
 
@@ -315,17 +316,18 @@ def sum_row_blocks(x: Tensor, n: int) -> Tensor:
     return out
 
 
-def concat(a: Tensor, b: Tensor, axis: int = 0) -> Tensor:
-    if a.ndim != b.ndim:
-        raise ShapeError(f"concat: ranks differ, got {a.shape} and {b.shape}")
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"concat: axis {axis} out of range for shape {a.shape}")
-    axis = axis % a.ndim
-    for d in range(a.ndim):
-        if d != axis and a.shape[d] != b.shape[d]:
-            raise ShapeError(f"concat: shapes {a.shape} and {b.shape} disagree off axis {axis}")
-    out = _out(np.concatenate([a.data, b.data], axis=axis), (a, b))
-    _record("concat", (a, b), (out,), (axis, a.shape[axis]))
+def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join tensors of one rank end to end along ``axis``, as one tape node
+    however many parts there are."""
+    # numpy rejects each bad join (no parts, axis out of range, mixed ranks,
+    # dims that differ off the axis) with a ValueError.
+    try:
+        data = np.concatenate([t.data for t in parts], axis=axis)
+    except ValueError as e:
+        raise ShapeError(f"concat: {e}; got {[t.shape for t in parts]}") from None
+    axis %= data.ndim
+    out = _out(data, parts)
+    _record("concat", tuple(parts), (out,), (axis, tuple(t.data.shape[axis] for t in parts)))
     return out
 
 
@@ -345,20 +347,6 @@ def split(a: Tensor, sizes: Sequence[int], axis: int = 0) -> tuple[Tensor, ...]:
     outs = tuple(outs)
     _record("split", (a,), outs, (axis, tuple(sizes)))
     return outs
-
-
-def cat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Join 2-D tensors with equal column counts end to end along axis 0,
-    as one tape node however many parts there are."""
-    if not parts:
-        raise ShapeError("cat_rows: need at least one tensor")
-    # The first part is tested first, so parts[0].shape[1] exists when read.
-    if any(t.ndim != 2 or t.shape[1] != parts[0].shape[1] for t in parts):
-        raise ShapeError(f"cat_rows: need 2-D tensors with equal column counts, "
-                         f"got {[t.shape for t in parts]}")
-    out = _out(np.concatenate([t.data for t in parts]), parts)
-    _record("cat_rows", tuple(parts), (out,), (tuple(t.shape[0] for t in parts),))
-    return out
 
 
 def _shifted(a: np.ndarray, k: int) -> np.ndarray:
@@ -522,8 +510,9 @@ def _bw_sum_row_blocks(node, gs):
 
 def _bw_concat(node, gs):
     (g,) = gs
-    axis, first = node.saved
-    return np.split(g, [first], axis=axis)
+    axis, sizes = node.saved
+    # Offsets summed in Python: np.cumsum's set-up costs more than the split.
+    return np.split(g, list(accumulate(sizes[:-1])), axis=axis)
 
 
 def _bw_split(node, gs):
@@ -537,12 +526,6 @@ def _bw_split(node, gs):
         else:
             parts.append(g)
     return (np.concatenate(parts, axis=axis),)
-
-
-def _bw_cat_rows(node, gs):
-    (g,) = gs
-    (sizes,) = node.saved
-    return np.split(g, np.cumsum(sizes)[:-1])
 
 
 def _bw_shift_rows(node, gs):
@@ -599,7 +582,6 @@ BACKWARD_RULES: dict[str, Callable] = {
     "sum_row_blocks": _bw_sum_row_blocks,
     "concat": _bw_concat,
     "split": _bw_split,
-    "cat_rows": _bw_cat_rows,
     "shift_rows": _bw_shift_rows,
     "softmax": _bw_softmax,
     "group_softmax": _bw_group_softmax,

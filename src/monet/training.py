@@ -21,7 +21,7 @@ from .cells import Hallucinator
 from .classify import (PROB_SUM_TOL, LinearClassifier, _np_softmax,
                        class_probabilities_steps)
 from .data import FeatureRecord
-from .tensor import Tape, Tensor, abs_, add, cat_rows, mul, scale, sub, tsum
+from .tensor import Tape, Tensor, abs_, add, concat, mul, scale, sub, tsum
 
 
 class TrainingDiverged(RuntimeError):
@@ -85,12 +85,12 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 
 def _as_matrix(x) -> Tensor:
     """A (T*N, D) tensor as it is, or per-timestep (N, D) steps stacked into
-    one: one ``cat_rows`` node if they carry gradient, joined off the tape
+    one: one ``concat`` node if they carry gradient, joined off the tape
     if they are constants."""
     if isinstance(x, Tensor):
         return x
     if any(s.requires_grad for s in x):
-        return cat_rows(x)
+        return concat(x)
     return Tensor(np.concatenate([s.data for s in x]))
 
 

@@ -13,7 +13,7 @@ from monet.cells import (FAMILIES, BidirParams, CellConfig, Conv1dParams,
                          init_conv1d, init_lstm, init_monet, lstm_step,
                          MAX_LAYERS, match_params, monet_forward, monet_unit,
                          vanilla_step)
-from monet.tensor import (ShapeError, Tape, Tensor, add, add_rowvec, cat_rows,
+from monet.tensor import (ShapeError, Tape, Tensor, add, add_rowvec, concat,
                           finite_diff_grad, jacobian, matmul, mul,
                           relative_error, tsum)
 
@@ -286,7 +286,7 @@ def test_monet_steps_matches_per_step_unit_loop(t_len, layers, causal_only):
     p = init_monet(3, 4, rng)
     xs = [Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True) for _ in range(t_len)]
     weights = Tensor(rng.uniform(-1, 1, (t_len * 3, 4)))
-    looped = lambda *args: cat_rows(_monet_unit_loop(*args))
+    looped = lambda *args: concat(_monet_unit_loop(*args))
     grads = []
     for run in (_monet_forward_steps, looped):
         for x in xs:
@@ -342,12 +342,12 @@ def _recurrent_loop(xs, config, params):
     """``forward_steps`` of a recurrent family, per step: the bi-RNN runs
     the backward stack on the reversed steps and projects every step."""
     if not config.family.startswith("bi-"):
-        return cat_rows(_step_loop(xs, params, config.family))
+        return concat(_step_loop(xs, params, config.family))
     base = config.family.removeprefix("bi-")
     fwd = _step_loop(xs, params.fwd, base)
     bwd = _step_loop(xs[::-1], params.bwd, base)[::-1]
-    return cat_rows([add_rowvec(add(matmul(f, params.proj_fwd), matmul(b, params.proj_bwd)),
-                                params.b_out) for f, b in zip(fwd, bwd)])
+    return concat([add_rowvec(add(matmul(f, params.proj_fwd), matmul(b, params.proj_bwd)),
+                              params.b_out) for f, b in zip(fwd, bwd)])
 
 
 @pytest.mark.parametrize("t_len", [1, 4, 20])
@@ -404,6 +404,27 @@ def test_forward_steps_returns_time_major_rows(family, out_dim):
     for i in range(n):
         np.testing.assert_allclose(rows.data[i::n], model.forward(Tensor(seqs[i])).data,
                                    rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_forward_runs_the_sequence_as_it_is(family):
+    """A (T, d_x) sequence is the time-major matrix of a batch of one, so
+    ``forward`` records what ``forward_steps`` does after joining its steps,
+    and the time-parallel families record no split and no row join at all."""
+    model = Hallucinator.build(CellConfig(family=family, d_x=3, d_s=4, layers=2),
+                               np.random.default_rng(22))
+    seq = np.random.default_rng(23).uniform(-1, 1, (5, 3))
+    tapes = []
+    for run in (lambda: model.forward(Tensor(seq)),
+                lambda: model.forward_steps([Tensor(row[None]) for row in seq])):
+        with Tape() as tape:
+            run()
+        tapes.append([(node.op, node.saved[0] if node.op == "concat" else None)
+                      for node in tape.nodes])
+    direct, stepped = tapes
+    assert stepped[0] == ("concat", 0) and direct == stepped[1:]
+    if family in ("monet", "conv1d"):
+        assert ("concat", 0) not in direct and "split" not in [op for op, _ in direct]
 
 
 # -- Bidirectional wrappers -------------------------------------------------

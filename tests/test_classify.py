@@ -167,7 +167,7 @@ def test_tape_probabilities_match_plain_inference():
     rng = np.random.default_rng(7)
     clf = random_clf(rng, c=3, d=4)
     steps_np = [rng.normal(size=(2, 4)) for _ in range(5)]
-    probs = class_probabilities_steps([Tensor(s) for s in steps_np], clf)
+    probs = class_probabilities_steps(Tensor(np.concatenate(steps_np)), clf, 2)
     for i in range(2):
         seq = np.stack([s[i] for s in steps_np])
         np.testing.assert_allclose(probs.data[i], classify(seq, clf).probs,
@@ -175,8 +175,8 @@ def test_tape_probabilities_match_plain_inference():
 
 
 def test_tape_probabilities_of_the_time_major_matrix_match_the_step_chain():
-    """The matrix and the step list give the probabilities of pooling by a
-    chain of step additions, bit for bit."""
+    """The matrix gives the probabilities of pooling by a chain of step
+    additions, bit for bit."""
     rng = np.random.default_rng(10)
     clf = random_clf(rng, c=3, d=4)
     steps_np = [rng.normal(size=(2, 4)) * 10.0 ** rng.uniform(-4, 4, (2, 4)) for _ in range(20)]
@@ -184,12 +184,8 @@ def test_tape_probabilities_of_the_time_major_matrix_match_the_step_chain():
     for s in steps_np[1:]:
         total = total + s
     expected = _np_softmax((total * (1.0 / 20)) @ clf.W.T.copy() + clf.b)
-    matrix = class_probabilities_steps(Tensor(np.concatenate(steps_np)), clf, 2)
-    listed = class_probabilities_steps([Tensor(s) for s in steps_np], clf)
-    for probs in (matrix, listed):
-        assert np.array_equal(probs.data.view(np.int64), expected.view(np.int64))
-    with pytest.raises(ValueError, match="batch size"):
-        class_probabilities_steps(Tensor(np.concatenate(steps_np)), clf)
+    probs = class_probabilities_steps(Tensor(np.concatenate(steps_np)), clf, 2)
+    assert np.array_equal(probs.data.view(np.int64), expected.view(np.int64))
 
 
 def test_tape_probabilities_gradient_reaches_features():
@@ -197,11 +193,11 @@ def test_tape_probabilities_gradient_reaches_features():
     clf = random_clf(rng, c=3, d=4)
     feat = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
     with Tape() as tape:
-        loss = tsum(class_probabilities_steps([feat], clf))
+        loss = tsum(class_probabilities_steps(feat, clf, 2))
     tape.backward(loss)
 
     def f(t):
-        return tsum(class_probabilities_steps([t], clf))
+        return tsum(class_probabilities_steps(t, clf, 2))
 
     err = relative_error(feat.grad, finite_diff_grad(f, Tensor(feat.data.copy())))
     assert err < 1e-5

@@ -102,6 +102,35 @@ def test_config_value_of_the_wrong_type_is_invalid_input(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+def test_gen_data_float_count_is_invalid_input_before_writing(tmp_path, capsys):
+    spec_path = write_json(tmp_path / "spec.json", dict(TASK, n_train=8.5))
+    code, out, err = run(capsys, "gen-data", "--spec", spec_path,
+                         "--out", str(tmp_path / "d"))
+    assert code == 2 and out == ""
+    assert "n_train" in err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("cell", "d_s", 4.0), ("cell", "layers", 2.5), ("cell", "causal_only", 1),
+    ("train", "seed", None), ("loss", "alpha", True), (None, "seed", True),
+    (None, "out_dir", 5)])
+def test_train_config_value_of_the_wrong_json_type_is_invalid_input(tmp_path, capsys,
+                                                                    section, key, value):
+    """An int field takes only a JSON integer, a float field any number but
+    a boolean, a bool field only a boolean; nothing is written first."""
+    config = {"task": TASK, "cell": {"family": "monet", "d_x": 6, "d_s": 4},
+              "train": {"max_epochs": 1}, "out_dir": str(tmp_path / "run")}
+    if section is None:
+        config[key] = value
+    else:
+        config[section] = dict(config.get(section, {}), **{key: value})
+    code, out, err = run(capsys, "train", "--config", write_json(tmp_path / "c.json", config))
+    assert code == 2 and out == ""
+    assert key in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_malformed_json_is_invalid_input(tmp_path, capsys):
     bad = tmp_path / "spec.json"
     bad.write_text("{not json")

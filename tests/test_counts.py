@@ -1,0 +1,83 @@
+"""Exact work counts at the benchmark's shapes.
+
+These are counted, not timed, so they hold on any machine.  A change that
+moves one of them changes how much work a training step, a gradient-check
+pass or an inference request does; it updates the number here and says why.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from monet import gradcheck
+from monet.cells import CellConfig, Hallucinator, match_params
+from monet.classify import fit_linear_classifier, pooled_matrix
+from monet.cli import main
+from monet.data import SyntheticTaskSpec, generate_synthetic
+from monet.tensor import Tape
+from monet.training import LossConfig, TrainConfig, train
+
+# The acceptance task's shapes; one batch of N = 32 sequences of T = 20 steps.
+TASK = dict(n_classes=8, seq_len=20, d_x=16, d_s=16, n_train=32, n_val=4,
+            noise_sigma=0.05, seed=0)
+MONET_L3 = CellConfig(family="monet", d_x=16, d_s=16, layers=3)
+
+
+def _count_calls(monkeypatch, owner, attr):
+    calls = []
+    real = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("matched_gru,alpha,nodes", [(False, 10.0, 103), (True, 0.0, 297)])
+def test_tape_nodes_of_one_training_step(monkeypatch, matched_gru, alpha, nodes):
+    """monet L3 with the teacher term, and the parameter-matched GRU
+    without it."""
+    tr, va = generate_synthetic(SyntheticTaskSpec(**TASK))
+    config = match_params(MONET_L3, "gru").config if matched_gru else MONET_L3
+    clf = None
+    if alpha > 0:
+        clf = fit_linear_classifier(pooled_matrix([r.flow_target for r in tr]),
+                                    np.array([r.label for r in tr]), TASK["n_classes"])
+    backward = _count_calls(monkeypatch, Tape, "backward")
+    train(Hallucinator.build(config, np.random.default_rng(0)), tr, va,
+          TrainConfig(max_epochs=1, batch_size=32), LossConfig(alpha=alpha, classifier=clf))
+    assert [len(tape.nodes) for tape, _ in backward] == [nodes]
+
+
+def test_forward_calls_of_one_gradient_check_suite_pass(monkeypatch):
+    """One recorded forward per instance plus two per perturbed parameter
+    or input scalar, over the acceptance list with one instance each."""
+    suite = [("vanilla-rnn", 1), ("gru", 1), ("lstm", 1), ("bi-gru", 1), ("bi-lstm", 1),
+             ("conv1d", 1), ("monet", 1), ("monet", 3), ("monet", 5)]
+    forwards = _count_calls(monkeypatch, Hallucinator, "forward_steps")
+    for family, layers in suite:
+        assert gradcheck.check_family(family, layers, instances=1).passed
+    assert len(forwards) == 3589
+
+
+def test_forward_calls_of_one_inference_request(tmp_path, monkeypatch, capsys):
+    """``hallucinate`` then ``eval --teacher --appearance --csv`` run the
+    model once each."""
+    run = tmp_path / "run"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"task": TASK, "cell": {"family": "monet", "d_x": 16,
+                                                          "d_s": 16, "layers": 3},
+                                  "out_dir": str(run)}))
+    assert main(["train", "--config", str(config), "--epochs", "0"]) == 0
+    forwards = _count_calls(monkeypatch, Hallucinator, "forward_steps")
+    assert main(["hallucinate", "--checkpoint", str(run / "checkpoint.monw"),
+                 "--data", str(run / "val.mofe"), "--out", str(tmp_path / "h.mofe")]) == 0
+    assert main(["eval", "--checkpoint", str(run / "checkpoint.monw"),
+                 "--data", str(run / "val.mofe"), "--teacher", str(run / "teacher.json"),
+                 "--appearance", str(run / "appearance.json"),
+                 "--csv", str(tmp_path / "fused.csv")]) == 0
+    capsys.readouterr()
+    assert len(forwards) == 2

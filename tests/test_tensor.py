@@ -8,7 +8,7 @@ import pytest
 
 from monet.tensor import (BACKWARD_RULES, GradientError, ShapeError, Tape,
                           Tensor, _shifted, _sigmoid_stable, abs_, add, add_rowvec,
-                          cat_rows, concat, finite_diff_grad, group_softmax,
+                          concat, finite_diff_grad, group_softmax,
                           jacobian, matmul, mul, pause_recording,
                           relative_error, relu, scale, shift_rows, sigmoid,
                           softmax, split, sub, sum_row_blocks, tanh, tsum)
@@ -261,13 +261,13 @@ def test_shift_rows_matches_a_zero_filled_copy_bit_for_bit(k):
 
 
 def test_concat_basic():
-    out = concat(Tensor([1.0, 2.0]), Tensor([3.0]), axis=0)
+    out = concat([Tensor([1.0, 2.0]), Tensor([3.0])], axis=0)
     np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0])
 
 
 def test_concat_with_empty_is_identity():
     x = Tensor([1.0, 2.0])
-    out = concat(x, Tensor(np.zeros(0)), axis=0)
+    out = concat([x, Tensor(np.zeros(0))], axis=0)
     np.testing.assert_array_equal(out.data, x.data)
 
 
@@ -275,52 +275,53 @@ def test_split_inverts_concat_exactly():
     rng = np.random.default_rng(9)
     a = Tensor(rng.normal(size=(2, 3)))
     b = Tensor(rng.normal(size=(2, 5)))
-    pa, pb = split(concat(a, b, axis=1), [3, 5], axis=1)
+    pa, pb = split(concat([a, b], axis=1), [3, 5], axis=1)
     np.testing.assert_array_equal(pa.data, a.data)
     np.testing.assert_array_equal(pb.data, b.data)
 
 
 def test_concat_errors():
     with pytest.raises(ShapeError):
-        concat(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))), axis=1)
+        concat([])
     with pytest.raises(ShapeError):
-        concat(Tensor([1.0]), Tensor([2.0]), axis=5)
+        concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))], axis=1)
+    with pytest.raises(ShapeError):
+        concat([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4)))])
+    with pytest.raises(ShapeError):
+        concat([Tensor(np.ones((2, 3))), Tensor(np.ones(3))])
+    with pytest.raises(ShapeError):
+        concat([Tensor([1.0]), Tensor([2.0])], axis=5)
+    with pytest.raises(ShapeError):
+        concat([Tensor(1.0), Tensor(2.0)])
 
 
 def test_concat_backward_splits_gradient():
     a = Tensor([1.0, 2.0], requires_grad=True)
     b = Tensor([3.0], requires_grad=True)
     with Tape() as tape:
-        joined = concat(a, b, axis=0)
+        joined = concat([a, b], axis=0)
         loss = tsum(mul(joined, Tensor([2.0, 4.0, 6.0])))
     tape.backward(loss)
     np.testing.assert_array_equal(a.grad, [2.0, 4.0])
     np.testing.assert_array_equal(b.grad, [6.0])
 
 
-def test_cat_rows_value_and_gradient():
+@pytest.mark.parametrize("axis", [0, 1])
+def test_concat_of_three_parts_matches_finite_differences(axis):
     rng = np.random.default_rng(41)
-    parts = [Tensor(rng.uniform(-1, 1, (r, 3)), requires_grad=True) for r in (2, 1, 3)]
-    weights = Tensor(rng.uniform(-1, 1, (6, 3)))
+    shapes = [(r, 3) if axis == 0 else (3, r) for r in (2, 1, 3)]
+    parts = [Tensor(rng.uniform(-1, 1, shape), requires_grad=True) for shape in shapes]
+    weights = Tensor(rng.uniform(-1, 1, (6, 3) if axis == 0 else (3, 6)))
     with Tape() as tape:
-        out = cat_rows(parts)
+        out = concat(parts, axis=axis)
         loss = tsum(mul(out, weights))
-    np.testing.assert_array_equal(out.data, np.concatenate([t.data for t in parts]))
+    np.testing.assert_array_equal(out.data, np.concatenate([t.data for t in parts], axis=axis))
     assert len(tape) == 3  # one node however many parts
     tape.backward(loss)
     for i, part in enumerate(parts):
         def f(t, i=i):
-            return tsum(mul(cat_rows(parts[:i] + [t] + parts[i + 1:]), weights))
+            return tsum(mul(concat(parts[:i] + [t] + parts[i + 1:], axis=axis), weights))
         assert relative_error(part.grad, finite_diff_grad(f, part)) < 1e-8
-
-
-def test_cat_rows_errors():
-    with pytest.raises(ShapeError):
-        cat_rows([])
-    with pytest.raises(ShapeError):
-        cat_rows([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4)))])
-    with pytest.raises(ShapeError):
-        cat_rows([Tensor(np.ones(3))])
 
 
 @pytest.mark.parametrize("rows,n,cols", [(20, 4, 3), (20, 1, 1)])
@@ -464,8 +465,8 @@ def test_backward_hands_out_no_shared_gradient_buffers():
     b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     with Tape() as tape:
         s = add(a, b)
-        top, rest = split(cat_rows([s, a, b]), [2, 4])
-        p, q = group_softmax([concat(top, tanh(a), axis=1), concat(b, s, axis=1)])
+        top, rest = split(concat([s, a, b]), [2, 4])
+        p, q = group_softmax([concat([top, tanh(a)], axis=1), concat([b, s], axis=1)])
         loss = add(add(tsum(mul(p, Tensor(rng.normal(size=(2, 6))))), tsum(mul(q, q))),
                    tsum(mul(rest, rest)))
     tape.backward(loss)
@@ -635,9 +636,8 @@ OP_CASES = {
     "abs": (abs_, [[(2, 3)], [()]]),
     "sum": (tsum, [[(2, 3)], [()]]),
     "sum_row_blocks": (lambda a: sum_row_blocks(a, 2), [[(6, 3)]]),
-    "concat": (lambda a, b: concat(a, b, axis=1), [[(2, 3), (2, 1)]]),
+    "concat": (lambda *ps: concat(ps, axis=-1), [[(2, 3), (2, 1)], [(2,), (1,), (3,)]]),
     "split": (lambda a: split(a, [1, 2]), [[(3, 2)]]),
-    "cat_rows": (lambda *ps: cat_rows(ps), [[(2, 3), (1, 3), (2, 3)]]),
     "shift_rows": (lambda a: shift_rows(a, 1), [[(4, 2)]]),
     "softmax": (softmax, [[(2, 3)]]),
     "group_softmax": (lambda *ps: group_softmax(ps), [[(2, 3)] * 3]),
