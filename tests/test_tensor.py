@@ -282,17 +282,20 @@ def test_split_inverts_concat_exactly():
 
 def test_concat_errors():
     with pytest.raises(ShapeError):
-        concat([])
-    with pytest.raises(ShapeError):
         concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))], axis=1)
-    with pytest.raises(ShapeError):
-        concat([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4)))])
     with pytest.raises(ShapeError):
         concat([Tensor(np.ones((2, 3))), Tensor(np.ones(3))])
     with pytest.raises(ShapeError):
         concat([Tensor([1.0]), Tensor([2.0])], axis=5)
     with pytest.raises(ShapeError):
         concat([Tensor(1.0), Tensor(2.0)])
+
+
+def test_concat_rows_errors():
+    with pytest.raises(ShapeError):
+        concat([])
+    with pytest.raises(ShapeError):
+        concat([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4)))])
 
 
 def test_concat_backward_splits_gradient():
