@@ -23,8 +23,8 @@ import numpy as np
 from .binio import (FormatError, check_magic, check_version, read_array,
                     read_str, read_u32, require, write_array, write_str,
                     write_u32)
-from .tensor import (ShapeError, Tensor, add, add_rowvec, concat, group_softmax,
-                     matmul, mul, relu, shift_rows, sigmoid, split, sub, tanh)
+from .tensor import (ShapeError, Tensor, _monet_pass, add, add_rowvec, concat, matmul,
+                     monet_pass, mul, relu, shift_rows, sigmoid, split, sub, tanh)
 
 FAMILIES = ("vanilla-rnn", "gru", "lstm", "bi-gru", "bi-lstm", "conv1d", "monet")
 
@@ -157,7 +157,8 @@ class LinearReadout:
 
 @dataclasses.dataclass
 class MoNetTrace:
-    """All intermediates of one MoNet step.
+    """All intermediates of one MoNet step.  Only ``out`` is on the tape;
+    the other fields are constants.
 
     ``weight_cand + weight_right + weight_left == 1`` per coordinate, each
     weight in (0, 1); ``out`` is their convex combination of the candidate
@@ -345,50 +346,20 @@ def _project(X: Tensor, p) -> list[Tensor]:
     return [add_rowvec(matmul(X, W), b) for W, b in gates]
 
 
-def _monet_core(pre_r: Tensor, pre_z: Tensor, pre_h: Tensor,
-                s_left: Tensor, s_right: Tensor, ones: Tensor,
-                p: MoNetParams) -> MoNetTrace:
-    """MoNet step from precomputed input projections.
-
-    The fusion softmax runs per coordinate over the fixed constant 1 and the
-    two mix gates; its three weights blend the candidate with the raw
-    neighbor states.
-    """
-    reset_left = sigmoid(add(pre_r, matmul(s_left, p.U_r_left)))
-    reset_right = sigmoid(add(pre_r, matmul(s_right, p.U_r_right)))
-    mix_left = sigmoid(add(pre_z, matmul(s_left, p.U_z_left)))
-    mix_right = sigmoid(add(pre_z, matmul(s_right, p.U_z_right)))
-    gated = concat([mul(s_right, reset_right), mul(s_left, reset_left)], axis=1)
-    candidate = relu(add(pre_h, matmul(gated, p.U_h)))
-    weight_cand, weight_right, weight_left = group_softmax([ones, mix_right, mix_left])
-    out = add(add(mul(weight_cand, candidate), mul(weight_right, s_right)),
-              mul(weight_left, s_left))
-    return MoNetTrace(reset_left, reset_right, mix_left, mix_right, candidate,
-                      weight_cand, weight_right, weight_left, out)
-
-
 def monet_unit(x: Tensor, s_left: Tensor, s_right: Tensor, p: MoNetParams) -> MoNetTrace:
     """One MoNet step on (rows, d_x) input with (rows, d_s) neighbor states.
 
     ``s_left`` is the earlier-time neighbor, ``s_right`` the later-time one;
-    pass zero states for absent neighbors.
+    pass zero states for absent neighbors.  The step is one ``monet_pass``.
     """
     if x.ndim != 2 or s_left.ndim != 2 or s_right.ndim != 2:
         raise ShapeError(f"monet_unit: need 2-D inputs, got {x.shape}, {s_left.shape}, {s_right.shape}")
     if s_left.shape != s_right.shape or x.shape[0] != s_left.shape[0]:
         raise ShapeError(f"monet_unit: row counts and state dims must agree, "
                          f"got {x.shape}, {s_left.shape}, {s_right.shape}")
-    return _monet_core(*_project(x, p), s_left, s_right, Tensor(np.ones(s_left.shape)), p)
-
-
-def _monet_base(pre_z: Tensor, pre_h: Tensor, ones: Tensor) -> Tensor:
-    # Context-free pass: with both neighbors absent the unit reduces to a
-    # pure function of x_t, identical in value and gradient to running the
-    # full step on zero neighbor states.
-    z = sigmoid(pre_z)
-    h = relu(pre_h)
-    weight_cand, _, _ = group_softmax([ones, z, z])
-    return mul(weight_cand, h)
+    out, (sig, _, _, cand, w) = _monet_pass(*_project(x, p), s_left, s_right, p.U_r_left,
+                                            p.U_z_left, p.U_r_right, p.U_z_right, p.U_h)
+    return MoNetTrace(*(Tensor(a) for a in (sig[0], sig[2], sig[1], sig[3], cand, *w)), out)
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +386,12 @@ def _monet_rows(X: Tensor, n: int, p: MoNetParams, layers: int,
     at the end depends on inputs t-layers..t+layers exactly (t-layers..t
     when causal_only).  The neighbours of every position in a pass are the
     previous states shifted by one step, zero past either end."""
-    pre_r, pre_z, pre_h = _project(X, p)
-    ones = Tensor(np.ones(pre_h.shape))
-    states = _monet_base(pre_z, pre_h, ones)
-    zero = Tensor(np.zeros(ones.shape))
+    pre = _project(X, p)
+    U = (p.U_r_left, p.U_z_left, p.U_r_right, p.U_z_right, p.U_h)
+    states = monet_pass(*pre, None, None, *U)
     for _ in range(layers):
-        left = shift_rows(states, n)
-        right = zero if causal_only else shift_rows(states, -n)
-        states = _monet_core(pre_r, pre_z, pre_h, left, right, ones, p).out
+        right = None if causal_only else shift_rows(states, -n)
+        states = monet_pass(*pre, shift_rows(states, n), right, *U)
     return states
 
 

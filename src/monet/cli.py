@@ -150,27 +150,31 @@ def _manifest_path(data_path: str) -> str | None:
     return data_path.removesuffix(".mofe") + ".manifest.json"
 
 
-def _verify_manifest(data_path: str) -> None:
-    """Check a ``<stem>.mofe`` dataset against the sha256 that ``gen-data``,
-    ``train`` and ``hallucinate`` record in ``<stem>.manifest.json``, when
-    that sidecar exists: damage that still parses must not be read
-    silently.  A dataset without a sidecar is read unchecked."""
-    manifest_path = _manifest_path(data_path)
+# A checkpoint's sidecar is ``<checkpoint>.sha256.json``, which never ends in
+# ``.manifest.json`` and so cannot be the sidecar of a dataset beside it.
+CHECKPOINT_SIDECAR = ".sha256.json"
+
+
+def _verify_manifest(path: str, manifest_path: str | None, what: str) -> None:
+    """Check a file against the sha256 recorded in its sidecar, when that
+    exists: damage that still parses must not be read silently.  ``gen-data``,
+    ``train`` and ``hallucinate`` write a dataset's, ``train`` a checkpoint's.
+    A file without a sidecar is read unchecked."""
     if manifest_path is None or not os.path.exists(manifest_path):
         return
-    expected = _load_json(manifest_path, "dataset manifest").get("sha256")
+    expected = _load_json(manifest_path, f"{what} manifest").get("sha256")
     if not isinstance(expected, str):
-        raise UsageError(f"dataset manifest file {manifest_path} has no sha256 string")
-    if _read_file(file_sha256, data_path, "dataset") != expected:
-        raise UsageError(f"dataset file {data_path} does not match the sha256 in "
-                         f"{manifest_path}")
+        raise UsageError(f"{what} manifest file {manifest_path} has no sha256 string")
+    if _read_file(file_sha256, path, what) != expected:
+        raise UsageError(f"{what} file {path} does not match the sha256 in {manifest_path}")
 
 
 def _model_and_records(args) -> tuple[Hallucinator, list[FeatureRecord]]:
     """The checkpoint and the records it will run on; a dataset the model
     cannot run on is a runtime failure."""
+    _verify_manifest(args.checkpoint, args.checkpoint + CHECKPOINT_SIDECAR, "checkpoint")
     model = _read_file(Hallucinator.load, args.checkpoint, "checkpoint")
-    _verify_manifest(args.data)
+    _verify_manifest(args.data, _manifest_path(args.data), "dataset")
     records = _read_file(read_dataset, args.data, "dataset")
     if not records:
         raise PipelineError("dataset holds no records")
@@ -260,13 +264,16 @@ def cmd_train(args) -> int:
         report = train(model, train_recs, val_recs, tcfg, loss_cfg)
     except TrainingDiverged as e:
         raise PipelineError(str(e)) from None
-    model.save(os.path.join(out_dir, "checkpoint.monw"))
+    checkpoint = os.path.join(out_dir, "checkpoint.monw")
+    model.save(checkpoint)
+    write_manifest(checkpoint + CHECKPOINT_SIDECAR,
+                   {"format": "MONW", "sha256": file_sha256(checkpoint)})
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as f:
         f.write(report.to_json())
         f.write("\n")
     summary = {"epochs_run": len(report.epochs), "best_epoch": report.best_epoch,
                "best_val_mse": report.best_val_mse,
-               "checkpoint": os.path.join(out_dir, "checkpoint.monw")}
+               "checkpoint": checkpoint}
     print(json.dumps(summary))
     return 0
 

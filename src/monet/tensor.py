@@ -386,40 +386,82 @@ def softmax(a: Tensor) -> Tensor:
     return out
 
 
-def group_softmax(stack: Sequence[Tensor]) -> tuple[Tensor, ...]:
-    """Coordinate-wise softmax across k equally-shaped tensors.
+def monet_pass(pre_r: Tensor, pre_z: Tensor, pre_h: Tensor, left: Tensor | None,
+               right: Tensor | None, U_r_left: Tensor, U_z_left: Tensor,
+               U_r_right: Tensor, U_z_right: Tensor, U_h: Tensor) -> Tensor:
+    """One MoNet expansion pass over (R, d) rows, as one tape node.
 
-    For every coordinate, the k outputs are the softmax of the k stacked
-    input values: positive and summing to 1.
-    """
-    if len(stack) < 2:
-        raise ShapeError(f"group_softmax: need at least 2 tensors, got {len(stack)}")
-    shape = stack[0].shape
-    for t in stack:
-        if t.shape != shape:
-            raise ShapeError(f"group_softmax: shapes differ: {[t.shape for t in stack]}")
-    # No (k, ...) stack: the max is a chain of maximum and the sum adds
-    # first to last, the order numpy reduces a stack's axis 0 in.  Every
-    # buffer is this call's own and is then updated in place; ``out=`` keeps
-    # a 0-d result an array, where numpy would hand back a scalar.
-    xs = [t.data for t in stack]
-    top = np.maximum(xs[0], xs[1], out=np.empty(shape))
-    for x in xs[2:]:
-        np.maximum(top, x, out=top)
-    ys = []
-    for x in xs:
-        e = np.subtract(x, top, out=np.empty(shape))
-        np.exp(e, out=e)
-        ys.append(e)
-    total = np.add(ys[0], ys[1], out=top)
-    for e in ys[2:]:
-        total += e
-    for y in ys:
-        y /= total
-    inputs = tuple(stack)
-    outs = tuple(_out(y, inputs) for y in ys)
-    _record("group_softmax", inputs, outs, tuple(ys))
-    return outs
+    ``pre_*`` are the reset, mix and candidate input projections; ``left``
+    and ``right`` the earlier- and later-time neighbour states.  Each side
+    has a reset gate ``sigmoid(pre_r + s @ U_r)`` and a mix gate
+    ``sigmoid(pre_z + s @ U_z)``; the candidate is ``relu(pre_h +
+    [right * reset_right | left * reset_left] @ U_h)``; a per-coordinate
+    softmax over the logits (1, mix_right, mix_left) blends it with the
+    right and left states.  ``None`` is an absent neighbour: equal in value
+    to a zero state, it skips that side's matmul, gating and blend term."""
+    return _monet_pass(pre_r, pre_z, pre_h, left, right, U_r_left, U_z_left,
+                       U_r_right, U_z_right, U_h)[0]
+
+
+def _monet_pass(*inputs: Tensor | None) -> tuple[Tensor, tuple]:
+    """``monet_pass`` and the arrays its node saves: the gates (reset_left,
+    mix_left, reset_right, mix_right), the gated states (None with no
+    neighbour), the ReLU's bit mask, the candidate and the weights
+    (candidate, right, left)."""
+    pre_r, pre_z, pre_h, left, right, U_r_left, U_z_left, U_r_right, U_z_right, U_h = inputs
+    rows, d = pre_h.data.shape
+    gated, cand = None, pre_h.data
+    if left is None and right is None:
+        # Both mix gates are sigmoid(pre_z); a reset gate with no state to
+        # gate is sigmoid(0).
+        sig = np.empty((4, rows, d))
+        sig[::2] = 0.5
+        sig[1::2] = _sigmoid_stable(pre_z.data)
+    else:
+        # One block, so one sigmoid covers all four gates, and one batched
+        # matmul per present side.
+        gates = np.empty((4, rows, d))
+        for block, s, U_r, U_z in ((gates[:2], left, U_r_left, U_z_left),
+                                   (gates[2:], right, U_r_right, U_z_right)):
+            if s is None:
+                block[0] = 0.0
+                block[1] = pre_z.data
+            else:
+                np.matmul(s.data, np.stack([U_r.data, U_z.data]), out=block)
+                block[0] += pre_r.data
+                block[1] += pre_z.data
+        sig = _sigmoid_stable(gates)
+        gated = np.zeros((rows, 2 * d))
+        if right is not None:
+            np.multiply(right.data, sig[2], out=gated[:, :d])
+        if left is not None:
+            np.multiply(left.data, sig[0], out=gated[:, d:])
+        cand = gated @ U_h.data
+        cand += pre_h.data
+    # The ReLU as a bit mask, all ones where cand > 0: every other entry,
+    # nan and -0.0 included, becomes +0.0, as np.where(cand > 0, cand, 0.0)
+    # gives, at a fraction of its cost.
+    keep = np.negative(cand > 0, dtype=np.int64)
+    cand = np.bitwise_and(cand.view(np.int64), keep).view(np.float64)
+    # No max shift: a sigmoid is at most 1, so the constant logit is the
+    # max, and exp(1 - 1) is exactly its term.  sig[3::-2] is (mix_right,
+    # mix_left).
+    w = np.empty((3, rows, d))
+    np.subtract(sig[3::-2], 1.0, out=w[1:])
+    np.exp(w[1:], out=w[1:])
+    total = w[1] + 1.0
+    total += w[2]
+    w[0] = 1.0
+    w /= total
+    data = w[0] * cand
+    if right is not None:
+        data += w[1] * right.data
+    if left is not None:
+        data += w[2] * left.data
+    out = _out(data, [t for t in inputs if t is not None])
+    saved = (sig, gated, keep, cand, w)
+    _record("monet_pass", inputs, (out,), saved)
+    return out, saved
 
 
 # ---------------------------------------------------------------------------
@@ -541,30 +583,45 @@ def _bw_softmax(node, gs):
     return (y * (g - inner),)
 
 
-def _bw_group_softmax(node, gs):
-    ys = node.saved
-    # inner = sum of g*y over the outputs, first to last.  A stacked
-    # reduction starts from +0.0, which turns a -0.0 first term into +0.0;
-    # a missing gradient's zero term adds +0.0, which changes nothing after
-    # that.
-    inner = None
-    for g, y in zip(gs, ys):
-        if g is None:
+def _bw_monet_pass(node, gs):
+    (g,) = gs
+    _, _, _, left, right, U_r_left, U_z_left, U_r_right, U_z_right, U_h = node.inputs
+    sig, gated, keep, _, w = node.saved
+    out = node.outputs[0].data
+    gw = g * w
+    dpre_h = np.bitwise_and(gw[0].view(np.int64), keep).view(np.float64)
+    dU_h = dgated = dpre_r = dpre_z = None
+    if gated is not None:
+        dU_h = gated.T @ dpre_h
+        dgated = dpre_h @ U_h.data.T
+    d = g.shape[1]
+    states, mats = [], []
+    # Per side: its reset gate's row k in sig, its row j in w, and its half
+    # of the gated states.
+    for s, U_r, U_z, k, j, half in ((left, U_r_left, U_z_left, 0, 2, slice(d, None)),
+                                    (right, U_r_right, U_z_right, 2, 1, slice(None, d))):
+        # The softmax rule w_j * (dw_j - sum_i w_i * dw_i), with dw_i =
+        # g * s_i, so the sum is g * out; an absent state is 0.
+        dmix = np.subtract(0.0 if s is None else s.data, out)
+        dmix *= gw[j]
+        dmix *= sig[k + 1]
+        dmix *= 1.0 - sig[k + 1]
+        dpre_z = dmix if dpre_z is None else dpre_z + dmix
+        if s is None:
+            states.append(None)
+            mats += [None, None]
             continue
-        if inner is None:
-            inner = np.multiply(g, y, out=np.empty(y.shape))
-            inner += 0.0
-        else:
-            inner += g * y
-    grads = []
-    for t, g, y in zip(node.inputs, gs, ys):
-        if not t.requires_grad:
-            grads.append(None)
-            continue
-        d = np.subtract(0.0 if g is None else g, inner, out=np.empty(y.shape))
-        np.multiply(y, d, out=d)
-        grads.append(d)
-    return grads
+        dreset = dgated[:, half] * s.data
+        dreset *= sig[k]
+        dreset *= 1.0 - sig[k]
+        dpre_r = dreset if dpre_r is None else dpre_r + dreset
+        ds = dgated[:, half] * sig[k]
+        ds += gw[j]
+        ds += dreset @ U_r.data.T
+        ds += dmix @ U_z.data.T
+        states.append(ds)
+        mats += [s.data.T @ dreset, s.data.T @ dmix]
+    return [dpre_r, dpre_z, dpre_h, *states, *mats, dU_h]
 
 
 BACKWARD_RULES: dict[str, Callable] = {
@@ -584,7 +641,7 @@ BACKWARD_RULES: dict[str, Callable] = {
     "split": _bw_split,
     "shift_rows": _bw_shift_rows,
     "softmax": _bw_softmax,
-    "group_softmax": _bw_group_softmax,
+    "monet_pass": _bw_monet_pass,
 }
 
 

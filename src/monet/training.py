@@ -208,14 +208,18 @@ def records_arrays(records: list[FeatureRecord]) -> tuple[np.ndarray, np.ndarray
 _HALLUCINATE_BLOCK = 64
 
 
+def _step_views(batch: np.ndarray) -> list[Tensor]:
+    """An (n, T, d) batch as T (n, d) steps, views of one time-major copy."""
+    return [Tensor(step) for step in np.ascontiguousarray(batch.transpose(1, 0, 2))]
+
+
 def hallucinate_array(model: Hallucinator, app: np.ndarray) -> np.ndarray:
     """Run the model over a stacked (n, T, d_x) batch, returning
     (n, T, output_dim).  Nothing is recorded."""
     out = []
     for start in range(0, app.shape[0], _HALLUCINATE_BLOCK):
         block = app[start:start + _HALLUCINATE_BLOCK]
-        xs = [Tensor(np.ascontiguousarray(block[:, t, :])) for t in range(block.shape[1])]
-        rows = model.forward_steps(xs).data
+        rows = model.forward_steps(_step_views(block)).data
         out.append(rows.reshape(block.shape[1], block.shape[0], -1).transpose(1, 0, 2))
     return np.concatenate(out)
 
@@ -324,7 +328,7 @@ def train(model: Hallucinator, train_records: list[FeatureRecord],
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             batch_app = app[idx]
-            xs = [Tensor(np.ascontiguousarray(batch_app[:, t, :])) for t in range(t_len)]
+            xs = _step_views(batch_app)
             tgt = Tensor(flow[idx].transpose(1, 0, 2).reshape(t_len * len(idx), -1))
             with Tape() as tape:
                 pred = model.forward_steps(xs)

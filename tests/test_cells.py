@@ -189,6 +189,45 @@ def test_monet_trace_invariants_on_random_steps():
         assert np.all(tr.out.data <= hi + 1e-12)
 
 
+def _assert_candidate_weight_bounds(mix_left, mix_right, weight_cand, neighbour_mass):
+    """The fusion caps the candidate weight at e/(e+2) and leaves at least
+    2/(e+2) to the neighbours, up to rounding; the cap is met where both
+    mix gates are exactly 0 and missed by a margin wherever either is
+    above 1e-6 (every gate of random, unsaturated inputs)."""
+    e = math.e
+    assert np.all(weight_cand <= e / (e + 2) + 1e-15)
+    assert np.all(neighbour_mass >= 2 / (e + 2) - 1e-15)
+    closed = (mix_left == 0.0) & (mix_right == 0.0)
+    np.testing.assert_allclose(weight_cand[closed], e / (e + 2), rtol=1e-15)
+    open_ = (mix_left > 1e-6) | (mix_right > 1e-6)
+    assert np.all(weight_cand[open_] < e / (e + 2) - 1e-9)
+    assert np.all(closed | open_)
+
+
+def test_candidate_weight_is_capped_at_e_over_e_plus_2():
+    """The depth failure's mechanism: with the constant candidate logit 1
+    and sigmoid mix gates, no pass can keep more than e/(e+2) ~ 0.576 of its
+    candidate, through ``monet_unit`` and through every pass of a run."""
+    rng = np.random.default_rng(12)
+    p = init_monet(4, 6, rng)
+    p.b_z.data = np.where(np.arange(6) < 2, -1000.0, 0.0)  # two columns' mix gates shut
+    for _ in range(50):
+        tr = monet_unit(Tensor(rng.normal(0, 2, (3, 4))), Tensor(rng.normal(0, 2, (3, 6))),
+                        Tensor(rng.normal(0, 2, (3, 6))), p)
+        _assert_candidate_weight_bounds(tr.mix_left.data, tr.mix_right.data, tr.weight_cand.data,
+                                        tr.weight_right.data + tr.weight_left.data)
+        assert not tr.mix_left.data[:, :2].any() and not tr.mix_right.data[:, :2].any()
+    for causal_only in (False, True):
+        model = Hallucinator.build(CellConfig(family="monet", d_x=4, d_s=6, layers=3,
+                                              causal_only=causal_only), rng)
+        with Tape() as tape:
+            model.forward_steps([Tensor(rng.normal(0, 2, (5, 4))) for _ in range(7)])
+        passes = [node.saved for node in tape.nodes if node.op == "monet_pass"]
+        assert len(passes) == 4
+        for sig, _, _, _, w in passes:
+            _assert_candidate_weight_bounds(sig[1], sig[3], w[0], w[1] + w[2])
+
+
 # -- MoNet sequence expansion ----------------------------------------------
 
 def _band_blocks(jac, t_len, d_out, d_in):

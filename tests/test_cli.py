@@ -147,6 +147,8 @@ def test_train_writes_artifacts(trained_dir):
     for name in ("checkpoint.monw", "report.json", "teacher.json",
                  "appearance.json", "train.mofe", "val.mofe"):
         assert (run_dir / name).exists(), name
+    manifest = json.loads((run_dir / "checkpoint.monw.sha256.json").read_text())
+    assert manifest["sha256"] == hashlib.sha256((run_dir / "checkpoint.monw").read_bytes()).hexdigest()
     report = json.loads((run_dir / "report.json").read_text())
     assert len(report["epochs"]) == 3
     assert set(report["epochs"][0]) == {"epoch", "lr", "train_loss", "val_mse",
@@ -542,6 +544,70 @@ def test_dataset_without_manifest_is_read_unchecked(trained_dir, capsys, tmp_pat
     assert code == 0
     _, intact, _ = _run_on_data(capsys, run_dir, run_dir / "val.mofe", "eval")
     assert last_json(out)["val_mse"] != last_json(intact)["val_mse"]
+
+
+def _copy_checkpoint(run_dir, dst, flip=False, sidecar=True):
+    """Copy the trained checkpoint, with a sidecar holding the sha256 of
+    the intact file or without one, and with the top mantissa bit of its
+    last weight flipped if asked: damage that leaves every weight finite."""
+    raw = bytearray((run_dir / "checkpoint.monw").read_bytes())
+    if sidecar:
+        (dst.parent / (dst.name + ".sha256.json")).write_text(
+            json.dumps({"sha256": hashlib.sha256(raw).hexdigest()}))
+    if flip:
+        raw[-2] ^= 0x08
+    dst.write_bytes(bytes(raw))
+    assert np.isfinite(np.concatenate([t.data.ravel()
+                                       for t in Hallucinator.load(str(dst)).tensors()])).all()
+
+
+@pytest.mark.parametrize("command", ["eval", "hallucinate"])
+def test_checkpoint_not_matching_its_manifest_is_invalid_input(trained_dir, capsys, tmp_path,
+                                                              command):
+    run_dir = trained_dir / "run"
+    ckpt = tmp_path / "c.monw"
+    extra = ["--out", str(tmp_path / "h.mofe")] if command == "hallucinate" else []
+    args = [command, "--checkpoint", str(ckpt), "--data", str(run_dir / "val.mofe"), *extra]
+    _copy_checkpoint(run_dir, ckpt)
+    assert run(capsys, *args)[0] == 0
+    (tmp_path / "h.mofe").unlink(missing_ok=True)
+    _copy_checkpoint(run_dir, ckpt, flip=True)
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == ""
+    assert err == (f"error: checkpoint file {ckpt} does not match the sha256 in "
+                   f"{tmp_path / 'c.monw.sha256.json'}\n")
+    assert not (tmp_path / "h.mofe").exists()
+
+
+@pytest.mark.parametrize("manifest", ["{not json", '{"sha256": 5}'])
+def test_unreadable_checkpoint_manifest_is_invalid_input(trained_dir, capsys, tmp_path,
+                                                         manifest):
+    run_dir = trained_dir / "run"
+    ckpt = tmp_path / "c.monw"
+    _copy_checkpoint(run_dir, ckpt)
+    (tmp_path / "c.monw.sha256.json").write_text(manifest)
+    code, out, err = run(capsys, "eval", "--checkpoint", str(ckpt),
+                         "--data", str(run_dir / "val.mofe"))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: checkpoint manifest file {tmp_path / 'c.monw.sha256.json'}")
+
+
+def test_checkpoint_without_manifest_is_read_unchecked(trained_dir, capsys, tmp_path):
+    """Without a sidecar a checkpoint loads as before: an intact copy gives
+    the trained numbers, and a damaged one that still loads is used."""
+    run_dir = trained_dir / "run"
+    ckpt = tmp_path / "c.monw"
+    outs = []
+    for flip in (False, True):
+        _copy_checkpoint(run_dir, ckpt, flip=flip, sidecar=False)
+        code, out, _ = run(capsys, "eval", "--checkpoint", str(ckpt),
+                           "--data", str(run_dir / "val.mofe"))
+        assert code == 0
+        outs.append(last_json(out))
+    _, intact, _ = run(capsys, "eval", "--checkpoint", str(run_dir / "checkpoint.monw"),
+                       "--data", str(run_dir / "val.mofe"))
+    assert outs[0] == last_json(intact)
+    assert outs[1]["val_mse"] != outs[0]["val_mse"]
 
 
 @pytest.mark.parametrize("flags", [("--csv",), ("--csv", "--teacher"),

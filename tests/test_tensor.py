@@ -1,15 +1,14 @@
 """Tensor arithmetic and tape-based reverse-mode differentiation."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
 
 from monet.tensor import (BACKWARD_RULES, GradientError, ShapeError, Tape,
                           Tensor, _shifted, _sigmoid_stable, abs_, add, add_rowvec,
-                          concat, finite_diff_grad, group_softmax,
-                          jacobian, matmul, mul, pause_recording,
+                          concat, finite_diff_grad, jacobian, matmul,
+                          monet_pass, mul, pause_recording,
                           relative_error, relu, scale, shift_rows, sigmoid,
                           softmax, split, sub, sum_row_blocks, tanh, tsum)
 
@@ -101,56 +100,6 @@ def test_elementwise_binary_shape_mismatch():
         mul(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))))
 
 
-def test_group_softmax_symmetry():
-    for c in (0.0, -3.7, 12.0):
-        outs = group_softmax([Tensor([c, c]), Tensor([c, c]), Tensor([c, c])])
-        for o in outs:
-            np.testing.assert_allclose(o.data, [1 / 3, 1 / 3], rtol=0, atol=1e-15)
-
-
-def test_group_softmax_closed_form():
-    outs = group_softmax([Tensor([1.0]), Tensor([0.0]), Tensor([0.0])])
-    e = math.e
-    np.testing.assert_allclose(outs[0].data, [e / (e + 2)], rtol=1e-15)
-    np.testing.assert_allclose(outs[1].data, [1 / (e + 2)], rtol=1e-15)
-    np.testing.assert_allclose(outs[2].data, [1 / (e + 2)], rtol=1e-15)
-
-
-def test_group_softmax_sums_to_one_and_open_interval():
-    rng = np.random.default_rng(3)
-    stack = [Tensor(rng.uniform(-2, 2, (4, 5))) for _ in range(3)]
-    outs = group_softmax(stack)
-    total = sum(o.data for o in outs)
-    assert np.max(np.abs(total - 1.0)) < 1e-12
-    for o in outs:
-        assert np.all(o.data > 0.0) and np.all(o.data < 1.0)
-
-
-def test_group_softmax_gradient_matches_finite_differences():
-    rng = np.random.default_rng(5)
-    vals = [rng.uniform(-2, 2, (3,)) for _ in range(3)]
-    for k in range(3):
-        x = Tensor(vals[k], requires_grad=True)
-
-        def f(t, k=k):
-            stack = [Tensor(v) for v in vals]
-            stack[k] = t
-            outs = group_softmax(stack)
-            return tsum(mul(outs[0], outs[2]))
-
-        with Tape() as tape:
-            loss = f(x)
-        tape.backward(loss)
-        assert relative_error(x.grad, finite_diff_grad(f, x)) < 1e-6
-
-
-def test_group_softmax_shape_mismatch():
-    with pytest.raises(ShapeError):
-        group_softmax([Tensor([1.0]), Tensor([1.0, 2.0])])
-    with pytest.raises(ShapeError):
-        group_softmax([Tensor([1.0])])
-
-
 # Values that exercise a kernel's edges: signed zeros, infinities, nans of
 # both signs, subnormals and magnitudes past exp's range.
 EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
@@ -172,48 +121,6 @@ def assert_same_bits(got, expected):
     nan = np.isnan(expected)
     np.testing.assert_array_equal(np.isnan(got), nan)
     assert np.array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
-
-
-def stacked_group_softmax(xs):
-    v = np.stack(xs)
-    e = np.exp(v - v.max(axis=0))
-    return e / e.sum(axis=0)
-
-
-def stacked_group_softmax_grads(gs, y):
-    g = np.stack([np.zeros(y.shape[1:]) if gi is None else gi for gi in gs])
-    inner = (g * y).sum(axis=0)
-    return y * (g - inner)
-
-
-@pytest.mark.parametrize("shape", [(), (6, 5)])
-@pytest.mark.parametrize("k", [2, 3, 4])
-def test_group_softmax_matches_the_stacked_form_bit_for_bit(k, shape):
-    """Values and gradients equal the (k, ...) stack computation, with edge
-    inputs and gradients, missing output gradients, and all-(-0.0)
-    gradients, where the stacked sum starts from +0.0."""
-    rng = np.random.default_rng(60 + k)
-    for _ in range(80 if shape == () else 12):
-        xs = [edge_values(rng, shape) for _ in range(k)]
-        # The first input is a constant, as the fusion's `ones` logit is.
-        inputs = [Tensor(x, requires_grad=i > 0) for i, x in enumerate(xs)]
-        with np.errstate(all="ignore"):
-            expected = stacked_group_softmax(xs)
-            with Tape() as tape:
-                outs = group_softmax(inputs)
-        for out, y in zip(outs, expected):
-            assert_same_bits(out.data, y)
-        [node] = tape.nodes
-        y = np.stack([out.data for out in outs])
-        for missing in ([], [0], list(range(1, k)), [k - 1]):
-            gs = [None if i in missing else edge_values(rng, shape) for i in range(k)]
-            for grads in (gs, [None if g is None else np.full(shape, -0.0) for g in gs]):
-                with np.errstate(all="ignore"):
-                    got = BACKWARD_RULES["group_softmax"](node, grads)
-                    want = stacked_group_softmax_grads(grads, y)
-                assert got[0] is None
-                for i in range(1, k):
-                    assert_same_bits(got[i], want[i])
 
 
 @pytest.mark.parametrize("shape", [(), (40, 16)])
@@ -466,16 +373,20 @@ def test_backward_hands_out_no_shared_gradient_buffers():
     rng = np.random.default_rng(29)
     a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    mats = [Tensor(rng.normal(size=shape), requires_grad=True)
+            for shape in [(3, 3)] * 4 + [(6, 3)]]
     with Tape() as tape:
         s = add(a, b)
         top, rest = split(concat([s, a, b]), [2, 4])
-        p, q = group_softmax([concat([top, tanh(a)], axis=1), concat([b, s], axis=1)])
-        loss = add(add(tsum(mul(p, Tensor(rng.normal(size=(2, 6))))), tsum(mul(q, q))),
+        # One node hands out both state matrices of a side from one buffer.
+        p = monet_pass(top, tanh(a), b, s, s, *mats)
+        q = concat([b, p], axis=1)
+        loss = add(add(tsum(mul(p, Tensor(rng.normal(size=(2, 3))))), tsum(mul(q, q))),
                    tsum(mul(rest, rest)))
     tape.backward(loss)
     reached = {t for node in tape.nodes for t in node.inputs + node.outputs
                if t.grad is not None}
-    assert {a, b, s, top, rest, p, q, loss} <= reached
+    assert {a, b, s, top, rest, p, q, loss, *mats} <= reached
     reached = list(reached)
     for i, t in enumerate(reached):
         for u in reached[i + 1:]:
@@ -624,6 +535,17 @@ def test_jacobian_wrt_a_constant_is_an_error():
         jacobian(y, c, tape)
 
 
+def _monet_pass_case(*ts):
+    """``monet_pass`` given only the tensors it reads: both neighbours (10
+    tensors), the left one only (7) or none (2)."""
+    if len(ts) == 2:
+        return monet_pass(None, *ts, None, None, None, None, None, None, None)
+    if len(ts) == 7:
+        pre_r, pre_z, pre_h, left, U_r, U_z, U_h = ts
+        return monet_pass(pre_r, pre_z, pre_h, left, None, U_r, U_z, None, None, U_h)
+    return monet_pass(*ts)
+
+
 # Every recorded op with operand shapes it accepts; the elementwise ones
 # also on 0-d operands, where numpy computes a scalar rather than an array.
 OP_CASES = {
@@ -643,7 +565,10 @@ OP_CASES = {
     "split": (lambda a: split(a, [1, 2]), [[(3, 2)]]),
     "shift_rows": (lambda a: shift_rows(a, 1), [[(4, 2)]]),
     "softmax": (softmax, [[(2, 3)]]),
-    "group_softmax": (lambda *ps: group_softmax(ps), [[(2, 3)] * 3]),
+    "monet_pass": (_monet_pass_case,
+                   [[(2, 3)] * 5 + [(3, 3)] * 4 + [(6, 3)],
+                    [(2, 3)] * 4 + [(3, 3)] * 2 + [(6, 3)],
+                    [(2, 3)] * 2]),
 }
 
 
@@ -778,3 +703,85 @@ def test_grad_shape_matches_data_shape():
         loss = tsum(mul(x, x))
     tape.backward(loss)
     assert x.grad.shape == x.data.shape
+
+
+def _monet_inputs(rng, rows, d):
+    """Random ``monet_pass`` operands: three projections, two states, four
+    state-to-gate matrices and the (2d, d) candidate matrix."""
+    shapes = [(rows, d)] * 5 + [(d, d)] * 4 + [(2 * d, d)]
+    return [Tensor(rng.normal(0.0, 1.5, shape), requires_grad=True) for shape in shapes]
+
+
+def _sigmoid_two_branch(x):
+    with np.errstate(over="ignore"):
+        return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+
+
+def monet_unit_op_by_op(pre_r, pre_z, pre_h, left, right, U_r_left, U_z_left, U_r_right,
+                        U_z_right, U_h):
+    """The MoNet unit as it ran one tape op at a time, in numpy: absent
+    neighbours as zero states, four separate gate sigmoids, the candidate
+    from the gated states joined side by side, the fusion as a max-shifted
+    softmax over the stacked logits (1, mix_right, mix_left), and the blend
+    added candidate, right, left."""
+    left = np.zeros(pre_h.shape) if left is None else left
+    right = np.zeros(pre_h.shape) if right is None else right
+    reset_left = _sigmoid_two_branch(pre_r + left @ U_r_left)
+    reset_right = _sigmoid_two_branch(pre_r + right @ U_r_right)
+    mix_left = _sigmoid_two_branch(pre_z + left @ U_z_left)
+    mix_right = _sigmoid_two_branch(pre_z + right @ U_z_right)
+    a = pre_h + np.concatenate([right * reset_right, left * reset_left], axis=1) @ U_h
+    candidate = np.where(a > 0, a, 0.0)
+    logits = np.stack([np.ones(pre_h.shape), mix_right, mix_left])
+    e = np.exp(logits - logits.max(axis=0))
+    w = e / e.sum(axis=0)
+    return w[0] * candidate + w[1] * right + w[2] * left
+
+
+@pytest.mark.parametrize("rows,d", [(1, 1), (6, 5), (40, 16)])
+@pytest.mark.parametrize("sides", ["both", "left", "right", "none"])
+def test_monet_pass_matches_the_op_by_op_unit_bit_for_bit(rows, d, sides):
+    """An absent neighbour equals a zero state bit for bit, and so does the
+    fused kernel the separate steps it replaced."""
+    rng = np.random.default_rng(83 + rows + d)
+    for _ in range(5):
+        args = [t.data for t in _monet_inputs(rng, rows, d)]
+        args[2] -= 0.5  # some candidates clipped by the ReLU
+        if sides in ("right", "none"):
+            args[3] = None
+        if sides in ("left", "none"):
+            args[4] = None
+        got = monet_pass(*(None if a is None else Tensor(a) for a in args)).data
+        assert_same_bits(got, monet_unit_op_by_op(*args))
+
+
+@pytest.mark.parametrize("sides", ["both", "left", "right", "none", "same"])
+def test_monet_pass_gradients_match_finite_differences(sides):
+    """Every input the pass reads, with an absent neighbour on either side
+    or both, and with one tensor as both neighbours."""
+    rng = np.random.default_rng(89)
+    args = _monet_inputs(rng, 3, 4)
+    if sides in ("right", "none"):
+        args[3] = None
+    if sides in ("left", "none"):
+        args[4] = None
+    if sides == "same":
+        args[4] = args[3]
+    weight = Tensor(rng.normal(size=(3, 4)))
+    for i, x in enumerate(args):
+        if x is None or (i == 4 and sides == "same"):
+            continue
+
+        def f(t, i=i):
+            ts = [t if a is x else a for a in args]
+            return tsum(mul(monet_pass(*ts), weight))
+
+        for a in args:
+            if a is not None:
+                a.zero_grad()
+        with Tape() as tape:
+            loss = f(x)
+        tape.backward(loss)
+        fd = finite_diff_grad(f, x)
+        got = np.zeros(x.shape) if x.grad is None else x.grad
+        assert relative_error(got, fd) < 1e-6, (sides, i)
