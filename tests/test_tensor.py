@@ -1,12 +1,13 @@
 """Tensor arithmetic and tape-based reverse-mode differentiation."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from monet.tensor import (BACKWARD_RULES, GradientError, ShapeError, Tape,
-                          Tensor, _shifted, _sigmoid_stable, abs_, add, add_rowvec,
+                          Tensor, _monet_pass, _shifted, _sigmoid_stable, abs_, add, add_rowvec,
                           concat, finite_diff_grad, jacobian, matmul,
                           monet_pass, mul, pause_recording,
                           relative_error, relu, scale, shift_rows, sigmoid,
@@ -785,3 +786,58 @@ def test_monet_pass_gradients_match_finite_differences(sides):
         fd = finite_diff_grad(f, x)
         got = np.zeros(x.shape) if x.grad is None else x.grad
         assert relative_error(got, fd) < 1e-6, (sides, i)
+
+
+# The fusion is a grouped softmax over the logits (1, mix_right, mix_left);
+# ``_monet_pass`` hands back the weights (candidate, right, left) it saves.
+
+def _fusion_weights(args):
+    return _monet_pass(*args)[1][4]
+
+
+def test_group_softmax_symmetry():
+    """Equal logits, with both mix gates saturated at 1, give a third each;
+    swapping the neighbours with their gate matrices swaps their weights,
+    up to the order in which the denominator adds the terms."""
+    rng = np.random.default_rng(97)
+    args = _monet_inputs(rng, 4, 3)
+    for c in (100.0, 745.0, 1e300):
+        for sides in ((None, None), (args[3], args[4])):
+            sat = list(args)
+            sat[1] = Tensor(np.full((4, 3), c))
+            sat[3:5] = sides
+            np.testing.assert_allclose(_fusion_weights(sat), 1 / 3, rtol=0, atol=1e-15)
+    swapped = list(args)
+    swapped[3], swapped[4] = args[4], args[3]
+    swapped[5:9] = args[7], args[8], args[5], args[6]
+    w, ws = _fusion_weights(args), _fusion_weights(swapped)
+    np.testing.assert_allclose(ws[0], w[0], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(ws[1], w[2], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(ws[2], w[1], rtol=1e-15, atol=0)
+
+
+def test_group_softmax_closed_form():
+    """Mix gates of exactly 0 leave the logits (1, 0, 0)."""
+    rng = np.random.default_rng(101)
+    args = _monet_inputs(rng, 4, 3)
+    args[1] = Tensor(np.full((4, 3), -1000.0))
+    e = math.e
+    for sides in ((None, None), (args[3], args[4])):
+        args[3:5] = sides
+        w = _fusion_weights(args)
+        np.testing.assert_allclose(w[0], e / (e + 2), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(w[1], 1 / (e + 2), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(w[2], 1 / (e + 2), rtol=1e-15, atol=0)
+
+
+def test_group_softmax_sums_to_one_and_open_interval():
+    rng = np.random.default_rng(3)
+    for sides in ("both", "left", "right", "none"):
+        args = _monet_inputs(rng, 4, 5)
+        if sides in ("right", "none"):
+            args[3] = None
+        if sides in ("left", "none"):
+            args[4] = None
+        w = _fusion_weights(args)
+        assert np.max(np.abs(w.sum(axis=0) - 1.0)) < 1e-12
+        assert np.all(w > 0.0) and np.all(w < 1.0)
