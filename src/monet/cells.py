@@ -23,8 +23,8 @@ import numpy as np
 from .binio import (FormatError, check_magic, check_version, read_array,
                     read_str, read_u32, require, write_array, write_str,
                     write_u32)
-from .tensor import (ShapeError, Tensor, _monet_pass, add, add_rowvec, concat, matmul,
-                     monet_pass, mul, relu, shift_rows, sigmoid, split, sub, tanh)
+from .tensor import (ShapeError, Tensor, _monet_pass, add, add_rowvec, concat, gru_cell,
+                     lstm_cell, matmul, monet_pass, relu, shift_rows, split, tanh)
 
 FAMILIES = ("vanilla-rnn", "gru", "lstm", "bi-gru", "bi-lstm", "conv1d", "monet")
 
@@ -301,31 +301,21 @@ def vanilla_step(x: Tensor, s: Tensor, p: VanillaRnnParams) -> Tensor:
     return _vanilla_core(*_project(x, p), s, p)
 
 
-def _gru_core(pre_r: Tensor, pre_z: Tensor, pre_h: Tensor, s: Tensor,
-              ones: Tensor, p: GruParams) -> Tensor:
+def _gru_core(pre_r: Tensor, pre_z: Tensor, pre_h: Tensor, s: Tensor, p: GruParams) -> Tensor:
     """GRU step from precomputed input projections ``x @ W + b``."""
-    r = sigmoid(add(pre_r, matmul(s, p.U_r)))
-    z = sigmoid(add(pre_z, matmul(s, p.U_z)))
-    h = tanh(add(pre_h, matmul(mul(r, s), p.U_h)))
-    return add(mul(z, s), mul(sub(ones, z), h))
+    return gru_cell(pre_r, pre_z, pre_h, s, p.U_r, p.U_z, p.U_h)
 
 
 def gru_step(x: Tensor, s: Tensor, p: GruParams) -> Tensor:
     """One gated-recurrent step: reset and update gates, tanh candidate,
     convex blend of previous state and candidate."""
-    return _gru_core(*_project(x, p), s, Tensor(np.ones(s.shape)), p)
+    return _gru_core(*_project(x, p), s, p)
 
 
 def _lstm_core(pre_i: Tensor, pre_f: Tensor, pre_o: Tensor, pre_g: Tensor,
                state: tuple[Tensor, Tensor], p: LstmParams) -> tuple[Tensor, Tensor]:
     """LSTM step from precomputed input projections ``x @ W + b``."""
-    s, c = state
-    i = sigmoid(add(pre_i, matmul(s, p.U_i)))
-    f = sigmoid(add(pre_f, matmul(s, p.U_f)))
-    o = sigmoid(add(pre_o, matmul(s, p.U_o)))
-    g = tanh(add(pre_g, matmul(s, p.U_g)))
-    c_next = add(mul(f, c), mul(i, g))
-    return mul(o, tanh(c_next)), c_next
+    return lstm_cell(pre_i, pre_f, pre_o, pre_g, *state, p.U_i, p.U_f, p.U_o, p.U_g)
 
 
 def lstm_step(x: Tensor, state: tuple[Tensor, Tensor], p: LstmParams) -> tuple[Tensor, Tensor]:
@@ -406,12 +396,11 @@ def stacked_steps(X: Tensor, n: int, layer_params: list, family: str,
     for p in layer_params:
         pres = [split(pre, [n] * t_len) for pre in _project(X, p)]
         zero = Tensor(np.zeros(pres[0][0].shape))
-        ones = Tensor(np.ones(zero.shape))
         state = (zero, zero) if family == "lstm" else zero
         out: list = [None] * t_len
         for t in order:
             if family == "gru":
-                state = _gru_core(pres[0][t], pres[1][t], pres[2][t], state, ones, p)
+                state = _gru_core(pres[0][t], pres[1][t], pres[2][t], state, p)
             elif family == "lstm":
                 state = _lstm_core(pres[0][t], pres[1][t], pres[2][t], pres[3][t], state, p)
             else:

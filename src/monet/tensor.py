@@ -277,11 +277,22 @@ def tanh(a: Tensor) -> Tensor:
     return out
 
 
+def _relu_select(a: np.ndarray, keep: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``np.where(a > 0, a, 0.0)`` bit for bit, at a fraction of its cost,
+    and the 64-bit mask it selects with: all ones where a > 0, zero
+    elsewhere, so every other entry, nan and -0.0 included, becomes +0.0.
+    Given a ``keep`` mask instead, the same select of ``a`` by it: that is
+    the ReLU's rule.  Works on 0-d operands and numpy scalars too."""
+    if keep is None:
+        keep = np.negative(a > 0, dtype=np.int64)
+    return np.bitwise_and(a.view(np.int64), keep).view(np.float64), keep
+
+
 def relu(a: Tensor) -> Tensor:
     # Subgradient at exactly 0 is 0: the mask is a strict inequality.
-    mask = a.data > 0
-    out = _out(np.where(mask, a.data, 0.0), (a,))
-    _record("relu", (a,), (out,), (mask,))
+    y, keep = _relu_select(a.data)
+    out = _out(y, (a,))
+    _record("relu", (a,), (out,), (keep,))
     return out
 
 
@@ -438,11 +449,7 @@ def _monet_pass(*inputs: Tensor | None) -> tuple[Tensor, tuple]:
             np.multiply(left.data, sig[0], out=gated[:, d:])
         cand = gated @ U_h.data
         cand += pre_h.data
-    # The ReLU as a bit mask, all ones where cand > 0: every other entry,
-    # nan and -0.0 included, becomes +0.0, as np.where(cand > 0, cand, 0.0)
-    # gives, at a fraction of its cost.
-    keep = np.negative(cand > 0, dtype=np.int64)
-    cand = np.bitwise_and(cand.view(np.int64), keep).view(np.float64)
+    cand, keep = _relu_select(cand)
     # No max shift: a sigmoid is at most 1, so the constant logit is the
     # max, and exp(1 - 1) is exactly its term.  sig[3::-2] is (mix_right,
     # mix_left).
@@ -462,6 +469,62 @@ def _monet_pass(*inputs: Tensor | None) -> tuple[Tensor, tuple]:
     saved = (sig, gated, keep, cand, w)
     _record("monet_pass", inputs, (out,), saved)
     return out, saved
+
+
+def _gates(s: np.ndarray, pres: Sequence[Tensor], mats: Sequence[Tensor]) -> np.ndarray:
+    """Every gate's pre-activation ``pre + s @ U`` as one (gates, N, d)
+    block, so one sigmoid call can cover several gates."""
+    block = np.empty((len(pres),) + s.shape)
+    for k, (pre, U) in enumerate(zip(pres, mats)):
+        np.matmul(s, U.data, out=block[k])
+        block[k] += pre.data
+    return block
+
+
+def gru_cell(pre_r: Tensor, pre_z: Tensor, pre_h: Tensor, s: Tensor,
+             U_r: Tensor, U_z: Tensor, U_h: Tensor) -> Tensor:
+    """One GRU step over (N, d) rows, as one tape node.
+
+    ``pre_*`` are the reset, update and candidate input projections.  The
+    reset gate is ``r = sigmoid(pre_r + s @ U_r)``, the update gate ``z =
+    sigmoid(pre_z + s @ U_z)``, the candidate ``h = tanh(pre_h + (r * s) @
+    U_h)``, and the next state ``z * s + (1 - z) * h``."""
+    inputs = (pre_r, pre_z, pre_h, s, U_r, U_z, U_h)
+    sd = s.data
+    rz = _sigmoid_stable(_gates(sd, (pre_r, pre_z), (U_r, U_z)))
+    rs = rz[0] * sd
+    h = rs @ U_h.data
+    h += pre_h.data
+    np.tanh(h, out=h)
+    data = rz[1] * sd
+    omz = 1.0 - rz[1]
+    data += omz * h
+    out = _out(data, inputs)
+    _record("gru_cell", inputs, (out,), (rz, rs, h, omz))
+    return out
+
+
+def lstm_cell(pre_i: Tensor, pre_f: Tensor, pre_o: Tensor, pre_g: Tensor, s: Tensor,
+              c: Tensor, U_i: Tensor, U_f: Tensor, U_o: Tensor,
+              U_g: Tensor) -> tuple[Tensor, Tensor]:
+    """One LSTM step over (N, d) rows, as one tape node with two outputs.
+
+    ``pre_*`` are the input, forget, output and cell input projections, and
+    ``(s, c)`` the hidden and cell state.  The gates are ``i, f, o =
+    sigmoid(pre + s @ U)`` and the cell input ``g = tanh(pre_g + s @
+    U_g)``; the op returns ``(o * tanh(c_next), c_next)`` with ``c_next =
+    f * c + i * g``."""
+    inputs = (pre_i, pre_f, pre_o, pre_g, s, c, U_i, U_f, U_o, U_g)
+    block = _gates(s.data, inputs[:4], inputs[6:])
+    ifo = _sigmoid_stable(block[:3])
+    g = np.tanh(block[3], out=block[3])
+    c_next = ifo[1] * c.data
+    c_next += ifo[0] * g
+    tc = np.tanh(c_next)
+    h = _out(ifo[2] * tc, inputs)
+    c_out = _out(c_next, inputs)
+    _record("lstm_cell", inputs, (h, c_out), (ifo, g, tc))
+    return h, c_out
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +591,8 @@ def _bw_tanh(node, gs):
 
 def _bw_relu(node, gs):
     (g,) = gs
-    (mask,) = node.saved
-    return (np.where(mask, g, 0.0),)
+    (keep,) = node.saved
+    return (_relu_select(g, keep)[0],)
 
 
 def _bw_abs(node, gs):
@@ -589,7 +652,7 @@ def _bw_monet_pass(node, gs):
     sig, gated, keep, _, w = node.saved
     out = node.outputs[0].data
     gw = g * w
-    dpre_h = np.bitwise_and(gw[0].view(np.int64), keep).view(np.float64)
+    dpre_h, _ = _relu_select(gw[0], keep)
     dU_h = dgated = dpre_r = dpre_z = None
     if gated is not None:
         dU_h = gated.T @ dpre_h
@@ -624,6 +687,76 @@ def _bw_monet_pass(node, gs):
     return [dpre_r, dpre_z, dpre_h, *states, *mats, dU_h]
 
 
+def _gate_grads(s: Tensor, da: np.ndarray, mats: Sequence[Tensor]) -> tuple:
+    """The state-side gradients of gates ``pre + s @ U`` whose
+    pre-activation gradients are the (gates, N, d) block ``da``: the
+    state's ``sum_k da_k @ U_k.T`` and every ``U_k``'s ``s.T @ da_k``, the
+    latter as one batched matmul."""
+    ds = None
+    if s.requires_grad:
+        ds = da[0] @ mats[0].data.T
+        for dak, U in zip(da[1:], mats[1:]):
+            ds += dak @ U.data.T
+    if any(U.requires_grad for U in mats):
+        return ds, list(np.matmul(s.data.T, da))
+    return ds, [None] * len(mats)
+
+
+def _bw_gru_cell(node, gs):
+    (g,) = gs
+    _, _, _, s, U_r, U_z, U_h = node.inputs
+    rz, rs, h, omz = node.saved
+    sd = s.data
+    # out = z * s + (1 - z) * h, h = tanh(pre_h + (r * s) @ U_h)
+    dh = omz * g
+    dh *= 1.0 - h * h
+    drs = dh @ U_h.data.T
+    # The reset and update gates' pre-activation gradients as one block,
+    # through one sigmoid slope y * (1 - y).
+    da = np.empty(rz.shape)
+    np.multiply(drs, sd, out=da[0])
+    np.subtract(sd, h, out=da[1])
+    da[1] *= g
+    slope = 1.0 - rz
+    slope *= rz
+    da *= slope
+    ds, (dU_r, dU_z) = _gate_grads(s, da, (U_r, U_z))
+    if ds is not None:
+        ds += g * rz[1]
+        ds += drs * rz[0]
+    dU_h = rs.T @ dh if U_h.requires_grad else None
+    return da[0], da[1], dh, ds, dU_r, dU_z, dU_h
+
+
+def _bw_lstm_cell(node, gs):
+    gh, gc = gs
+    s, c = node.inputs[4:6]
+    ifo, g, tc = node.saved
+    i, f, o = ifo
+    # Pre-activation gradients of the i, f, o gates and the cell input.
+    da = np.empty((4,) + tc.shape)
+    # h = o * tanh(c_next), c_next = f * c + i * g; an output nothing
+    # reached contributes nothing.
+    if gh is None:
+        da[2] = 0.0
+        dc = gc
+    else:
+        np.multiply(gh, tc, out=da[2])
+        dc = gh * o
+        dc *= 1.0 - tc * tc
+        if gc is not None:
+            dc += gc
+    np.multiply(dc, g, out=da[0])
+    np.multiply(dc, c.data, out=da[1])
+    slope = 1.0 - ifo
+    slope *= ifo
+    da[:3] *= slope
+    np.multiply(dc, i, out=da[3])
+    da[3] *= 1.0 - g * g
+    ds, dU = _gate_grads(s, da, node.inputs[6:])
+    return (*da, ds, (dc * f if c.requires_grad else None), *dU)
+
+
 BACKWARD_RULES: dict[str, Callable] = {
     "add": _bw_add,
     "sub": _bw_sub,
@@ -642,6 +775,8 @@ BACKWARD_RULES: dict[str, Callable] = {
     "shift_rows": _bw_shift_rows,
     "softmax": _bw_softmax,
     "monet_pass": _bw_monet_pass,
+    "gru_cell": _bw_gru_cell,
+    "lstm_cell": _bw_lstm_cell,
 }
 
 

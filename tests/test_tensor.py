@@ -8,7 +8,7 @@ import pytest
 
 from monet.tensor import (BACKWARD_RULES, GradientError, ShapeError, Tape,
                           Tensor, _monet_pass, _shifted, _sigmoid_stable, abs_, add, add_rowvec,
-                          concat, finite_diff_grad, jacobian, matmul,
+                          concat, finite_diff_grad, gru_cell, jacobian, lstm_cell, matmul,
                           monet_pass, mul, pause_recording,
                           relative_error, relu, scale, shift_rows, sigmoid,
                           softmax, split, sub, sum_row_blocks, tanh, tsum)
@@ -82,6 +82,24 @@ def test_relu_subgradient_at_zero_is_zero():
         loss = tsum(relu(x))
     tape.backward(loss)
     np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("shape", [(), (40, 16)])
+def test_relu_and_its_rule_match_np_where_bit_for_bit(shape):
+    """The bit-mask select against ``np.where``: -0.0, both nans and both
+    infinities among the operands and the upstream gradients, on a matrix
+    and on 0-d operands, including a numpy scalar as the gradient."""
+    rng = np.random.default_rng(79)
+    draws = ([(np.array(v), g) for v in EDGES for g in rng.choice(EDGES, 4)] if shape == ()
+             else [(edge_values(rng, shape), edge_values(rng, shape)) for _ in range(6)])
+    for a, g in draws:
+        with Tape() as tape:
+            out = relu(Tensor(a, requires_grad=True))
+        (back,) = BACKWARD_RULES["relu"](tape.nodes[0], (g,))
+        # No arithmetic on either side: nan signs and payloads agree too.
+        for got, expected in ((out.data, np.where(a > 0, a, 0.0)),
+                              (back, np.where(a > 0, g, 0.0))):
+            assert np.array_equal(np.asarray(got).view(np.int64), expected.view(np.int64))
 
 
 def test_tanh_gradient_matches_finite_differences():
@@ -570,6 +588,8 @@ OP_CASES = {
                    [[(2, 3)] * 5 + [(3, 3)] * 4 + [(6, 3)],
                     [(2, 3)] * 4 + [(3, 3)] * 2 + [(6, 3)],
                     [(2, 3)] * 2]),
+    "gru_cell": (gru_cell, [[(2, 3)] * 4 + [(3, 3)] * 3]),
+    "lstm_cell": (lstm_cell, [[(2, 3)] * 6 + [(3, 3)] * 4]),
 }
 
 
@@ -841,3 +861,86 @@ def test_group_softmax_sums_to_one_and_open_interval():
         w = _fusion_weights(args)
         assert np.max(np.abs(w.sum(axis=0) - 1.0)) < 1e-12
         assert np.all(w > 0.0) and np.all(w < 1.0)
+
+
+# Per recurrent cell op: its (rows, d) operands (the gates' input
+# projections, then the state and, for the LSTM, the cell) and its gates,
+# one (d, d) state matrix each.
+CELL_ARITY = {gru_cell: (4, 3), lstm_cell: (6, 4)}
+
+
+def _cell_inputs(rng, op, rows, d):
+    n_rows, gates = CELL_ARITY[op]
+    shapes = [(rows, d)] * n_rows + [(d, d)] * gates
+    return [Tensor(rng.normal(0.0, 1.5, shape), requires_grad=True) for shape in shapes]
+
+
+def gru_cell_op_by_op(pre_r, pre_z, pre_h, s, U_r, U_z, U_h):
+    """The GRU step as it ran one tape op at a time, in numpy."""
+    r = _sigmoid_two_branch(pre_r + s @ U_r)
+    z = _sigmoid_two_branch(pre_z + s @ U_z)
+    h = np.tanh(pre_h + (r * s) @ U_h)
+    return z * s + (np.ones(s.shape) - z) * h
+
+
+def lstm_cell_op_by_op(pre_i, pre_f, pre_o, pre_g, s, c, U_i, U_f, U_o, U_g):
+    """The LSTM step as it ran one tape op at a time, in numpy."""
+    i = _sigmoid_two_branch(pre_i + s @ U_i)
+    f = _sigmoid_two_branch(pre_f + s @ U_f)
+    o = _sigmoid_two_branch(pre_o + s @ U_o)
+    g = np.tanh(pre_g + s @ U_g)
+    c_next = f * c + i * g
+    return o * np.tanh(c_next), c_next
+
+
+@pytest.mark.parametrize("rows,d", [(1, 1), (6, 4), (32, 19)])
+@pytest.mark.parametrize("op,reference", [(gru_cell, gru_cell_op_by_op),
+                                          (lstm_cell, lstm_cell_op_by_op)])
+def test_cell_ops_match_the_op_by_op_step_bit_for_bit(op, reference, rows, d):
+    rng = np.random.default_rng(103 + rows + d)
+    for _ in range(5):
+        args = _cell_inputs(rng, op, rows, d)
+        got = op(*args)
+        expected = reference(*(t.data for t in args))
+        for out, want in zip(got if isinstance(got, tuple) else (got,),
+                             expected if isinstance(expected, tuple) else (expected,)):
+            assert_same_bits(out.data, want)
+
+
+def _assert_cell_gradients_match_finite_differences(op, args, loss_of):
+    for i, x in enumerate(args):
+        def f(t, i=i):
+            return loss_of(op(*(t if j == i else a for j, a in enumerate(args))))
+
+        for a in args:
+            a.zero_grad()
+        with Tape() as tape:
+            loss = f(x)
+        tape.backward(loss)
+        assert relative_error(x.grad, finite_diff_grad(f, x)) < 1e-6, i
+
+
+def test_gru_cell_gradients_match_finite_differences():
+    rng = np.random.default_rng(107)
+    weight = Tensor(rng.normal(size=(3, 4)))
+    _assert_cell_gradients_match_finite_differences(
+        gru_cell, _cell_inputs(rng, gru_cell, 3, 4), lambda out: tsum(mul(out, weight)))
+
+
+@pytest.mark.parametrize("outputs", ["h", "c", "both"])
+def test_lstm_cell_gradients_match_finite_differences(outputs):
+    """A loss on the hidden state only, on the cell state only (the rule
+    gets None for h), and on both."""
+    rng = np.random.default_rng(109)
+    w_h, w_c = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 4)))
+
+    def loss_of(hc):
+        h, c = hc
+        if outputs == "h":
+            return tsum(mul(h, w_h))
+        if outputs == "c":
+            return tsum(mul(c, w_c))
+        return add(tsum(mul(h, w_h)), tsum(mul(c, w_c)))
+
+    _assert_cell_gradients_match_finite_differences(lstm_cell,
+                                                    _cell_inputs(rng, lstm_cell, 3, 4), loss_of)
