@@ -23,8 +23,8 @@ import numpy as np
 from .binio import (FormatError, check_magic, check_version, read_array,
                     read_str, read_u32, require, write_array, write_str,
                     write_u32)
-from .tensor import (ShapeError, Tensor, _monet_pass, add, add_rowvec, concat, gru_cell,
-                     lstm_cell, matmul, monet_pass, relu, shift_rows, split, tanh)
+from .tensor import (ShapeError, Tensor, _monet_pass, add, add_rowvec, concat, matmul,
+                     monet_pass, recurrent, relu, shift_rows)
 
 FAMILIES = ("vanilla-rnn", "gru", "lstm", "bi-gru", "bi-lstm", "conv1d", "monet")
 
@@ -293,47 +293,40 @@ def init_params(config: CellConfig, rng):
 # Single-step cells
 # ---------------------------------------------------------------------------
 
-def _vanilla_core(pre: Tensor, s: Tensor, p: VanillaRnnParams) -> Tensor:
-    return tanh(add(pre, matmul(s, p.U)))
-
-
 def vanilla_step(x: Tensor, s: Tensor, p: VanillaRnnParams) -> Tensor:
-    return _vanilla_core(*_project(x, p), s, p)
-
-
-def _gru_core(pre_r: Tensor, pre_z: Tensor, pre_h: Tensor, s: Tensor, p: GruParams) -> Tensor:
-    """GRU step from precomputed input projections ``x @ W + b``."""
-    return gru_cell(pre_r, pre_z, pre_h, s, p.U_r, p.U_z, p.U_h)
+    return _step("vanilla-rnn", x, [s], p)
 
 
 def gru_step(x: Tensor, s: Tensor, p: GruParams) -> Tensor:
     """One gated-recurrent step: reset and update gates, tanh candidate,
     convex blend of previous state and candidate."""
-    return _gru_core(*_project(x, p), s, p)
-
-
-def _lstm_core(pre_i: Tensor, pre_f: Tensor, pre_o: Tensor, pre_g: Tensor,
-               state: tuple[Tensor, Tensor], p: LstmParams) -> tuple[Tensor, Tensor]:
-    """LSTM step from precomputed input projections ``x @ W + b``."""
-    return lstm_cell(pre_i, pre_f, pre_o, pre_g, *state, p.U_i, p.U_f, p.U_o, p.U_g)
+    return _step("gru", x, [s], p)
 
 
 def lstm_step(x: Tensor, state: tuple[Tensor, Tensor], p: LstmParams) -> tuple[Tensor, Tensor]:
     """Standard LSTM step; state is the (hidden, cell) pair."""
-    return _lstm_core(*_project(x, p), state, p)
+    return _step("lstm", x, state, p)
+
+
+def _step(family: str, x: Tensor, states: list[Tensor] | tuple[Tensor, Tensor], p):
+    """``recurrent`` over the one step of (N, d_in) input ``x``."""
+    if x.shape[:1] != states[0].shape[:1]:
+        raise ShapeError(f"{family} step: input and state rows differ, got {x.shape} "
+                         f"and {states[0].shape}")
+    return recurrent(family, _project(x, p), states, _fields(p, "U"))
+
+
+def _fields(p, prefix: str) -> list[Tensor]:
+    """A cell's tensors whose field names start with ``prefix``, in field
+    order: its gates' input matrices ("W"), state matrices ("U") or biases
+    ("b")."""
+    return [getattr(p, f.name) for f in dataclasses.fields(p) if f.name.startswith(prefix)]
 
 
 def _project(X: Tensor, p) -> list[Tensor]:
     """The input projection ``X @ W + b`` of each gate of a cell, in the
-    order its core function takes them.  MoNet's gates are named as the
-    GRU's."""
-    if isinstance(p, VanillaRnnParams):
-        gates = [(p.W, p.b)]
-    elif isinstance(p, (GruParams, MoNetParams)):
-        gates = [(p.W_r, p.b_r), (p.W_z, p.b_z), (p.W_h, p.b_h)]
-    else:
-        gates = [(p.W_i, p.b_i), (p.W_f, p.b_f), (p.W_o, p.b_o), (p.W_g, p.b_g)]
-    return [add_rowvec(matmul(X, W), b) for W, b in gates]
+    order its fields list them.  MoNet's gates are named as the GRU's."""
+    return [add_rowvec(matmul(X, W), b) for W, b in zip(_fields(p, "W"), _fields(p, "b"))]
 
 
 def monet_unit(x: Tensor, s_left: Tensor, s_right: Tensor, p: MoNetParams) -> MoNetTrace:
@@ -360,7 +353,8 @@ def monet_unit(x: Tensor, s_left: Tensor, s_right: Tensor, p: MoNetParams) -> Mo
 # previous pass's (or stage's) outputs, so they run each pass over every
 # position at once, and a shift by N rows is a shift by one time step that
 # never crosses sequences.  The recurrent runners project every step's input
-# in one matmul per gate and loop over the steps for the state side only.
+# in one matmul per gate and run each layer's state side as one
+# ``recurrent`` node.
 
 def _time_major(xs: list[Tensor]) -> tuple[Tensor, int]:
     """Per-timestep (N, d) inputs as one (T*N, d) matrix, plus N."""
@@ -390,23 +384,15 @@ def stacked_steps(X: Tensor, n: int, layer_params: list, family: str,
     """A stack of causal cells over a time-major (T*n, d) matrix, returning
     the top layer's states as a time-major (T*n, d_s) matrix.  Fresh
     parameters per depth level, zero initial state; ``reverse`` runs every
-    layer from the last step to the first."""
-    t_len = X.shape[0] // n
-    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
+    layer from the last step to the first.  Each layer is one
+    ``recurrent`` node."""
     for p in layer_params:
-        pres = [split(pre, [n] * t_len) for pre in _project(X, p)]
-        zero = Tensor(np.zeros(pres[0][0].shape))
-        state = (zero, zero) if family == "lstm" else zero
-        out: list = [None] * t_len
-        for t in order:
-            if family == "gru":
-                state = _gru_core(pres[0][t], pres[1][t], pres[2][t], state, p)
-            elif family == "lstm":
-                state = _lstm_core(pres[0][t], pres[1][t], pres[2][t], pres[3][t], state, p)
-            else:
-                state = _vanilla_core(pres[0][t], state, p)
-            out[t] = state[0] if family == "lstm" else state
-        X = concat(out)
+        pres = _project(X, p)
+        zero = Tensor(np.zeros((n, pres[0].shape[1])))
+        X = recurrent(family, pres, [zero] * (2 if family == "lstm" else 1), _fields(p, "U"),
+                      reverse)
+        if family == "lstm":
+            X = X[0]
     return X
 
 

@@ -263,20 +263,6 @@ def _softmax_stable(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    y = _sigmoid_stable(a.data)
-    out = _out(y, (a,))
-    _record("sigmoid", (a,), (out,), (y,))
-    return out
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    out = _out(y, (a,))
-    _record("tanh", (a,), (out,), (y,))
-    return out
-
-
 def _relu_select(a: np.ndarray, keep: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``np.where(a > 0, a, 0.0)`` bit for bit, at a fraction of its cost,
     and the 64-bit mask it selects with: all ones where a > 0, zero
@@ -340,24 +326,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     out = _out(data, parts)
     _record("concat", tuple(parts), (out,), (axis, tuple(t.data.shape[axis] for t in parts)))
     return out
-
-
-def split(a: Tensor, sizes: Sequence[int], axis: int = 0) -> tuple[Tensor, ...]:
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"split: axis {axis} out of range for shape {a.shape}")
-    axis = axis % a.ndim
-    if sum(sizes) != a.shape[axis]:
-        raise ShapeError(f"split: sizes {list(sizes)} do not cover axis {axis} of shape {a.shape}")
-    # Slicing directly: np.split's own set-up costs more than the parts'
-    # copies at the sizes the recurrent runners split into steps.
-    data, lead = a.data, (slice(None),) * axis
-    outs, start = [], 0
-    for size in sizes:
-        outs.append(_out(data[lead + (slice(start, start + size),)].copy(), (a,)))
-        start += size
-    outs = tuple(outs)
-    _record("split", (a,), outs, (axis, tuple(sizes)))
-    return outs
 
 
 def _shifted(a: np.ndarray, k: int) -> np.ndarray:
@@ -471,60 +439,171 @@ def _monet_pass(*inputs: Tensor | None) -> tuple[Tensor, tuple]:
     return out, saved
 
 
-def _gates(s: np.ndarray, pres: Sequence[Tensor], mats: Sequence[Tensor]) -> np.ndarray:
+def _gates(s: np.ndarray, pres: Sequence[np.ndarray], mats: Sequence[np.ndarray]) -> np.ndarray:
     """Every gate's pre-activation ``pre + s @ U`` as one (gates, N, d)
     block, so one sigmoid call can cover several gates."""
     block = np.empty((len(pres),) + s.shape)
     for k, (pre, U) in enumerate(zip(pres, mats)):
-        np.matmul(s, U.data, out=block[k])
-        block[k] += pre.data
+        np.matmul(s, U, out=block[k])
+        block[k] += pre
     return block
 
 
-def gru_cell(pre_r: Tensor, pre_z: Tensor, pre_h: Tensor, s: Tensor,
-             U_r: Tensor, U_z: Tensor, U_h: Tensor) -> Tensor:
-    """One GRU step over (N, d) rows, as one tape node.
+# A recurrent cell is two numpy kernels.  Its step maps one step's gate
+# input projections, the state (a tuple: hidden, and the LSTM's cell) and the
+# gates' state matrices to the next state and what its rule reads.  The rule
+# maps the next state's gradients (None where nothing reached) to the gates'
+# pre-activation gradients, the state's (each only if ``need`` asks) and
+# the matrices' (None unless ``need_mats``).
 
-    ``pre_*`` are the reset, update and candidate input projections.  The
-    reset gate is ``r = sigmoid(pre_r + s @ U_r)``, the update gate ``z =
-    sigmoid(pre_z + s @ U_z)``, the candidate ``h = tanh(pre_h + (r * s) @
-    U_h)``, and the next state ``z * s + (1 - z) * h``."""
-    inputs = (pre_r, pre_z, pre_h, s, U_r, U_z, U_h)
-    sd = s.data
-    rz = _sigmoid_stable(_gates(sd, (pre_r, pre_z), (U_r, U_z)))
-    rs = rz[0] * sd
-    h = rs @ U_h.data
-    h += pre_h.data
+def _vanilla_step(pre, state, mats):
+    """``tanh(pre + s @ U)``."""
+    a = state[0] @ mats[0]
+    np.add(pre[0], a, out=a)
+    np.tanh(a, out=a)
+    return (a,), (a,)
+
+
+def _vanilla_rule(gs, state, mats, saved, need, need_mats):
+    (g,), (s,), (U,), (y,) = gs, state, mats, saved
+    d = y * y
+    np.subtract(1.0, d, out=d)
+    np.multiply(g, d, out=d)
+    return [d], (d @ U.T if need[0] else None,), ([s.T @ d] if need_mats else None)
+
+
+def _gru_step(pre, state, mats):
+    """The reset gate is ``r = sigmoid(pre_r + s @ U_r)``, the update gate
+    ``z = sigmoid(pre_z + s @ U_z)``, the candidate ``h = tanh(pre_h + (r *
+    s) @ U_h)``, and the next state ``z * s + (1 - z) * h``."""
+    (s,) = state
+    rz = _sigmoid_stable(_gates(s, pre[:2], mats[:2]))
+    rs = rz[0] * s
+    h = rs @ mats[2]
+    h += pre[2]
     np.tanh(h, out=h)
-    data = rz[1] * sd
+    out = rz[1] * s
     omz = 1.0 - rz[1]
-    data += omz * h
-    out = _out(data, inputs)
-    _record("gru_cell", inputs, (out,), (rz, rs, h, omz))
-    return out
+    out += omz * h
+    return (out,), (rz, rs, h, omz)
 
 
-def lstm_cell(pre_i: Tensor, pre_f: Tensor, pre_o: Tensor, pre_g: Tensor, s: Tensor,
-              c: Tensor, U_i: Tensor, U_f: Tensor, U_o: Tensor,
-              U_g: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM step over (N, d) rows, as one tape node with two outputs.
+def _gru_rule(gs, state, mats, saved, need, need_mats):
+    (g,), (s,) = gs, state
+    U_r, U_z, U_h = mats
+    rz, rs, h, omz = saved
+    dh = omz * g
+    dh *= 1.0 - h * h
+    drs = dh @ U_h.T
+    # The reset and update gates' pre-activation gradients as one block,
+    # through one sigmoid slope y * (1 - y).
+    da = np.empty(rz.shape)
+    np.multiply(drs, s, out=da[0])
+    np.subtract(s, h, out=da[1])
+    da[1] *= g
+    slope = 1.0 - rz
+    slope *= rz
+    da *= slope
+    ds = None
+    if need[0]:
+        ds = da[0] @ U_r.T
+        ds += da[1] @ U_z.T
+        ds += g * rz[1]
+        ds += drs * rz[0]
+    dU = [*np.matmul(s.T, da), rs.T @ dh] if need_mats else None
+    return [da[0], da[1], dh], (ds,), dU
 
-    ``pre_*`` are the input, forget, output and cell input projections, and
-    ``(s, c)`` the hidden and cell state.  The gates are ``i, f, o =
-    sigmoid(pre + s @ U)`` and the cell input ``g = tanh(pre_g + s @
-    U_g)``; the op returns ``(o * tanh(c_next), c_next)`` with ``c_next =
-    f * c + i * g``."""
-    inputs = (pre_i, pre_f, pre_o, pre_g, s, c, U_i, U_f, U_o, U_g)
-    block = _gates(s.data, inputs[:4], inputs[6:])
+
+def _lstm_step(pre, state, mats):
+    """The gates are ``i, f, o = sigmoid(pre + s @ U)`` and the cell input
+    ``g = tanh(pre_g + s @ U_g)``; the next state is ``(o * tanh(c_next),
+    c_next)`` with ``c_next = f * c + i * g``."""
+    s, c = state
+    block = _gates(s, pre, mats)
     ifo = _sigmoid_stable(block[:3])
     g = np.tanh(block[3], out=block[3])
-    c_next = ifo[1] * c.data
+    c_next = ifo[1] * c
     c_next += ifo[0] * g
     tc = np.tanh(c_next)
-    h = _out(ifo[2] * tc, inputs)
-    c_out = _out(c_next, inputs)
-    _record("lstm_cell", inputs, (h, c_out), (ifo, g, tc))
-    return h, c_out
+    return (ifo[2] * tc, c_next), (ifo, g, tc)
+
+
+def _lstm_rule(gs, state, mats, saved, need, need_mats):
+    gh, gc = gs
+    s, c = state
+    ifo, g, tc = saved
+    i, f, o = ifo
+    # Pre-activation gradients of the i, f, o gates and the cell input.
+    da = np.empty((4,) + tc.shape)
+    # h = o * tanh(c_next), c_next = f * c + i * g; an output nothing
+    # reached contributes nothing.
+    if gh is None:
+        da[2] = 0.0
+        dc = gc
+    else:
+        np.multiply(gh, tc, out=da[2])
+        dc = gh * o
+        dc *= 1.0 - tc * tc
+        if gc is not None:
+            dc += gc
+    np.multiply(dc, g, out=da[0])
+    np.multiply(dc, c, out=da[1])
+    slope = 1.0 - ifo
+    slope *= ifo
+    da[:3] *= slope
+    np.multiply(dc, i, out=da[3])
+    da[3] *= 1.0 - g * g
+    ds = None
+    if need[0]:
+        ds = da[0] @ mats[0].T
+        for dak, U in zip(da[1:], mats[1:]):
+            ds += dak @ U.T
+    dU = list(np.matmul(s.T, da)) if need_mats else None
+    return list(da), (ds, dc * f if need[1] else None), dU
+
+
+# Per cell: its step, its rule, and how many gates and state arrays it has.
+_CELLS = {"vanilla-rnn": (_vanilla_step, _vanilla_rule, 1, 1),
+          "gru": (_gru_step, _gru_rule, 3, 1),
+          "lstm": (_lstm_step, _lstm_rule, 4, 2)}
+
+
+def recurrent(cell: str, pres: Sequence[Tensor], states: Sequence[Tensor],
+              mats: Sequence[Tensor], reverse: bool = False) -> Tensor | tuple[Tensor, Tensor]:
+    """A recurrent layer's whole scan over time, as one tape node.
+
+    ``cell`` is ``"vanilla-rnn"``, ``"gru"`` or ``"lstm"``.  ``pres`` are
+    its gates' input projections as time-major (T*n, d) matrices (row t*n +
+    i is sequence i at step t), ``states`` the (n, d) initial state (the
+    LSTM's is a hidden and a cell state) and ``mats`` the gates' (d, d)
+    state matrices.  The steps run first to last, or last to first when
+    ``reverse``.  Returns every step's hidden state as a time-major (T*n, d)
+    matrix; the LSTM returns it with the cell state after the last step
+    run."""
+    if cell not in _CELLS:
+        raise ValueError(f"recurrent: unknown cell {cell!r}; choose from {tuple(_CELLS)}")
+    step, _, gates, n_states = _CELLS[cell]
+    P, S, U = ([t.data for t in ts] for ts in (pres, states, mats))
+    n, d = S[0].shape if S and S[0].ndim == 2 else (0, 0)
+    t_len = len(P[0]) // n if n and P and P[0].ndim == 2 else 0
+    if ((len(P), len(S), len(U)) != (gates, n_states, gates) or not t_len
+            or {a.shape for a in P} != {(t_len * n, d)} or {a.shape for a in S} != {(n, d)}
+            or {a.shape for a in U} != {(d, d)}):
+        raise ShapeError(f"recurrent: {cell} needs {gates} (T*n, d) projections with T >= 1, "
+                         f"{n_states} (n, d) states and {gates} (d, d) matrices, got "
+                         f"{[[a.shape for a in A] for A in (P, S, U)]}")
+    state = tuple(S)
+    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
+    # Per step t: its hidden state, the state it read and what its rule reads.
+    hs, ins, saved = [None] * t_len, [None] * t_len, [None] * t_len
+    for t in order:
+        ins[t] = state
+        state, saved[t] = step([a[t * n:(t + 1) * n] for a in P], state, U)
+        hs[t] = state[0]
+    inputs = (*pres, *states, *mats)
+    outs = tuple(_out(a, inputs) for a in (np.concatenate(hs), *state[1:]))
+    _record("recurrent", inputs, outs, (cell, order, ins, saved))
+    return outs if len(outs) > 1 else outs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -572,23 +651,6 @@ def _bw_matmul(node, gs):
             a.data.T @ g if b.requires_grad else None)
 
 
-def _bw_sigmoid(node, gs):
-    (g,) = gs
-    (y,) = node.saved
-    d = g * y
-    d *= 1.0 - y
-    return (d,)
-
-
-def _bw_tanh(node, gs):
-    (g,) = gs
-    (y,) = node.saved
-    d = np.multiply(y, y, out=np.empty_like(y))
-    np.subtract(1.0, d, out=d)
-    np.multiply(g, d, out=d)
-    return (d,)
-
-
 def _bw_relu(node, gs):
     (g,) = gs
     (keep,) = node.saved
@@ -618,19 +680,6 @@ def _bw_concat(node, gs):
     axis, sizes = node.saved
     # Offsets summed in Python: np.cumsum's set-up costs more than the split.
     return np.split(g, list(accumulate(sizes[:-1])), axis=axis)
-
-
-def _bw_split(node, gs):
-    axis, sizes = node.saved
-    parts = []
-    for size, g in zip(sizes, gs):
-        if g is None:
-            shape = list(node.inputs[0].shape)
-            shape[axis] = size
-            parts.append(np.zeros(shape))
-        else:
-            parts.append(g)
-    return (np.concatenate(parts, axis=axis),)
 
 
 def _bw_shift_rows(node, gs):
@@ -687,74 +736,35 @@ def _bw_monet_pass(node, gs):
     return [dpre_r, dpre_z, dpre_h, *states, *mats, dU_h]
 
 
-def _gate_grads(s: Tensor, da: np.ndarray, mats: Sequence[Tensor]) -> tuple:
-    """The state-side gradients of gates ``pre + s @ U`` whose
-    pre-activation gradients are the (gates, N, d) block ``da``: the
-    state's ``sum_k da_k @ U_k.T`` and every ``U_k``'s ``s.T @ da_k``, the
-    latter as one batched matmul."""
-    ds = None
-    if s.requires_grad:
-        ds = da[0] @ mats[0].data.T
-        for dak, U in zip(da[1:], mats[1:]):
-            ds += dak @ U.data.T
-    if any(U.requires_grad for U in mats):
-        return ds, list(np.matmul(s.data.T, da))
-    return ds, [None] * len(mats)
-
-
-def _bw_gru_cell(node, gs):
-    (g,) = gs
-    _, _, _, s, U_r, U_z, U_h = node.inputs
-    rz, rs, h, omz = node.saved
-    sd = s.data
-    # out = z * s + (1 - z) * h, h = tanh(pre_h + (r * s) @ U_h)
-    dh = omz * g
-    dh *= 1.0 - h * h
-    drs = dh @ U_h.data.T
-    # The reset and update gates' pre-activation gradients as one block,
-    # through one sigmoid slope y * (1 - y).
-    da = np.empty(rz.shape)
-    np.multiply(drs, sd, out=da[0])
-    np.subtract(sd, h, out=da[1])
-    da[1] *= g
-    slope = 1.0 - rz
-    slope *= rz
-    da *= slope
-    ds, (dU_r, dU_z) = _gate_grads(s, da, (U_r, U_z))
-    if ds is not None:
-        ds += g * rz[1]
-        ds += drs * rz[0]
-    dU_h = rs.T @ dh if U_h.requires_grad else None
-    return da[0], da[1], dh, ds, dU_r, dU_z, dU_h
-
-
-def _bw_lstm_cell(node, gs):
-    gh, gc = gs
-    s, c = node.inputs[4:6]
-    ifo, g, tc = node.saved
-    i, f, o = ifo
-    # Pre-activation gradients of the i, f, o gates and the cell input.
-    da = np.empty((4,) + tc.shape)
-    # h = o * tanh(c_next), c_next = f * c + i * g; an output nothing
-    # reached contributes nothing.
-    if gh is None:
-        da[2] = 0.0
-        dc = gc
-    else:
-        np.multiply(gh, tc, out=da[2])
-        dc = gh * o
-        dc *= 1.0 - tc * tc
-        if gc is not None:
-            dc += gc
-    np.multiply(dc, g, out=da[0])
-    np.multiply(dc, c.data, out=da[1])
-    slope = 1.0 - ifo
-    slope *= ifo
-    da[:3] *= slope
-    np.multiply(dc, i, out=da[3])
-    da[3] *= 1.0 - g * g
-    ds, dU = _gate_grads(s, da, node.inputs[6:])
-    return (*da, ds, (dc * f if c.requires_grad else None), *dU)
+def _bw_recurrent(node, gs):
+    cell, order, ins, saved = node.saved
+    _, rule, gates, n_states = _CELLS[cell]
+    initial, mats = node.inputs[gates:gates + n_states], node.inputs[gates + n_states:]
+    U = [t.data for t in mats]
+    need_mats = any(t.requires_grad for t in mats)
+    n = initial[0].shape[0]
+    dpres = [np.empty(node.outputs[0].shape) for _ in range(gates)]
+    dU = None
+    # A step's hidden state gets its rows of the first output's gradient
+    # plus the carry from the step after it, in that order, and the LSTM's
+    # last cell state the second output's; each state matrix's gradient is
+    # summed from the last step run to the first.
+    g_rows, carry = gs[0], (None, *gs[1:])
+    for t in reversed(order):
+        rows = slice(t * n, (t + 1) * n)
+        gh = carry[0]
+        if g_rows is not None:
+            gh = g_rows[rows] if gh is None else g_rows[rows] + gh
+        need = [s.requires_grad for s in initial] if t == order[0] else [True] * n_states
+        da, carry, dU_t = rule((gh, *carry[1:]), ins[t], U, saved[t], need, need_mats)
+        for buf, d in zip(dpres, da):
+            buf[rows] = d
+        if dU is None:
+            dU = dU_t
+        else:
+            for acc, d in zip(dU, dU_t):
+                acc += d
+    return [*dpres, *carry, *(dU or [None] * gates)]
 
 
 BACKWARD_RULES: dict[str, Callable] = {
@@ -764,19 +774,15 @@ BACKWARD_RULES: dict[str, Callable] = {
     "scale": _bw_scale,
     "add_rowvec": _bw_add_rowvec,
     "matmul": _bw_matmul,
-    "sigmoid": _bw_sigmoid,
-    "tanh": _bw_tanh,
     "relu": _bw_relu,
     "abs": _bw_abs,
     "sum": _bw_sum,
     "sum_row_blocks": _bw_sum_row_blocks,
     "concat": _bw_concat,
-    "split": _bw_split,
     "shift_rows": _bw_shift_rows,
     "softmax": _bw_softmax,
     "monet_pass": _bw_monet_pass,
-    "gru_cell": _bw_gru_cell,
-    "lstm_cell": _bw_lstm_cell,
+    "recurrent": _bw_recurrent,
 }
 
 

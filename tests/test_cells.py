@@ -11,8 +11,8 @@ from monet.cells import (FAMILIES, BidirParams, CellConfig, Conv1dParams,
                          ConvStage, Hallucinator, MoNetParams, collect_tensors,
                          count_params, gru_step, init_bidir, init_gru,
                          init_conv1d, init_lstm, init_monet, lstm_step,
-                         MAX_LAYERS, match_params, monet_forward, monet_unit,
-                         vanilla_step)
+                         MAX_LAYERS, init_vanilla, match_params, monet_forward,
+                         monet_unit, vanilla_step)
 from monet.tensor import (ShapeError, Tape, Tensor, add, add_rowvec, concat,
                           finite_diff_grad, jacobian, matmul, mul,
                           relative_error, tsum)
@@ -48,6 +48,18 @@ def test_gru_saturated_update_gate_copies_state():
     prev = Tensor(np.array([[0.3, -1.2, 0.8, 2.0]]))
     s = gru_step(Tensor(np.ones((1, 3))), prev, p)
     np.testing.assert_allclose(s.data, prev.data, atol=1e-6)
+
+
+def test_step_functions_reject_input_and_state_of_different_rows():
+    """One step only: an input with a multiple of the state's rows is not
+    read as several steps."""
+    rng = np.random.default_rng(3)
+    x, s = Tensor(np.ones((4, 3))), Tensor(np.zeros((2, 4)))
+    for step, p in ((vanilla_step, init_vanilla(3, 4, rng)), (gru_step, init_gru(3, 4, rng))):
+        with pytest.raises(ShapeError, match="rows differ"):
+            step(x, s, p)
+    with pytest.raises(ShapeError, match="rows differ"):
+        lstm_step(x, (s, s), init_lstm(3, 4, rng))
 
 
 def test_gru_gradient_matches_finite_differences():
@@ -339,8 +351,9 @@ def test_monet_steps_matches_per_step_unit_loop(t_len, layers, causal_only):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("family", ["monet", "conv1d"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_time_parallel_tape_size_does_not_depend_on_length(family):
+    """The recurrent families run each layer's steps inside one node."""
     model = Hallucinator.build(CellConfig(family=family, d_x=3, d_s=4, layers=3),
                                np.random.default_rng(15))
     sizes = set()
@@ -449,7 +462,7 @@ def test_forward_steps_returns_time_major_rows(family, out_dim):
 def test_forward_runs_the_sequence_as_it_is(family):
     """A (T, d_x) sequence is the time-major matrix of a batch of one, so
     ``forward`` records what ``forward_steps`` does after joining its steps,
-    and the time-parallel families record no split and no row join at all."""
+    and no family records a row join at all."""
     model = Hallucinator.build(CellConfig(family=family, d_x=3, d_s=4, layers=2),
                                np.random.default_rng(22))
     seq = np.random.default_rng(23).uniform(-1, 1, (5, 3))
@@ -462,8 +475,7 @@ def test_forward_runs_the_sequence_as_it_is(family):
                       for node in tape.nodes])
     direct, stepped = tapes
     assert stepped[0] == ("concat", 0) and direct == stepped[1:]
-    if family in ("monet", "conv1d"):
-        assert ("concat", 0) not in direct and "split" not in [op for op, _ in direct]
+    assert ("concat", 0) not in direct
 
 
 # -- Bidirectional wrappers -------------------------------------------------

@@ -657,14 +657,14 @@ def test_gradcheck_out_of_range_flags_are_invalid_input(capsys, flags):
 def test_gradcheck_detects_corrupted_backward_rule(capsys, monkeypatch):
     from monet import tensor as tensor_mod
 
-    # The rule of the one node a GRU step records.
-    original = tensor_mod.BACKWARD_RULES["gru_cell"]
+    # The rule of the one node each GRU layer records.
+    original = tensor_mod.BACKWARD_RULES["recurrent"]
 
     def wrong_rule(node, grad):
         correct = original(node, grad)
         return [g * 1.01 if g is not None else None for g in correct]
 
-    monkeypatch.setitem(tensor_mod.BACKWARD_RULES, "gru_cell", wrong_rule)
+    monkeypatch.setitem(tensor_mod.BACKWARD_RULES, "recurrent", wrong_rule)
     code, out, _ = run(capsys, "gradcheck", "--family", "gru", "--trials", "2")
     assert code == 1
     assert "FAIL" in out

@@ -1,5 +1,6 @@
 """Tensor arithmetic and tape-based reverse-mode differentiation."""
 
+import functools
 import itertools
 import math
 
@@ -8,10 +9,9 @@ import pytest
 
 from monet.tensor import (BACKWARD_RULES, GradientError, ShapeError, Tape,
                           Tensor, _monet_pass, _shifted, _sigmoid_stable, abs_, add, add_rowvec,
-                          concat, finite_diff_grad, gru_cell, jacobian, lstm_cell, matmul,
-                          monet_pass, mul, pause_recording,
-                          relative_error, relu, scale, shift_rows, sigmoid,
-                          softmax, split, sub, sum_row_blocks, tanh, tsum)
+                          concat, finite_diff_grad, jacobian, matmul, monet_pass, mul,
+                          pause_recording, recurrent, relative_error, relu, scale, shift_rows,
+                          softmax, sub, sum_row_blocks, tsum)
 
 
 def test_matmul_identity():
@@ -44,10 +44,6 @@ def test_matmul_shape_mismatch_names_both_shapes():
     with pytest.raises(ShapeError) as exc:
         matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
     assert "(2, 3)" in str(exc.value)
-
-
-def test_sigmoid_at_zero():
-    assert sigmoid(Tensor([0.0])).data[0] == 0.5
 
 
 def test_sigmoid_kernel_matches_two_branch_formula_bit_for_bit():
@@ -102,16 +98,6 @@ def test_relu_and_its_rule_match_np_where_bit_for_bit(shape):
             assert np.array_equal(np.asarray(got).view(np.int64), expected.view(np.int64))
 
 
-def test_tanh_gradient_matches_finite_differences():
-    rng = np.random.default_rng(11)
-    x = Tensor(rng.uniform(-2, 2, (5,)), requires_grad=True)
-    with Tape() as tape:
-        loss = tsum(tanh(x))
-    tape.backward(loss)
-    fd = finite_diff_grad(lambda t: tsum(tanh(t)), x)
-    assert relative_error(x.grad, fd) < 1e-6
-
-
 def test_elementwise_binary_shape_mismatch():
     with pytest.raises(ShapeError):
         add(Tensor([1.0]), Tensor([1.0, 2.0]))
@@ -142,26 +128,21 @@ def assert_same_bits(got, expected):
     assert np.array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
 
 
-@pytest.mark.parametrize("shape", [(), (40, 16)])
-@pytest.mark.parametrize("op,fn,old_rule", [
-    ("sigmoid", sigmoid, lambda g, y: g * y * (1.0 - y)),
-    ("tanh", tanh, lambda g, y: g * (1.0 - y * y)),
-])
-def test_sigmoid_and_tanh_rules_match_the_one_expression_form_bit_for_bit(op, fn, old_rule,
-                                                                           shape):
+@pytest.mark.parametrize("shape", [(1, 1), (40, 16)])
+def test_vanilla_rnn_rule_matches_the_tanh_slope_bit_for_bit(shape):
+    """The vanilla cell's pre-activation gradient is the one-expression tanh
+    slope ``g * (1 - y * y)`` of its output y, nan bits included."""
     rng = np.random.default_rng(71)
-    for _ in range(80 if shape == () else 6):
-        x = Tensor(edge_values(rng, shape), requires_grad=True)
+    state, mat = Tensor(np.zeros(shape)), Tensor(np.zeros((shape[1], shape[1])))
+    for _ in range(80 if shape == (1, 1) else 6):
+        pre = Tensor(edge_values(rng, shape), requires_grad=True)
         with np.errstate(all="ignore"), Tape() as tape:
-            fn(x)
-        [node] = tape.nodes
+            y = recurrent("vanilla-rnn", [pre], [state], [mat]).data
         g = edge_values(rng, shape)
         with np.errstate(all="ignore"):
-            (got,) = BACKWARD_RULES[op](node, (g,))
-            expected = old_rule(g, node.saved[0])
-        # The same products in the same operand order: nan bits agree too.
-        assert np.array_equal(np.asarray(got).view(np.int64),
-                              np.asarray(expected).view(np.int64))
+            got = BACKWARD_RULES["recurrent"](tape.nodes[0], (g,))[0]
+            expected = g * (1.0 - y * y)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("k", [0, 1, -1, 4, -4, 12, -12, 13, -13, 30, -30])
@@ -195,15 +176,6 @@ def test_concat_with_empty_is_identity():
     x = Tensor([1.0, 2.0])
     out = concat([x, Tensor(np.zeros(0))], axis=0)
     np.testing.assert_array_equal(out.data, x.data)
-
-
-def test_split_inverts_concat_exactly():
-    rng = np.random.default_rng(9)
-    a = Tensor(rng.normal(size=(2, 3)))
-    b = Tensor(rng.normal(size=(2, 5)))
-    pa, pb = split(concat([a, b], axis=1), [3, 5], axis=1)
-    np.testing.assert_array_equal(pa.data, a.data)
-    np.testing.assert_array_equal(pb.data, b.data)
 
 
 def test_concat_errors():
@@ -330,11 +302,12 @@ def test_backward_composed_graph_matches_finite_differences():
     w = Tensor(rng.uniform(-2, 2, (4, 3)), requires_grad=True)
 
     def f(t):
-        h = sigmoid(matmul(Tensor(rng_x), t))
-        g = tanh(add(h, relu(h)))
+        h = softmax(matmul(Tensor(rng_x), t))
+        g = recurrent("vanilla-rnn", [add(h, relu(h))], [Tensor(np.zeros((1, 3)))], [u])
         return tsum(mul(g, g))
 
     rng_x = rng.uniform(-2, 2, (2, 4))
+    u = Tensor(rng.uniform(-1, 1, (3, 3)))
     with Tape() as tape:
         loss = f(w)
     tape.backward(loss)
@@ -393,19 +366,21 @@ def test_backward_hands_out_no_shared_gradient_buffers():
     a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     mats = [Tensor(rng.normal(size=shape), requires_grad=True)
-            for shape in [(3, 3)] * 4 + [(6, 3)]]
+            for shape in [(3, 3)] * 8 + [(6, 3)]]
     with Tape() as tape:
         s = add(a, b)
-        top, rest = split(concat([s, a, b]), [2, 4])
-        # One node hands out both state matrices of a side from one buffer.
-        p = monet_pass(top, tanh(a), b, s, s, *mats)
+        # concat hands out views of one gradient, and recurrent its state
+        # matrices' gradients as views of one buffer.
+        rows = concat([s, a, b])
+        h, c = recurrent("lstm", [rows] * 4, [s, a], mats[:4])
+        p = monet_pass(c, relu(a), b, s, s, *mats[4:])
         q = concat([b, p], axis=1)
         loss = add(add(tsum(mul(p, Tensor(rng.normal(size=(2, 3))))), tsum(mul(q, q))),
-                   tsum(mul(rest, rest)))
+                   tsum(mul(h, h)))
     tape.backward(loss)
     reached = {t for node in tape.nodes for t in node.inputs + node.outputs
                if t.grad is not None}
-    assert {a, b, s, top, rest, p, q, loss, *mats} <= reached
+    assert {a, b, s, rows, h, c, p, q, loss, *mats} <= reached
     reached = list(reached)
     for i, t in enumerate(reached):
         for u in reached[i + 1:]:
@@ -463,7 +438,7 @@ def test_backward_is_deterministic():
         rng = np.random.default_rng(23)
         x = Tensor(rng.uniform(-2, 2, (3, 3)), requires_grad=True)
         with Tape() as tape:
-            y = matmul(sigmoid(x), tanh(x))
+            y = matmul(softmax(x), recurrent("vanilla-rnn", [x], [Tensor(np.zeros((1, 3)))], [x]))
             loss = tsum(mul(y, y))
         tape.backward(loss)
         return x.grad
@@ -480,7 +455,7 @@ def test_finite_diff_identity_sum():
 
 def test_finite_diff_sigmoid_sum_at_zero():
     x = Tensor(np.zeros(4))
-    fd = finite_diff_grad(lambda t: tsum(sigmoid(t)), x)
+    fd = finite_diff_grad(lambda t: float(np.sum(_sigmoid_stable(t.data))), x)
     np.testing.assert_allclose(fd, 0.25 * np.ones(4), atol=1e-9)
 
 
@@ -511,7 +486,7 @@ def test_tape_is_topologically_ordered():
     rng = np.random.default_rng(31)
     x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     with Tape() as tape:
-        y = matmul(relu(x), sigmoid(x))
+        y = matmul(relu(x), softmax(x))
         tsum(add(y, shift_rows(y, 1)))
     all_outputs = {o for n in tape.nodes for o in n.outputs}
     produced = set()
@@ -523,14 +498,15 @@ def test_tape_is_topologically_ordered():
 
 
 def test_jacobian_exact_structural_zeros():
-    x = Tensor(np.array([1.0, 2.0, 3.0, 4.0]), requires_grad=True)
+    x = Tensor(np.array([[1.0], [2.0], [3.0], [4.0]]), requires_grad=True)
     with Tape() as tape:
-        a, b = split(x, [2, 2], axis=0)
+        a = shift_rows(x, 2)
         y = mul(a, a)
     jac = jacobian(y, x, tape)
     # y depends only on the first half of x; the rest must be exactly 0.0.
-    np.testing.assert_array_equal(jac[:, 2:], np.zeros((2, 2)))
-    np.testing.assert_allclose(np.diag(jac[:, :2]), 2 * x.data[:2], rtol=1e-15)
+    np.testing.assert_array_equal(jac[:, 2:], np.zeros((4, 2)))
+    np.testing.assert_array_equal(jac[:2], np.zeros((2, 4)))
+    np.testing.assert_allclose(np.diag(jac[2:, :2]), 2 * x.data[:2, 0], rtol=1e-15)
 
 
 def test_jacobian_matches_finite_differences():
@@ -565,6 +541,24 @@ def _monet_pass_case(*ts):
     return monet_pass(*ts)
 
 
+# Per recurrent cell: how many gates (one input projection and one state
+# matrix each) and state arrays it has.
+CELLS = {"vanilla-rnn": (1, 1), "gru": (3, 1), "lstm": (4, 2)}
+
+
+def _recurrent_args(cell, ts):
+    """``ts`` cut into the cell's projections, initial states and state
+    matrices."""
+    gates, n_states = CELLS[cell]
+    return list(ts[:gates]), list(ts[gates:gates + n_states]), list(ts[gates + n_states:])
+
+
+def _recurrent_case(*ts, reverse):
+    """``recurrent`` of the cell whose operand count ``ts`` has."""
+    [cell] = [c for c, (gates, n) in CELLS.items() if 2 * gates + n == len(ts)]
+    return recurrent(cell, *_recurrent_args(cell, ts), reverse)
+
+
 # Every recorded op with operand shapes it accepts; the elementwise ones
 # also on 0-d operands, where numpy computes a scalar rather than an array.
 OP_CASES = {
@@ -574,23 +568,32 @@ OP_CASES = {
     "scale": (lambda a: scale(a, -0.5), [[(2, 3)], [()]]),
     "add_rowvec": (add_rowvec, [[(2, 3), (3,)]]),
     "matmul": (matmul, [[(2, 3), (3, 4)]]),
-    "sigmoid": (sigmoid, [[(2, 3)], [()]]),
-    "tanh": (tanh, [[(2, 3)], [()]]),
     "relu": (relu, [[(2, 3)], [()]]),
     "abs": (abs_, [[(2, 3)], [()]]),
     "sum": (tsum, [[(2, 3)], [()]]),
     "sum_row_blocks": (lambda a: sum_row_blocks(a, 2), [[(6, 3)]]),
     "concat": (lambda *ps: concat(ps, axis=-1), [[(2, 3), (2, 1)], [(2,), (1,), (3,)]]),
-    "split": (lambda a: split(a, [1, 2]), [[(3, 2)]]),
     "shift_rows": (lambda a: shift_rows(a, 1), [[(4, 2)]]),
     "softmax": (softmax, [[(2, 3)]]),
     "monet_pass": (_monet_pass_case,
                    [[(2, 3)] * 5 + [(3, 3)] * 4 + [(6, 3)],
                     [(2, 3)] * 4 + [(3, 3)] * 2 + [(6, 3)],
                     [(2, 3)] * 2]),
-    "gru_cell": (gru_cell, [[(2, 3)] * 4 + [(3, 3)] * 3]),
-    "lstm_cell": (lstm_cell, [[(2, 3)] * 6 + [(3, 3)] * 4]),
+    # Each cell over T = 1 and 3 steps of n = 2 rows, forward and reversed.
+    "recurrent": ((functools.partial(_recurrent_case, reverse=False),
+                   functools.partial(_recurrent_case, reverse=True)),
+                  [[(t_len * 2, 3)] * gates + [(2, 3)] * n_states + [(3, 3)] * gates
+                   for gates, n_states in CELLS.values() for t_len in (1, 3)]),
 }
+
+
+def _runs(op):
+    """Each (function, operand shapes) pair of an ``OP_CASES`` entry, whose
+    function may be a tuple of variants run on every shape list."""
+    fns, shape_sets = OP_CASES[op]
+    for fn in fns if isinstance(fns, tuple) else (fns,):
+        for shapes in shape_sets:
+            yield fn, shapes
 
 
 def test_op_cases_cover_every_backward_rule():
@@ -599,9 +602,8 @@ def test_op_cases_cover_every_backward_rule():
 
 @pytest.mark.parametrize("op", sorted(OP_CASES))
 def test_op_output_is_float64_array_requiring_grad_exactly_when_an_input_does(op):
-    fn, shape_sets = OP_CASES[op]
     rng = np.random.default_rng(47)
-    for shapes in shape_sets:
+    for fn, shapes in _runs(op):
         for flags in itertools.product((False, True), repeat=len(shapes)):
             inputs = [Tensor(rng.uniform(-2, 2, shape), requires_grad=flag)
                       for shape, flag in zip(shapes, flags)]
@@ -621,14 +623,22 @@ def _read_only(a):
     return a
 
 
+def _arrays(saved):
+    """Every array in a node's saved tuple, also inside nested sequences."""
+    for item in saved:
+        if isinstance(item, np.ndarray):
+            yield item
+        elif isinstance(item, (list, tuple)):
+            yield from _arrays(item)
+
+
 @pytest.mark.parametrize("op", sorted(OP_CASES))
 def test_kernels_write_only_into_buffers_they_allocated(op):
     """Operands, outputs, saved arrays and upstream gradients are read-only
     here, so a forward op or a backward rule that wrote into one of them
     would raise instead of silently corrupting another tensor's data."""
-    fn, shape_sets = OP_CASES[op]
     rng = np.random.default_rng(53)
-    for shapes in shape_sets:
+    for fn, shapes in _runs(op):
         for flags in itertools.product((False, True), repeat=len(shapes)):
             inputs = [Tensor(rng.uniform(-2, 2, shape), requires_grad=flag)
                       for shape, flag in zip(shapes, flags)]
@@ -640,9 +650,8 @@ def test_kernels_write_only_into_buffers_they_allocated(op):
             [node] = tape.nodes
             for t in node.outputs:
                 _read_only(t.data)
-            for item in node.saved:
-                if isinstance(item, np.ndarray):
-                    _read_only(item)
+            for item in _arrays(node.saved):
+                _read_only(item)
             n_out = len(node.outputs)
             for missing in [None] + (list(range(n_out)) if n_out > 1 else []):
                 gs = tuple(None if i == missing else _read_only(rng.uniform(-1, 1, t.shape))
@@ -712,8 +721,14 @@ def test_operator_sugar():
 
 def test_values_stay_finite_on_extreme_inputs():
     x = Tensor([-1e4, -50.0, 0.0, 50.0, 1e4])
-    for op in (sigmoid, tanh, relu):
-        assert np.isfinite(op(x).data).all()
+    assert np.isfinite(_sigmoid_stable(x.data)).all()
+    assert np.isfinite(relu(x).data).all()
+    # Every recurrent cell's gates and candidate at those pre-activations.
+    pre, zero = Tensor(x.data.reshape(5, 1)), Tensor(np.zeros((1, 1)))
+    for cell, (gates, n_states) in CELLS.items():
+        out = recurrent(cell, [pre] * gates, [zero] * n_states, [Tensor(np.ones((1, 1)))] * gates)
+        for t in out if isinstance(out, tuple) else (out,):
+            assert np.isfinite(t.data).all()
     s = softmax(Tensor([1e4, 0.0, -1e4]))
     assert np.isfinite(s.data).all()
 
@@ -863,16 +878,16 @@ def test_group_softmax_sums_to_one_and_open_interval():
         assert np.all(w > 0.0) and np.all(w < 1.0)
 
 
-# Per recurrent cell op: its (rows, d) operands (the gates' input
-# projections, then the state and, for the LSTM, the cell) and its gates,
-# one (d, d) state matrix each.
-CELL_ARITY = {gru_cell: (4, 3), lstm_cell: (6, 4)}
-
-
-def _cell_inputs(rng, op, rows, d):
-    n_rows, gates = CELL_ARITY[op]
-    shapes = [(rows, d)] * n_rows + [(d, d)] * gates
+def _recurrent_inputs(rng, cell, n, d, t_len):
+    """Random ``recurrent`` operands for ``t_len`` steps of (n, d) rows."""
+    gates, n_states = CELLS[cell]
+    shapes = [(t_len * n, d)] * gates + [(n, d)] * n_states + [(d, d)] * gates
     return [Tensor(rng.normal(0.0, 1.5, shape), requires_grad=True) for shape in shapes]
+
+
+def vanilla_step_op_by_op(pre, s, U):
+    """The vanilla RNN step as it ran one tape op at a time, in numpy."""
+    return np.tanh(pre + s @ U)
 
 
 def gru_cell_op_by_op(pre_r, pre_z, pre_h, s, U_r, U_z, U_h):
@@ -893,46 +908,115 @@ def lstm_cell_op_by_op(pre_i, pre_f, pre_o, pre_g, s, c, U_i, U_f, U_o, U_g):
     return o * np.tanh(c_next), c_next
 
 
+def scan_op_by_op(step, pres, states, mats, reverse):
+    """A numpy loop of an op-by-op step over the row blocks of time-major
+    projections: every step's hidden state in time order, then the LSTM's
+    cell state after the last step run."""
+    n = states[0].shape[0]
+    t_len = pres[0].shape[0] // n
+    hs, state = [None] * t_len, tuple(states)
+    for t in range(t_len - 1, -1, -1) if reverse else range(t_len):
+        out = step(*(p[t * n:(t + 1) * n] for p in pres), *state, *mats)
+        state = out if isinstance(out, tuple) else (out,)
+        hs[t] = state[0]
+    return (np.concatenate(hs),) + state[1:]
+
+
 @pytest.mark.parametrize("rows,d", [(1, 1), (6, 4), (32, 19)])
-@pytest.mark.parametrize("op,reference", [(gru_cell, gru_cell_op_by_op),
-                                          (lstm_cell, lstm_cell_op_by_op)])
-def test_cell_ops_match_the_op_by_op_step_bit_for_bit(op, reference, rows, d):
+@pytest.mark.parametrize("cell,reference", [("vanilla-rnn", vanilla_step_op_by_op),
+                                            ("gru", gru_cell_op_by_op),
+                                            ("lstm", lstm_cell_op_by_op)])
+def test_cell_ops_match_the_op_by_op_step_bit_for_bit(cell, reference, rows, d):
+    """``recurrent`` over 1, 2 and 5 steps, both ways, against a loop of the
+    op-by-op step; the LSTM's cell state after the last step run too."""
     rng = np.random.default_rng(103 + rows + d)
-    for _ in range(5):
-        args = _cell_inputs(rng, op, rows, d)
-        got = op(*args)
-        expected = reference(*(t.data for t in args))
-        for out, want in zip(got if isinstance(got, tuple) else (got,),
-                             expected if isinstance(expected, tuple) else (expected,)):
+    for t_len, reverse in itertools.product((1, 2, 5), (False, True)):
+        args = _recurrent_args(cell, _recurrent_inputs(rng, cell, rows, d, t_len))
+        got = recurrent(cell, *args, reverse)
+        expected = scan_op_by_op(reference, *([t.data for t in ts] for ts in args), reverse)
+        got = got if isinstance(got, tuple) else (got,)
+        assert len(got) == len(expected)
+        for out, want in zip(got, expected):
             assert_same_bits(out.data, want)
 
 
-def _assert_cell_gradients_match_finite_differences(op, args, loss_of):
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_recurrent_gradients_equal_one_node_per_step_bit_for_bit(cell, reverse):
+    """The scan's rule sums what a chain of one-step nodes sums, in the
+    same order: a state's rows of the output gradient plus the carry from
+    the step after it, and each state matrix's gradient from the last step
+    run to the first."""
+    rng = np.random.default_rng(127)
+    n, t_len = 3, 5
+    pres, states, mats = _recurrent_args(cell, _recurrent_inputs(rng, cell, n, 4, t_len))
+    steps = [[Tensor(p.data[t * n:(t + 1) * n], requires_grad=True) for p in pres]
+             for t in range(t_len)]
+    weight = Tensor(rng.normal(size=(t_len * n, 4)))
+    runs = []
+    for chained in (False, True):
+        for t in states + mats:
+            t.zero_grad()
+        with Tape() as tape:
+            if chained:
+                hs, out = [None] * t_len, states
+                for t in range(t_len - 1, -1, -1) if reverse else range(t_len):
+                    out = recurrent(cell, steps[t], out, mats)
+                    out = out if isinstance(out, tuple) else (out,)
+                    hs[t] = out[0]
+                out = (concat(hs), *out[1:])
+            else:
+                out = recurrent(cell, pres, states, mats, reverse)
+                out = out if isinstance(out, tuple) else (out,)
+            loss = tsum(mul(out[0], weight))
+            for c in out[1:]:
+                loss = add(loss, tsum(mul(c, c)))
+        tape.backward(loss)
+        dpres = ([np.concatenate([step[k].grad for step in steps]) for k in range(len(pres))]
+                 if chained else [p.grad for p in pres])
+        runs.append([t.data for t in out] + dpres + [t.grad for t in states + mats])
+    assert [node.op for node in tape.nodes].count("recurrent") == t_len
+    for got, expected in zip(*runs):
+        assert_same_bits(got, expected)
+
+
+def _assert_recurrent_gradients_match_finite_differences(cell, loss_of, reverse, seed):
+    """Every input of a ``recurrent`` node over three steps of three rows."""
+    rng = np.random.default_rng(seed)
+    args = _recurrent_inputs(rng, cell, 3, 4, 3)
     for i, x in enumerate(args):
         def f(t, i=i):
-            return loss_of(op(*(t if j == i else a for j, a in enumerate(args))))
+            ts = [t if j == i else a for j, a in enumerate(args)]
+            return loss_of(recurrent(cell, *_recurrent_args(cell, ts), reverse))
 
         for a in args:
             a.zero_grad()
         with Tape() as tape:
             loss = f(x)
         tape.backward(loss)
-        assert relative_error(x.grad, finite_diff_grad(f, x)) < 1e-6, i
+        assert relative_error(x.grad, finite_diff_grad(f, x)) < 1e-6, (i, reverse)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_vanilla_rnn_cell_gradients_match_finite_differences(reverse):
+    weight = Tensor(np.random.default_rng(105).normal(size=(9, 4)))
+    _assert_recurrent_gradients_match_finite_differences(
+        "vanilla-rnn", lambda out: tsum(mul(out, weight)), reverse, 106)
 
 
 def test_gru_cell_gradients_match_finite_differences():
-    rng = np.random.default_rng(107)
-    weight = Tensor(rng.normal(size=(3, 4)))
-    _assert_cell_gradients_match_finite_differences(
-        gru_cell, _cell_inputs(rng, gru_cell, 3, 4), lambda out: tsum(mul(out, weight)))
+    weight = Tensor(np.random.default_rng(107).normal(size=(9, 4)))
+    for reverse in (False, True):
+        _assert_recurrent_gradients_match_finite_differences(
+            "gru", lambda out: tsum(mul(out, weight)), reverse, 108)
 
 
 @pytest.mark.parametrize("outputs", ["h", "c", "both"])
 def test_lstm_cell_gradients_match_finite_differences(outputs):
-    """A loss on the hidden state only, on the cell state only (the rule
-    gets None for h), and on both."""
+    """A loss on the hidden states only, on the final cell state only (the
+    rule gets None for the hidden states), and on both."""
     rng = np.random.default_rng(109)
-    w_h, w_c = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 4)))
+    w_h, w_c = Tensor(rng.normal(size=(9, 4))), Tensor(rng.normal(size=(3, 4)))
 
     def loss_of(hc):
         h, c = hc
@@ -942,5 +1026,31 @@ def test_lstm_cell_gradients_match_finite_differences(outputs):
             return tsum(mul(c, w_c))
         return add(tsum(mul(h, w_h)), tsum(mul(c, w_c)))
 
-    _assert_cell_gradients_match_finite_differences(lstm_cell,
-                                                    _cell_inputs(rng, lstm_cell, 3, 4), loss_of)
+    for reverse in (False, True):
+        _assert_recurrent_gradients_match_finite_differences("lstm", loss_of, reverse, 110)
+
+
+def test_recurrent_rejects_malformed_operands():
+    rng = np.random.default_rng(113)
+    pres, states, mats = _recurrent_args("gru", _recurrent_inputs(rng, "gru", 2, 3, 3))
+    bad = [
+        # Projections of mixed shapes.
+        ([pres[0], pres[1], Tensor(np.ones((4, 3)))], states, mats),
+        ([pres[0], pres[1], Tensor(np.ones((6, 2)))], states, mats),
+        # Rows that are not a positive multiple of n.
+        ([Tensor(np.ones((5, 3)))] * 3, states, mats),
+        ([Tensor(np.ones((0, 3)))] * 3, states, mats),
+        ([Tensor(np.ones(6))] * 3, states, mats),
+        # A state or matrix of the wrong shape, or the wrong number of them.
+        (pres, [Tensor(np.ones((2, 4)))], mats),
+        (pres, [Tensor(np.ones(3))], mats),
+        (pres, states, mats[:2] + [Tensor(np.ones((3, 4)))]),
+        (pres[:2], states, mats),
+        (pres, states + states, mats),
+        (pres, states, mats[:2]),
+    ]
+    for args in bad:
+        with pytest.raises(ShapeError):
+            recurrent("gru", *args)
+    with pytest.raises(ValueError, match="unknown cell"):
+        recurrent("gru_cell", pres, states, mats)
