@@ -1,6 +1,5 @@
 """Tensor arithmetic and tape-based reverse-mode differentiation."""
 
-import functools
 import itertools
 import math
 
@@ -553,10 +552,15 @@ def _recurrent_args(cell, ts):
     return list(ts[:gates]), list(ts[gates:gates + n_states]), list(ts[gates + n_states:])
 
 
-def _recurrent_case(*ts, reverse):
-    """``recurrent`` of the cell whose operand count ``ts`` has."""
-    [cell] = [c for c, (gates, n) in CELLS.items() if 2 * gates + n == len(ts)]
-    return recurrent(cell, *_recurrent_args(cell, ts), reverse)
+def _recurrent_case(cell):
+    """The ``recurrent`` op's case for one cell: T = 1 and 3 steps of n = 2
+    rows, run forward and reversed."""
+    gates, n_states = CELLS[cell]
+    return ("recurrent",
+            tuple(lambda *ts, reverse=reverse: recurrent(cell, *_recurrent_args(cell, ts), reverse)
+                  for reverse in (False, True)),
+            [[(t_len * 2, 3)] * gates + [(2, 3)] * n_states + [(3, 3)] * gates
+             for t_len in (1, 3)])
 
 
 # Every recorded op with operand shapes it accepts; the elementwise ones
@@ -579,31 +583,33 @@ OP_CASES = {
                    [[(2, 3)] * 5 + [(3, 3)] * 4 + [(6, 3)],
                     [(2, 3)] * 4 + [(3, 3)] * 2 + [(6, 3)],
                     [(2, 3)] * 2]),
-    # Each cell over T = 1 and 3 steps of n = 2 rows, forward and reversed.
-    "recurrent": ((functools.partial(_recurrent_case, reverse=False),
-                   functools.partial(_recurrent_case, reverse=True)),
-                  [[(t_len * 2, 3)] * gates + [(2, 3)] * n_states + [(3, 3)] * gates
-                   for gates, n_states in CELLS.values() for t_len in (1, 3)]),
 }
+# Each entry becomes (op, functions, shape lists), keyed by the case's name:
+# the op's own name, or for the recurrent op, the step of the cell it runs.
+OP_CASES = {op: (op, *case) for op, case in OP_CASES.items()}
+OP_CASES.update({"vanilla_rnn_cell": _recurrent_case("vanilla-rnn"),
+                 "gru_cell": _recurrent_case("gru"),
+                 "lstm_cell": _recurrent_case("lstm")})
 
 
-def _runs(op):
-    """Each (function, operand shapes) pair of an ``OP_CASES`` entry, whose
-    function may be a tuple of variants run on every shape list."""
-    fns, shape_sets = OP_CASES[op]
-    for fn in fns if isinstance(fns, tuple) else (fns,):
-        for shapes in shape_sets:
-            yield fn, shapes
+def _runs(case):
+    """The op of an ``OP_CASES`` entry and each (function, operand shapes)
+    pair it runs; its function may be a tuple of variants run on every
+    shape list."""
+    op, fns, shape_sets = OP_CASES[case]
+    return op, [(fn, shapes) for fn in (fns if isinstance(fns, tuple) else (fns,))
+                for shapes in shape_sets]
 
 
 def test_op_cases_cover_every_backward_rule():
-    assert set(OP_CASES) == set(BACKWARD_RULES)
+    assert {op for op, *_ in OP_CASES.values()} == set(BACKWARD_RULES)
 
 
-@pytest.mark.parametrize("op", sorted(OP_CASES))
-def test_op_output_is_float64_array_requiring_grad_exactly_when_an_input_does(op):
+@pytest.mark.parametrize("case", sorted(OP_CASES))
+def test_op_output_is_float64_array_requiring_grad_exactly_when_an_input_does(case):
     rng = np.random.default_rng(47)
-    for fn, shapes in _runs(op):
+    op, runs = _runs(case)
+    for fn, shapes in runs:
         for flags in itertools.product((False, True), repeat=len(shapes)):
             inputs = [Tensor(rng.uniform(-2, 2, shape), requires_grad=flag)
                       for shape, flag in zip(shapes, flags)]
@@ -632,13 +638,14 @@ def _arrays(saved):
             yield from _arrays(item)
 
 
-@pytest.mark.parametrize("op", sorted(OP_CASES))
-def test_kernels_write_only_into_buffers_they_allocated(op):
+@pytest.mark.parametrize("case", sorted(OP_CASES))
+def test_kernels_write_only_into_buffers_they_allocated(case):
     """Operands, outputs, saved arrays and upstream gradients are read-only
     here, so a forward op or a backward rule that wrote into one of them
     would raise instead of silently corrupting another tensor's data."""
     rng = np.random.default_rng(53)
-    for fn, shapes in _runs(op):
+    op, runs = _runs(case)
+    for fn, shapes in runs:
         for flags in itertools.product((False, True), repeat=len(shapes)):
             inputs = [Tensor(rng.uniform(-2, 2, shape), requires_grad=flag)
                       for shape, flag in zip(shapes, flags)]
