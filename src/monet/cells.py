@@ -23,8 +23,8 @@ import numpy as np
 from .binio import (FormatError, check_magic, check_version, read_array,
                     read_str, read_u32, require, write_array, write_str,
                     write_u32)
-from .tensor import (ShapeError, Tensor, _monet_pass, add, add_rowvec, concat, matmul,
-                     monet_pass, recurrent, relu, shift_rows)
+from .tensor import (_CELLS, ShapeError, Tensor, _monet_pass, add, add_rowvec, concat,
+                     matmul, monet_pass, recurrent, relu, shift_rows)
 
 FAMILIES = ("vanilla-rnn", "gru", "lstm", "bi-gru", "bi-lstm", "conv1d", "monet")
 
@@ -54,8 +54,8 @@ class CellConfig:
             raise ValueError(f"dims must be >= 1, got d_x={self.d_x}, d_s={self.d_s}")
         if not 1 <= self.layers <= MAX_LAYERS:
             raise ValueError(f"layers must be in [1, {MAX_LAYERS}], got {self.layers}")
-        if self.family == "conv1d" and (self.kernel < 1 or self.kernel % 2 == 0):
-            raise ValueError(f"conv kernel must be odd and >= 1, got {self.kernel}")
+        if self.kernel < 1 or (self.family == "conv1d" and self.kernel % 2 == 0):
+            raise ValueError(f"kernel must be >= 1 (and odd for conv1d), got {self.kernel}")
         if self.causal_only and self.family.startswith("bi-"):
             raise ValueError(f"{self.family} cannot be causal_only")
         if self.out_dim is not None and self.out_dim < 1:
@@ -205,28 +205,18 @@ def _bias(d: int) -> Tensor:
     return Tensor(np.zeros(d), requires_grad=True)
 
 
-def init_vanilla(d_in: int, d_s: int, rng) -> VanillaRnnParams:
+_CELL_PARAMS = {"vanilla-rnn": VanillaRnnParams, "gru": GruParams, "lstm": LstmParams}
+
+
+def init_cell(family: str, d_in: int, d_s: int, rng):
+    """Fresh parameters of one recurrent cell, drawn in its fields' order
+    (the checkpoint order): a (d_in, d_s) input matrix ``W*``, a (d_s, d_s)
+    state matrix ``U*`` and a zero bias ``b*`` per gate."""
     w = 1.0 / math.sqrt(d_s)
-    return VanillaRnnParams(W=_weight(rng, (d_in, d_s), w), U=_weight(rng, (d_s, d_s), w), b=_bias(d_s))
-
-
-def init_gru(d_in: int, d_s: int, rng) -> GruParams:
-    w = 1.0 / math.sqrt(d_s)
-    return GruParams(
-        W_r=_weight(rng, (d_in, d_s), w), U_r=_weight(rng, (d_s, d_s), w), b_r=_bias(d_s),
-        W_z=_weight(rng, (d_in, d_s), w), U_z=_weight(rng, (d_s, d_s), w), b_z=_bias(d_s),
-        W_h=_weight(rng, (d_in, d_s), w), U_h=_weight(rng, (d_s, d_s), w), b_h=_bias(d_s),
-    )
-
-
-def init_lstm(d_in: int, d_s: int, rng) -> LstmParams:
-    w = 1.0 / math.sqrt(d_s)
-    mk = lambda: (_weight(rng, (d_in, d_s), w), _weight(rng, (d_s, d_s), w), _bias(d_s))
-    W_i, U_i, b_i = mk()
-    W_f, U_f, b_f = mk()
-    W_o, U_o, b_o = mk()
-    W_g, U_g, b_g = mk()
-    return LstmParams(W_i, U_i, b_i, W_f, U_f, b_f, W_o, U_o, b_o, W_g, U_g, b_g)
+    shapes = {"W": (d_in, d_s), "U": (d_s, d_s)}
+    cls = _CELL_PARAMS[family]
+    return cls(*(_bias(d_s) if f.name[0] == "b" else _weight(rng, shapes[f.name[0]], w)
+                 for f in dataclasses.fields(cls)))
 
 
 def init_monet(d_x: int, d_s: int, rng) -> MoNetParams:
@@ -257,12 +247,8 @@ def init_conv1d(d_x: int, d_s: int, layers: int, kernel: int, rng) -> Conv1dPara
     return Conv1dParams(stages=stages)
 
 
-_DIRECTIONAL_INIT = {"vanilla-rnn": init_vanilla, "gru": init_gru, "lstm": init_lstm}
-
-
 def _init_stack(family: str, d_x: int, d_s: int, layers: int, rng) -> list:
-    init = _DIRECTIONAL_INIT[family]
-    return [init(d_x if i == 0 else d_s, d_s, rng) for i in range(layers)]
+    return [init_cell(family, d_x if i == 0 else d_s, d_s, rng) for i in range(layers)]
 
 
 def init_bidir(family: str, d_x: int, d_s: int, layers: int, rng) -> BidirParams:
@@ -280,7 +266,7 @@ def init_bidir(family: str, d_x: int, d_s: int, layers: int, rng) -> BidirParams
 def init_params(config: CellConfig, rng):
     config.validate()
     f = config.family
-    if f == "vanilla-rnn" or f == "gru" or f == "lstm":
+    if f in _CELLS:
         return _init_stack(f, config.d_x, config.d_s, config.layers, rng)
     if f == "bi-gru" or f == "bi-lstm":
         return init_bidir(f, config.d_x, config.d_s, config.layers, rng)
@@ -386,12 +372,12 @@ def stacked_steps(X: Tensor, n: int, layer_params: list, family: str,
     parameters per depth level, zero initial state; ``reverse`` runs every
     layer from the last step to the first.  Each layer is one
     ``recurrent`` node."""
+    n_states = _CELLS[family][3]
     for p in layer_params:
         pres = _project(X, p)
         zero = Tensor(np.zeros((n, pres[0].shape[1])))
-        X = recurrent(family, pres, [zero] * (2 if family == "lstm" else 1), _fields(p, "U"),
-                      reverse)
-        if family == "lstm":
+        X = recurrent(family, pres, [zero] * n_states, _fields(p, "U"), reverse)
+        if n_states > 1:
             X = X[0]
     return X
 
@@ -547,9 +533,7 @@ class Hallucinator:
 # ---------------------------------------------------------------------------
 
 def _count_directional(family: str, d_in: int, d_s: int) -> int:
-    per_gate = d_in * d_s + d_s * d_s + d_s
-    gates = {"vanilla-rnn": 1, "gru": 3, "lstm": 4}[family]
-    return gates * per_gate
+    return _CELLS[family][2] * (d_in * d_s + d_s * d_s + d_s)
 
 
 def _count_stack(family: str, d_x: int, d_s: int, layers: int) -> int:
@@ -563,7 +547,7 @@ def count_params(config: CellConfig) -> int:
     path is independent; tests reconcile the two)."""
     config.validate()
     c = config
-    if c.family in ("vanilla-rnn", "gru", "lstm"):
+    if c.family in _CELLS:
         n = _count_stack(c.family, c.d_x, c.d_s, c.layers)
     elif c.family in ("bi-gru", "bi-lstm"):
         base = c.family.removeprefix("bi-")
@@ -613,7 +597,7 @@ class FlopCount:
 
 
 def _flops_directional(family: str, d_in: int, d_s: int) -> FlopCount:
-    gates = {"vanilla-rnn": 1, "gru": 3, "lstm": 4}[family]
+    gates = _CELLS[family][2]
     acts = {"vanilla-rnn": d_s, "gru": 3 * d_s, "lstm": 5 * d_s}[family]
     elem = {"vanilla-rnn": d_s, "gru": 7 * d_s, "lstm": 8 * d_s}[family]
     return FlopCount(madds_input=gates * d_in * d_s, madds_state=gates * d_s * d_s,
@@ -629,7 +613,7 @@ def flops_per_step(config: CellConfig) -> FlopCount:
     """
     config.validate()
     c = config
-    if c.family in ("vanilla-rnn", "gru", "lstm"):
+    if c.family in _CELLS:
         total = _flops_directional(c.family, c.d_x, c.d_s)
         for _ in range(c.layers - 1):
             total = total.plus(_flops_directional(c.family, c.d_s, c.d_s))

@@ -58,10 +58,13 @@ _JSON_KINDS = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (st
 
 def _fits(annotation: str, value) -> bool:
     """Whether a JSON value fits a field annotated ``annotation``: null only
-    an optional field, and a boolean only a bool field (Python's bool is an
-    int)."""
+    an optional field, a boolean only a bool field (Python's bool is an
+    int), and NaN, an infinity or an integer too large for a float no
+    field."""
     if value is None:
         return annotation.endswith(" | None")
+    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+        return False
     kinds = _JSON_KINDS[annotation.removesuffix(" | None")]
     return isinstance(value, kinds) and isinstance(value, bool) == (kinds == (bool,))
 
@@ -344,6 +347,8 @@ def cmd_hallucinate(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     for layers in args.layers:
         try:
             CellConfig(family=args.family, d_x=1, d_s=1, layers=layers).validate()

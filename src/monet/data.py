@@ -71,6 +71,8 @@ class SyntheticTaskSpec:
             raise ValueError("record counts must be >= 0")
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.context_radius != 1:
             raise ValueError("only context_radius=1 is supported")
 

@@ -68,6 +68,8 @@ class TrainConfig:
             raise ValueError(f"optimizer must be sgd or adam, got {self.optimizer!r}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:

@@ -8,11 +8,11 @@ import pytest
 
 from monet.binio import BadMagicError, FormatError, TruncatedError, VersionError
 from monet.cells import (FAMILIES, BidirParams, CellConfig, Conv1dParams,
-                         ConvStage, Hallucinator, MoNetParams, collect_tensors,
-                         count_params, gru_step, init_bidir, init_gru,
-                         init_conv1d, init_lstm, init_monet, lstm_step,
-                         MAX_LAYERS, init_vanilla, match_params, monet_forward,
-                         monet_unit, vanilla_step)
+                         ConvStage, GruParams, Hallucinator, MoNetParams,
+                         collect_tensors, count_params, gru_step, init_bidir,
+                         init_cell, init_conv1d, init_monet, lstm_step,
+                         MAX_LAYERS, match_params, monet_forward, monet_unit,
+                         vanilla_step)
 from monet.tensor import (ShapeError, Tape, Tensor, add, add_rowvec, concat,
                           finite_diff_grad, jacobian, matmul, mul,
                           relative_error, tsum)
@@ -20,7 +20,7 @@ from monet.tensor import (ShapeError, Tape, Tensor, add, add_rowvec, concat,
 
 def zero_gru(d_x, d_s):
     z = lambda *shape: Tensor(np.zeros(shape), requires_grad=True)
-    return init_gru(d_x, d_s, np.random.default_rng(0)).__class__(
+    return GruParams(
         W_r=z(d_x, d_s), U_r=z(d_s, d_s), b_r=z(d_s),
         W_z=z(d_x, d_s), U_z=z(d_s, d_s), b_z=z(d_s),
         W_h=z(d_x, d_s), U_h=z(d_s, d_s), b_h=z(d_s))
@@ -55,16 +55,17 @@ def test_step_functions_reject_input_and_state_of_different_rows():
     read as several steps."""
     rng = np.random.default_rng(3)
     x, s = Tensor(np.ones((4, 3))), Tensor(np.zeros((2, 4)))
-    for step, p in ((vanilla_step, init_vanilla(3, 4, rng)), (gru_step, init_gru(3, 4, rng))):
+    for step, p in ((vanilla_step, init_cell("vanilla-rnn", 3, 4, rng)),
+                    (gru_step, init_cell("gru", 3, 4, rng))):
         with pytest.raises(ShapeError, match="rows differ"):
             step(x, s, p)
     with pytest.raises(ShapeError, match="rows differ"):
-        lstm_step(x, (s, s), init_lstm(3, 4, rng))
+        lstm_step(x, (s, s), init_cell("lstm", 3, 4, rng))
 
 
 def test_gru_gradient_matches_finite_differences():
     rng = np.random.default_rng(2)
-    p = init_gru(3, 4, rng)
+    p = init_cell("gru", 3, 4, rng)
     x = Tensor(rng.uniform(-1, 1, (1, 3)))
     s0 = Tensor(rng.uniform(-1, 1, (1, 4)))
     with Tape() as tape:
@@ -87,7 +88,7 @@ def test_gru_gradient_matches_finite_differences():
 
 def test_lstm_zero_params_zero_state_gives_zero():
     rng = np.random.default_rng(0)
-    p = init_lstm(3, 4, rng)
+    p = init_cell("lstm", 3, 4, rng)
     for t in collect_tensors(p):
         t.data[...] = 0.0
     s, c = lstm_step(Tensor(np.ones((1, 3))), (Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4)))), p)
@@ -97,7 +98,7 @@ def test_lstm_zero_params_zero_state_gives_zero():
 
 def test_lstm_saturated_gates_preserve_cell():
     rng = np.random.default_rng(1)
-    p = init_lstm(3, 4, rng)
+    p = init_cell("lstm", 3, 4, rng)
     for t in collect_tensors(p):
         t.data[...] = 0.0
     p.b_f.data[...] = 1000.0   # forget gate exactly 1 in f64
@@ -109,7 +110,7 @@ def test_lstm_saturated_gates_preserve_cell():
 
 def test_lstm_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
-    p = init_lstm(2, 3, rng)
+    p = init_cell("lstm", 2, 3, rng)
     x = Tensor(rng.uniform(-1, 1, (1, 2)))
     state = (Tensor(rng.uniform(-1, 1, (1, 3))), Tensor(rng.uniform(-1, 1, (1, 3))))
     leaf = p.W_g

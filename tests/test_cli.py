@@ -3,6 +3,7 @@ hallucination, gradient checking, cost accounting, exit codes."""
 
 import hashlib
 import json
+import math
 import shutil
 
 import numpy as np
@@ -102,6 +103,15 @@ def test_config_value_of_the_wrong_type_is_invalid_input(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+def test_gen_data_non_finite_noise_is_invalid_input_before_writing(tmp_path, capsys):
+    spec_path = write_json(tmp_path / "spec.json", dict(TASK, noise_sigma=math.nan))
+    code, out, err = run(capsys, "gen-data", "--spec", spec_path,
+                         "--out", str(tmp_path / "d"))
+    assert code == 2 and out == ""
+    assert "noise_sigma" in err
+    assert not (tmp_path / "d").exists()
+
+
 def test_gen_data_float_count_is_invalid_input_before_writing(tmp_path, capsys):
     spec_path = write_json(tmp_path / "spec.json", dict(TASK, n_train=8.5))
     code, out, err = run(capsys, "gen-data", "--spec", spec_path,
@@ -111,14 +121,9 @@ def test_gen_data_float_count_is_invalid_input_before_writing(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
-@pytest.mark.parametrize("section,key,value", [
-    ("cell", "d_s", 4.0), ("cell", "layers", 2.5), ("cell", "causal_only", 1),
-    ("train", "seed", None), ("loss", "alpha", True), (None, "seed", True),
-    (None, "out_dir", 5)])
-def test_train_config_value_of_the_wrong_json_type_is_invalid_input(tmp_path, capsys,
-                                                                    section, key, value):
-    """An int field takes only a JSON integer, a float field any number but
-    a boolean, a bool field only a boolean; nothing is written first."""
+def assert_train_config_value_is_invalid_input(tmp_path, capsys, section, key, value):
+    """``monet train`` with one config value replaced (a top-level key when
+    ``section`` is None) exits 2, names the key and writes nothing."""
     config = {"task": TASK, "cell": {"family": "monet", "d_x": 6, "d_s": 4},
               "train": {"max_epochs": 1}, "out_dir": str(tmp_path / "run")}
     if section is None:
@@ -129,6 +134,31 @@ def test_train_config_value_of_the_wrong_json_type_is_invalid_input(tmp_path, ca
     assert code == 2 and out == ""
     assert key in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("cell", "d_s", 4.0), ("cell", "layers", 2.5), ("cell", "causal_only", 1),
+    ("train", "seed", None), ("loss", "alpha", True), (None, "seed", True),
+    (None, "out_dir", 5)])
+def test_train_config_value_of_the_wrong_json_type_is_invalid_input(tmp_path, capsys,
+                                                                    section, key, value):
+    """An int field takes only a JSON integer, a float field any number but
+    a boolean, a bool field only a boolean; nothing is written first."""
+    assert_train_config_value_is_invalid_input(tmp_path, capsys, section, key, value)
+
+
+@pytest.mark.parametrize("section,key,value", [
+    *((section, key, value) for section, key in (("task", "noise_sigma"), ("train", "lr"),
+                                                 ("train", "clip_norm"), ("loss", "alpha"))
+      for value in (math.nan, math.inf, -math.inf)),
+    pytest.param("train", "lr", 10**400, id="train-lr-10**400"),
+    pytest.param("loss", "alpha", 10**400, id="loss-alpha-10**400"),
+    ("task", "seed", -1), ("train", "seed", -1), ("cell", "kernel", -1)])
+def test_train_config_non_finite_or_out_of_range_value_is_invalid_input(tmp_path, capsys,
+                                                                         section, key, value):
+    """No number field takes NaN, an infinity or an integer too large for a
+    float, and no seed or kernel is negative; nothing is written first."""
+    assert_train_config_value_is_invalid_input(tmp_path, capsys, section, key, value)
 
 
 def test_malformed_json_is_invalid_input(tmp_path, capsys):
@@ -647,7 +677,8 @@ def test_gradcheck_unknown_family_is_invalid_input(capsys):
 
 
 @pytest.mark.parametrize("flags", [("--trials", "0"), ("--trials", "-3"),
-                                   ("--layers", "0"), ("--layers", "1", "0")])
+                                   ("--layers", "0"), ("--layers", "1", "0"),
+                                   ("--seed", "-1")])
 def test_gradcheck_out_of_range_flags_are_invalid_input(capsys, flags):
     code, out, err = run(capsys, "gradcheck", "--family", "gru", *flags)
     assert code == 2 and out == ""

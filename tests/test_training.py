@@ -340,9 +340,8 @@ def test_hallucinate_array_blocks_match_whole_sequence_forward():
 @pytest.mark.parametrize("alpha,block_sums", [(0.0, 0), (10.0, 1)])
 def test_training_step_keeps_the_batch_time_major(monkeypatch, alpha, block_sums):
     """The model hands the loss its time-major output: the inputs are the
-    step's one row join (the passes join their gated states on axis 1),
-    nothing splits the output into steps, and the teacher term pools it
-    over time with one block sum."""
+    step's one row join (the passes join their gated states on axis 1), and
+    the teacher term pools it over time with one block sum."""
     tr, va = small_task(n_train=8, n_val=4)
     model = fresh_model(layers=3)
     recorded = []
@@ -359,7 +358,6 @@ def test_training_step_keeps_the_batch_time_major(monkeypatch, alpha, block_sums
     [nodes] = recorded
     ops = [node.op for node in nodes]
     assert [node.saved[0] for node in nodes if node.op == "concat"].count(0) == 1
-    assert ops.count("split") == 0
     assert ops.count("sum_row_blocks") == block_sums
 
 
