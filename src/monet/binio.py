@@ -18,6 +18,8 @@ from typing import BinaryIO
 
 import numpy as np
 
+U32_MAX = 0xFFFFFFFF
+
 
 class FormatError(ValueError):
     """Base class for binary format violations."""
@@ -56,7 +58,7 @@ def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
 
 
 def write_u32(f: BinaryIO, value: int) -> None:
-    if not 0 <= value <= 0xFFFFFFFF:
+    if not 0 <= value <= U32_MAX:
         raise FormatError(f"u32 out of range: {value}")
     f.write(struct.pack("<I", value))
 

@@ -16,11 +16,12 @@ sees exactly L steps in each direction.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 
-from .binio import (FormatError, check_magic, check_version, read_array,
+from .binio import (U32_MAX, FormatError, check_magic, check_version, read_array,
                     read_str, read_u32, require, write_array, write_str,
                     write_u32)
 from .tensor import (_CELLS, ShapeError, Tensor, _monet_pass, add, add_rowvec, concat,
@@ -60,6 +61,10 @@ class CellConfig:
             raise ValueError(f"{self.family} cannot be causal_only")
         if self.out_dim is not None and self.out_dim < 1:
             raise ValueError(f"out_dim must be >= 1, got {self.out_dim}")
+        # The checkpoint header stores each of these as a u32.
+        for name in ("d_x", "d_s", "kernel", "out_dim"):
+            if (getattr(self, name) or 0) > U32_MAX:
+                raise ValueError(f"{name} must be <= {U32_MAX}, got {getattr(self, name)}")
 
     @property
     def output_dim(self) -> int:
@@ -205,35 +210,27 @@ def _bias(d: int) -> Tensor:
     return Tensor(np.zeros(d), requires_grad=True)
 
 
-_CELL_PARAMS = {"vanilla-rnn": VanillaRnnParams, "gru": GruParams, "lstm": LstmParams}
+_CELL_PARAMS = {"vanilla-rnn": VanillaRnnParams, "gru": GruParams, "lstm": LstmParams,
+                "monet": MoNetParams}
 
 
 def init_cell(family: str, d_in: int, d_s: int, rng):
-    """Fresh parameters of one recurrent cell, drawn in its fields' order
-    (the checkpoint order): a (d_in, d_s) input matrix ``W*``, a (d_s, d_s)
-    state matrix ``U*`` and a zero bias ``b*`` per gate."""
+    """Fresh parameters of one recurrent cell or of the MoNet unit, drawn in
+    its fields' order (the checkpoint order): a (d_in, d_s) input matrix
+    ``W*``, a (d_s, d_s) state matrix ``U*`` and a zero bias ``b*`` per
+    gate.  MoNet's candidate matrix ``U_h`` reads both gated neighbours, so
+    it has 2*d_s rows."""
     w = 1.0 / math.sqrt(d_s)
-    shapes = {"W": (d_in, d_s), "U": (d_s, d_s)}
+    shapes = {"W": (d_in, d_s), "U": (d_s, d_s),
+              "U_h": ((2 if family == "monet" else 1) * d_s, d_s)}
     cls = _CELL_PARAMS[family]
-    return cls(*(_bias(d_s) if f.name[0] == "b" else _weight(rng, shapes[f.name[0]], w)
+    return cls(*(_bias(d_s) if f.name[0] == "b"
+                 else _weight(rng, shapes.get(f.name, shapes[f.name[0]]), w)
                  for f in dataclasses.fields(cls)))
 
 
 def init_monet(d_x: int, d_s: int, rng) -> MoNetParams:
-    w = 1.0 / math.sqrt(d_s)
-    return MoNetParams(
-        W_r=_weight(rng, (d_x, d_s), w),
-        U_r_left=_weight(rng, (d_s, d_s), w),
-        U_r_right=_weight(rng, (d_s, d_s), w),
-        b_r=_bias(d_s),
-        W_z=_weight(rng, (d_x, d_s), w),
-        U_z_left=_weight(rng, (d_s, d_s), w),
-        U_z_right=_weight(rng, (d_s, d_s), w),
-        b_z=_bias(d_s),
-        W_h=_weight(rng, (d_x, d_s), w),
-        U_h=_weight(rng, (2 * d_s, d_s), w),
-        b_h=_bias(d_s),
-    )
+    return init_cell("monet", d_x, d_s, rng)
 
 
 def init_conv1d(d_x: int, d_s: int, layers: int, kernel: int, rng) -> Conv1dParams:
@@ -306,7 +303,12 @@ def _fields(p, prefix: str) -> list[Tensor]:
     """A cell's tensors whose field names start with ``prefix``, in field
     order: its gates' input matrices ("W"), state matrices ("U") or biases
     ("b")."""
-    return [getattr(p, f.name) for f in dataclasses.fields(p) if f.name.startswith(prefix)]
+    return [getattr(p, name) for name in _field_names(type(p), prefix)]
+
+
+@functools.cache
+def _field_names(cls, prefix: str) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls) if f.name.startswith(prefix))
 
 
 def _project(X: Tensor, p) -> list[Tensor]:
@@ -355,14 +357,10 @@ def _monet_rows(X: Tensor, n: int, p: MoNetParams, layers: int,
     context-free base pass, then ``layers`` neighbour passes, so position t
     at the end depends on inputs t-layers..t+layers exactly (t-layers..t
     when causal_only).  The neighbours of every position in a pass are the
-    previous states shifted by one step, zero past either end."""
-    pre = _project(X, p)
-    U = (p.U_r_left, p.U_z_left, p.U_r_right, p.U_z_right, p.U_h)
-    states = monet_pass(*pre, None, None, *U)
-    for _ in range(layers):
-        right = None if causal_only else shift_rows(states, -n)
-        states = monet_pass(*pre, shift_rows(states, n), right, *U)
-    return states
+    previous states shifted by one step, zero past either end.  All passes
+    are one ``monet_pass`` node."""
+    return monet_pass(*_project(X, p), None, None, p.U_r_left, p.U_z_left, p.U_r_right,
+                      p.U_z_right, p.U_h, n=n, layers=layers, causal_only=causal_only)
 
 
 def stacked_steps(X: Tensor, n: int, layer_params: list, family: str,

@@ -31,9 +31,11 @@ class GradCheckResult:
         return self.max_rel_err <= 1e-5
 
 
-def _loss_value(model: Hallucinator, xs: list[Tensor], targets: list[np.ndarray]) -> float:
-    ys = model.forward_steps(xs).data.reshape(len(targets), *targets[0].shape)
-    return sum(float(np.sum((y - z) ** 2)) for y, z in zip(ys, targets))
+def _loss_value(model: Hallucinator, xs: list[Tensor], targets: np.ndarray) -> float:
+    # Summed per step, then over the steps in order.
+    diff = model.forward_steps(xs).data.reshape(targets.shape) - targets
+    diff *= diff
+    return sum(diff.sum(axis=(1, 2)).tolist())
 
 
 def check_instance(model: Hallucinator, rng: np.random.Generator,
@@ -42,9 +44,9 @@ def check_instance(model: Hallucinator, rng: np.random.Generator,
     random input/target draw."""
     c = model.config
     xs = [Tensor(rng.normal(size=(1, c.d_x)), requires_grad=True) for _ in range(t_len)]
-    targets = [rng.normal(size=(1, c.output_dim)) for _ in range(t_len)]
+    targets = np.stack([rng.normal(size=(1, c.output_dim)) for _ in range(t_len)])
     with Tape() as tape:
-        diff = sub(model.forward_steps(xs), Tensor(np.concatenate(targets)))
+        diff = sub(model.forward_steps(xs), Tensor(targets.reshape(t_len, c.output_dim)))
         loss = tsum(mul(diff, diff))
     tape.backward(loss)
     worst = 0.0

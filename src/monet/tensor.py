@@ -365,10 +365,16 @@ def softmax(a: Tensor) -> Tensor:
     return out
 
 
+def _recording() -> bool:
+    return bool(_TAPE_STACK) and _TAPE_STACK[-1] is not None
+
+
 def monet_pass(pre_r: Tensor, pre_z: Tensor, pre_h: Tensor, left: Tensor | None,
                right: Tensor | None, U_r_left: Tensor, U_z_left: Tensor,
-               U_r_right: Tensor, U_z_right: Tensor, U_h: Tensor) -> Tensor:
-    """One MoNet expansion pass over (R, d) rows, as one tape node.
+               U_r_right: Tensor, U_z_right: Tensor, U_h: Tensor, n: int = 1,
+               layers: int = 0, causal_only: bool = False) -> Tensor:
+    """One MoNet expansion pass over (R, d) rows, then ``layers`` more, as
+    one tape node.
 
     ``pre_*`` are the reset, mix and candidate input projections; ``left``
     and ``right`` the earlier- and later-time neighbour states.  Each side
@@ -377,46 +383,71 @@ def monet_pass(pre_r: Tensor, pre_z: Tensor, pre_h: Tensor, left: Tensor | None,
     [right * reset_right | left * reset_left] @ U_h)``; a per-coordinate
     softmax over the logits (1, mix_right, mix_left) blends it with the
     right and left states.  ``None`` is an absent neighbour: equal in value
-    to a zero state, it skips that side's matmul, gating and blend term."""
-    return _monet_pass(pre_r, pre_z, pre_h, left, right, U_r_left, U_z_left,
-                       U_r_right, U_z_right, U_h)[0]
+    to a zero state, it skips that side's matmul, gating and blend term.
+    A further pass's neighbours are the last states shifted ``n`` rows down
+    (left) and up (right, none if ``causal_only``), zero past either end."""
+    return _monet_pass(pre_r, pre_z, pre_h, left, right, U_r_left, U_z_left, U_r_right,
+                       U_z_right, U_h, n=n, layers=layers, causal_only=causal_only)[0]
 
 
-def _monet_pass(*inputs: Tensor | None) -> tuple[Tensor, tuple]:
-    """``monet_pass`` and the arrays its node saves: the gates (reset_left,
-    mix_left, reset_right, mix_right), the gated states (None with no
-    neighbour), the ReLU's bit mask, the candidate and the weights
+def _monet_pass(*inputs: Tensor | None, n: int = 1, layers: int = 0,
+                causal_only: bool = False) -> tuple[Tensor, tuple]:
+    """``monet_pass`` and its last pass's saved arrays.  Only while a tape
+    records does the node keep ``n`` and each pass's neighbours, states and
+    saved arrays; otherwise no pass's arrays outlive the next pass."""
+    pre_r, pre_z, pre_h, left, right, U_r_left, U_z_left, U_r_right, U_z_right, U_h = (
+        None if t is None else t.data for t in inputs)
+    # Each side's (reset, mix) state matrices as one (2, d, d) stack, once
+    # for every pass (``np.array`` copies a few arrays faster than np.stack).
+    stacks = [None if U_r is None else np.array([U_r, U_z])
+              for U_r, U_z in ((U_r_left, U_z_left), (U_r_right, U_z_right))]
+    passes = [] if _recording() else None
+    for k in range(layers + 1):
+        if k:
+            # Drop the last pass's arrays before this one allocates.
+            left = right = saved = None
+            left, right = _shifted(data, n), None if causal_only else _shifted(data, -n)
+        data, saved = _monet_kernel(pre_r, pre_z, pre_h, left, right, *stacks, U_h)
+        if passes is not None:
+            passes.append((left, right, data, saved))
+    out = _out(data, [t for t in inputs if t is not None])
+    _record("monet_pass", inputs, (out,), (n, passes))
+    return out, saved
+
+
+def _monet_kernel(pre_r, pre_z, pre_h, left, right, stack_left, stack_right, U_h):
+    """One pass in numpy: its states and what its rule reads, the gates
+    (reset_left, mix_left, reset_right, mix_right), the gated states (None
+    with no neighbour), the ReLU's bit mask, the candidate and the weights
     (candidate, right, left)."""
-    pre_r, pre_z, pre_h, left, right, U_r_left, U_z_left, U_r_right, U_z_right, U_h = inputs
-    rows, d = pre_h.data.shape
-    gated, cand = None, pre_h.data
+    rows, d = pre_h.shape
+    gated, cand = None, pre_h
     if left is None and right is None:
         # Both mix gates are sigmoid(pre_z); a reset gate with no state to
         # gate is sigmoid(0).
         sig = np.empty((4, rows, d))
         sig[::2] = 0.5
-        sig[1::2] = _sigmoid_stable(pre_z.data)
+        sig[1::2] = _sigmoid_stable(pre_z)
     else:
         # One block, so one sigmoid covers all four gates, and one batched
         # matmul per present side.
         gates = np.empty((4, rows, d))
-        for block, s, U_r, U_z in ((gates[:2], left, U_r_left, U_z_left),
-                                   (gates[2:], right, U_r_right, U_z_right)):
+        for block, s, stack in ((gates[:2], left, stack_left), (gates[2:], right, stack_right)):
             if s is None:
                 block[0] = 0.0
-                block[1] = pre_z.data
+                block[1] = pre_z
             else:
-                np.matmul(s.data, np.stack([U_r.data, U_z.data]), out=block)
-                block[0] += pre_r.data
-                block[1] += pre_z.data
+                np.matmul(s, stack, out=block)
+                block[0] += pre_r
+                block[1] += pre_z
         sig = _sigmoid_stable(gates)
         gated = np.zeros((rows, 2 * d))
         if right is not None:
-            np.multiply(right.data, sig[2], out=gated[:, :d])
+            np.multiply(right, sig[2], out=gated[:, :d])
         if left is not None:
-            np.multiply(left.data, sig[0], out=gated[:, d:])
-        cand = gated @ U_h.data
-        cand += pre_h.data
+            np.multiply(left, sig[0], out=gated[:, d:])
+        cand = gated @ U_h
+        cand += pre_h
     cand, keep = _relu_select(cand)
     # No max shift: a sigmoid is at most 1, so the constant logit is the
     # max, and exp(1 - 1) is exactly its term.  sig[3::-2] is (mix_right,
@@ -430,31 +461,28 @@ def _monet_pass(*inputs: Tensor | None) -> tuple[Tensor, tuple]:
     w /= total
     data = w[0] * cand
     if right is not None:
-        data += w[1] * right.data
+        data += w[1] * right
     if left is not None:
-        data += w[2] * left.data
-    out = _out(data, [t for t in inputs if t is not None])
-    saved = (sig, gated, keep, cand, w)
-    _record("monet_pass", inputs, (out,), saved)
-    return out, saved
+        data += w[2] * left
+    return data, (sig, gated, keep, cand, w)
 
 
-def _gates(s: np.ndarray, pres: Sequence[np.ndarray], mats: Sequence[np.ndarray]) -> np.ndarray:
+def _gates(s: np.ndarray, pres: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """Every gate's pre-activation ``pre + s @ U`` as one (gates, N, d)
-    block, so one sigmoid call can cover several gates."""
-    block = np.empty((len(pres),) + s.shape)
-    for k, (pre, U) in enumerate(zip(pres, mats)):
-        np.matmul(s, U, out=block[k])
-        block[k] += pre
+    block, from one batched matmul, so one sigmoid call can cover several
+    gates."""
+    block = np.matmul(s, mats)
+    block += pres
     return block
 
 
 # A recurrent cell is two numpy kernels.  Its step maps one step's gate
-# input projections, the state (a tuple: hidden, and the LSTM's cell) and the
-# gates' state matrices to the next state and what its rule reads.  The rule
-# maps the next state's gradients (None where nothing reached) to the gates'
-# pre-activation gradients, the state's (each only if ``need`` asks) and
-# the matrices' (None unless ``need_mats``).
+# input projections as a (gates, N, d) block, the state (a tuple: hidden, and
+# the LSTM's cell) and the gates' (gates, d, d) stack of state matrices to
+# the next state and what its rule reads.  The rule maps the next state's
+# gradients (None where nothing reached) to the gates' pre-activation
+# gradients, the state's (each only if ``need`` asks) and the matrices'
+# (None unless ``need_mats``).
 
 def _vanilla_step(pre, state, mats):
     """``tanh(pre + s @ U)``."""
@@ -592,13 +620,19 @@ def recurrent(cell: str, pres: Sequence[Tensor], states: Sequence[Tensor],
         raise ShapeError(f"recurrent: {cell} needs {gates} (T*n, d) projections with T >= 1, "
                          f"{n_states} (n, d) states and {gates} (d, d) matrices, got "
                          f"{[[a.shape for a in A] for A in (P, S, U)]}")
-    state = tuple(S)
+    # Every gate's projections, and its state matrices, as one stack each.
+    P, U, state = np.array(P), np.array(U), tuple(S)
     order = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    # Per step t: its hidden state, the state it read and what its rule reads.
-    hs, ins, saved = [None] * t_len, [None] * t_len, [None] * t_len
+    # Per step t: its hidden state and, while a tape records, the state it
+    # read and what its rule reads.
+    hs = [None] * t_len
+    ins, saved = ([None] * t_len, [None] * t_len) if _recording() else (None, None)
     for t in order:
-        ins[t] = state
-        state, saved[t] = step([a[t * n:(t + 1) * n] for a in P], state, U)
+        if ins is None:
+            state = step(P[:, t * n:(t + 1) * n], state, U)[0]
+        else:
+            ins[t] = state
+            state, saved[t] = step(P[:, t * n:(t + 1) * n], state, U)
         hs[t] = state[0]
     inputs = (*pres, *states, *mats)
     outs = tuple(_out(a, inputs) for a in (np.concatenate(hs), *state[1:]))
@@ -697,43 +731,57 @@ def _bw_softmax(node, gs):
 
 def _bw_monet_pass(node, gs):
     (g,) = gs
-    _, _, _, left, right, U_r_left, U_z_left, U_r_right, U_z_right, U_h = node.inputs
-    sig, gated, keep, _, w = node.saved
-    out = node.outputs[0].data
-    gw = g * w
-    dpre_h, _ = _relu_select(gw[0], keep)
-    dU_h = dgated = dpre_r = dpre_z = None
-    if gated is not None:
-        dU_h = gated.T @ dpre_h
-        dgated = dpre_h @ U_h.data.T
-    d = g.shape[1]
-    states, mats = [], []
-    # Per side: its reset gate's row k in sig, its row j in w, and its half
-    # of the gated states.
-    for s, U_r, U_z, k, j, half in ((left, U_r_left, U_z_left, 0, 2, slice(d, None)),
-                                    (right, U_r_right, U_z_right, 2, 1, slice(None, d))):
-        # The softmax rule w_j * (dw_j - sum_i w_i * dw_i), with dw_i =
-        # g * s_i, so the sum is g * out; an absent state is 0.
-        dmix = np.subtract(0.0 if s is None else s.data, out)
-        dmix *= gw[j]
-        dmix *= sig[k + 1]
-        dmix *= 1.0 - sig[k + 1]
-        dpre_z = dmix if dpre_z is None else dpre_z + dmix
-        if s is None:
-            states.append(None)
-            mats += [None, None]
-            continue
-        dreset = dgated[:, half] * s.data
-        dreset *= sig[k]
-        dreset *= 1.0 - sig[k]
-        dpre_r = dreset if dpre_r is None else dpre_r + dreset
-        ds = dgated[:, half] * sig[k]
-        ds += gw[j]
-        ds += dreset @ U_r.data.T
-        ds += dmix @ U_z.data.T
-        states.append(ds)
-        mats += [s.data.T @ dreset, s.data.T @ dmix]
-    return [dpre_r, dpre_z, dpre_h, *states, *mats, dU_h]
+    n, passes = node.saved
+    U_r_left, U_z_left, U_r_right, U_z_right, U_h = (
+        None if t is None else t.data for t in node.inputs[5:])
+    # The passes from last to first, each projection's and matrix's gradient
+    # summed in that order, and a pass's states getting the left neighbours'
+    # gradient shifted back plus the right's: a chain of one-pass nodes
+    # joined by ``shift_rows`` sums the same terms in the same order.
+    acc = [None] * 8
+    for p in range(len(passes) - 1, -1, -1):
+        left, right, out, (sig, gated, keep, _, w) = passes[p]
+        gw = g * w
+        dpre_h, _ = _relu_select(gw[0], keep)
+        dU_h = dgated = dpre_r = dpre_z = None
+        if gated is not None:
+            dU_h = gated.T @ dpre_h
+            dgated = dpre_h @ U_h.T
+        d = g.shape[1]
+        states, mats = [], []
+        # Per side: its reset gate's row k in sig, its row j in w, and its
+        # half of the gated states.
+        for s, U_r, U_z, k, j, half in ((left, U_r_left, U_z_left, 0, 2, slice(d, None)),
+                                        (right, U_r_right, U_z_right, 2, 1, slice(None, d))):
+            # The softmax rule w_j * (dw_j - sum_i w_i * dw_i), with dw_i =
+            # g * s_i, so the sum is g * out; an absent state is 0.
+            dmix = np.subtract(0.0 if s is None else s, out)
+            dmix *= gw[j]
+            dmix *= sig[k + 1]
+            dmix *= 1.0 - sig[k + 1]
+            dpre_z = dmix if dpre_z is None else dpre_z + dmix
+            if s is None:
+                states.append(None)
+                mats += [None, None]
+                continue
+            dreset = dgated[:, half] * s
+            dreset *= sig[k]
+            dreset *= 1.0 - sig[k]
+            dpre_r = dreset if dpre_r is None else dpre_r + dreset
+            ds = dgated[:, half] * sig[k]
+            ds += gw[j]
+            ds += dreset @ U_r.T
+            ds += dmix @ U_z.T
+            states.append(ds)
+            mats += [s.T @ dreset, s.T @ dmix]
+        for i, a in enumerate([dpre_r, dpre_z, dpre_h, *mats, dU_h]):
+            if a is not None:
+                acc[i] = a if acc[i] is None else np.add(acc[i], a, out=acc[i])
+        if p:
+            g = _shifted(states[0], -n)
+            if states[1] is not None:
+                g += _shifted(states[1], n)
+    return [*acc[:3], *states, *acc[3:]]
 
 
 def _bw_recurrent(node, gs):

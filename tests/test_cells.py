@@ -235,9 +235,9 @@ def test_candidate_weight_is_capped_at_e_over_e_plus_2():
                                               causal_only=causal_only), rng)
         with Tape() as tape:
             model.forward_steps([Tensor(rng.normal(0, 2, (5, 4))) for _ in range(7)])
-        passes = [node.saved for node in tape.nodes if node.op == "monet_pass"]
+        [passes] = [node.saved[1] for node in tape.nodes if node.op == "monet_pass"]
         assert len(passes) == 4
-        for sig, _, _, _, w in passes:
+        for _, _, _, (sig, _, _, _, w) in passes:
             _assert_candidate_weight_bounds(sig[1], sig[3], w[0], w[1] + w[2])
 
 
@@ -695,6 +695,17 @@ def test_cell_config_bounds_the_depth():
     CellConfig(family="monet", d_x=4, d_s=4, layers=MAX_LAYERS).validate()
     with pytest.raises(ValueError, match="layers"):
         CellConfig(family="monet", d_x=4, d_s=4, layers=MAX_LAYERS + 1).validate()
+
+
+@pytest.mark.parametrize("field", ["d_x", "d_s", "kernel", "out_dim"])
+def test_cell_config_bounds_the_u32_header_fields(field):
+    """The checkpoint header stores these as u32s, so a larger value fails
+    validation instead of the save after training.  Validation builds no
+    model, so the bound itself is checked without allocating weights."""
+    base = dict(family="gru", d_x=4, d_s=4, kernel=1, out_dim=4)
+    CellConfig(**dict(base, **{field: 2**32 - 1})).validate()
+    with pytest.raises(ValueError, match=field):
+        CellConfig(**dict(base, **{field: 2**32})).validate()
 
 
 # -- Checkpoint round trip --------------------------------------------------

@@ -153,11 +153,13 @@ def test_train_config_value_of_the_wrong_json_type_is_invalid_input(tmp_path, ca
       for value in (math.nan, math.inf, -math.inf)),
     pytest.param("train", "lr", 10**400, id="train-lr-10**400"),
     pytest.param("loss", "alpha", 10**400, id="loss-alpha-10**400"),
-    ("task", "seed", -1), ("train", "seed", -1), ("cell", "kernel", -1)])
+    ("task", "seed", -1), ("train", "seed", -1), ("cell", "kernel", -1),
+    pytest.param("cell", "kernel", 2**32, id="cell-kernel-2**32")])
 def test_train_config_non_finite_or_out_of_range_value_is_invalid_input(tmp_path, capsys,
                                                                          section, key, value):
     """No number field takes NaN, an infinity or an integer too large for a
-    float, and no seed or kernel is negative; nothing is written first."""
+    float, no seed or kernel is negative, and no field the checkpoint header
+    stores as a u32 exceeds it; nothing is written first."""
     assert_train_config_value_is_invalid_input(tmp_path, capsys, section, key, value)
 
 

@@ -5,6 +5,7 @@ moves one of them changes how much work a training step, a gradient-check
 pass or an inference request does; it updates the number here and says why.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -36,12 +37,8 @@ def _count_calls(monkeypatch, owner, attr):
     return calls
 
 
-@pytest.mark.parametrize("matched_gru,alpha,nodes", [(False, 10.0, 31), (True, 0.0, 14)])
-def test_tape_nodes_of_one_training_step(monkeypatch, matched_gru, alpha, nodes):
-    """monet L3 with the teacher term, and the parameter-matched GRU
-    without it."""
+def _nodes_of_one_training_step(monkeypatch, config, alpha):
     tr, va = generate_synthetic(SyntheticTaskSpec(**TASK))
-    config = match_params(MONET_L3, "gru").config if matched_gru else MONET_L3
     clf = None
     if alpha > 0:
         clf = fit_linear_classifier(pooled_matrix([r.flow_target for r in tr]),
@@ -49,7 +46,22 @@ def test_tape_nodes_of_one_training_step(monkeypatch, matched_gru, alpha, nodes)
     backward = _count_calls(monkeypatch, Tape, "backward")
     train(Hallucinator.build(config, np.random.default_rng(0)), tr, va,
           TrainConfig(max_epochs=1, batch_size=32), LossConfig(alpha=alpha, classifier=clf))
-    assert [len(tape.nodes) for tape, _ in backward] == [nodes]
+    return [len(tape.nodes) for tape, _ in backward]
+
+
+@pytest.mark.parametrize("matched_gru,alpha,nodes", [(False, 10.0, 22), (True, 0.0, 14)])
+def test_tape_nodes_of_one_training_step(monkeypatch, matched_gru, alpha, nodes):
+    """monet L3 with the teacher term, and the parameter-matched GRU
+    without it."""
+    config = match_params(MONET_L3, "gru").config if matched_gru else MONET_L3
+    assert _nodes_of_one_training_step(monkeypatch, config, alpha) == [nodes]
+
+
+def test_tape_nodes_of_one_causal_monet_training_step(monkeypatch):
+    """All expansion passes are one node whether or not a pass reads the
+    later neighbour, so causal monet L3 records as many nodes as monet L3."""
+    config = dataclasses.replace(MONET_L3, causal_only=True)
+    assert _nodes_of_one_training_step(monkeypatch, config, 10.0) == [22]
 
 
 def test_every_backward_rule_has_a_caller(monkeypatch):

@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from monet import tensor
 from monet.tensor import (BACKWARD_RULES, GradientError, ShapeError, Tape,
                           Tensor, _monet_pass, _shifted, _sigmoid_stable, abs_, add, add_rowvec,
                           concat, finite_diff_grad, jacobian, matmul, monet_pass, mul,
@@ -531,12 +533,20 @@ def test_jacobian_wrt_a_constant_is_an_error():
 
 def _monet_pass_case(*ts):
     """``monet_pass`` given only the tensors it reads: both neighbours (10
-    tensors), the left one only (7) or none (2)."""
+    tensors), the left one only (7) or none (2); or two passes over n = 2
+    row blocks after a base pass with no neighbours, reading both sides (8)
+    or, causal, the left one only (6)."""
     if len(ts) == 2:
         return monet_pass(None, *ts, None, None, None, None, None, None, None)
     if len(ts) == 7:
         pre_r, pre_z, pre_h, left, U_r, U_z, U_h = ts
         return monet_pass(pre_r, pre_z, pre_h, left, None, U_r, U_z, None, None, U_h)
+    if len(ts) == 8:
+        return monet_pass(*ts[:3], None, None, *ts[3:], n=2, layers=2)
+    if len(ts) == 6:
+        pre_r, pre_z, pre_h, U_r, U_z, U_h = ts
+        return monet_pass(pre_r, pre_z, pre_h, None, None, U_r, U_z, None, None, U_h, n=2,
+                          layers=2, causal_only=True)
     return monet_pass(*ts)
 
 
@@ -582,7 +592,9 @@ OP_CASES = {
     "monet_pass": (_monet_pass_case,
                    [[(2, 3)] * 5 + [(3, 3)] * 4 + [(6, 3)],
                     [(2, 3)] * 4 + [(3, 3)] * 2 + [(6, 3)],
-                    [(2, 3)] * 2]),
+                    [(2, 3)] * 2,
+                    [(6, 3)] * 3 + [(3, 3)] * 4 + [(6, 3)],
+                    [(6, 3)] * 3 + [(3, 3)] * 2 + [(6, 3)]]),
 }
 # Each entry becomes (op, functions, shape lists), keyed by the case's name:
 # the op's own name, or for the recurrent op, the step of the cell it runs.
@@ -828,6 +840,72 @@ def test_monet_pass_gradients_match_finite_differences(sides):
         fd = finite_diff_grad(f, x)
         got = np.zeros(x.shape) if x.grad is None else x.grad
         assert relative_error(got, fd) < 1e-6, (sides, i)
+
+
+@pytest.mark.parametrize("d", [4, 19])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("causal_only", [False, True])
+def test_monet_pass_over_layers_equals_a_chain_of_one_pass_nodes_bit_for_bit(causal_only, n, d):
+    """``layers`` more passes in one node give the output and every
+    gradient of a chain of one-pass nodes joined by ``shift_rows``: the
+    same values, summed in the same order."""
+    rng = np.random.default_rng(131 + n + d)
+    t_len = 5
+    args = _monet_inputs(rng, t_len * n, d)
+    args[2].data = args[2].data - 0.5  # some candidates clipped by the ReLU
+    args[3] = args[4] = None
+    leaves = [a for a in args if a is not None]
+    weight = Tensor(rng.normal(size=(t_len * n, d)))
+    for layers in range(4):
+        runs = []
+        for chained in (False, True):
+            for a in leaves:
+                a.zero_grad()
+            with Tape() as tape:
+                if chained:
+                    out = monet_pass(*args)
+                    for _ in range(layers):
+                        right = None if causal_only else shift_rows(out, -n)
+                        out = monet_pass(*args[:3], shift_rows(out, n), right, *args[5:])
+                else:
+                    out = monet_pass(*args, n=n, layers=layers, causal_only=causal_only)
+                loss = tsum(mul(out, weight))
+            tape.backward(loss)
+            runs.append([out.data] + [np.zeros(0) if a.grad is None else a.grad for a in leaves])
+        assert [node.op for node in tape.nodes].count("monet_pass") == layers + 1
+        for got, expected in zip(*runs):
+            assert_same_bits(got, expected)
+
+
+@pytest.mark.parametrize("scope", ["no tape", "paused", "tape"])
+def test_monet_pass_keeps_no_pass_alive_unless_a_tape_records(monkeypatch, scope):
+    """With nothing recording, each pass's neighbour copies and saved
+    arrays are gone before the next pass starts; while a tape records, the
+    node keeps every pass's."""
+    refs, alive = [], []
+    kernel = tensor._monet_kernel
+
+    def watched(*args):
+        alive.append(sum(r() is not None for r in refs))
+        data, saved = kernel(*args)
+        refs.extend(weakref.ref(a) for a in (*args[3:5], *saved) if a is not None)
+        return data, saved
+
+    monkeypatch.setattr(tensor, "_monet_kernel", watched)
+    args = _monet_inputs(np.random.default_rng(137), 8, 3)
+    args[3] = args[4] = None
+    with Tape() as tape:
+        if scope == "paused":
+            with pause_recording():
+                monet_pass(*args, n=2, layers=3)
+        elif scope == "tape":
+            monet_pass(*args, n=2, layers=3)
+    if scope == "no tape":
+        monet_pass(*args, n=2, layers=3)
+    # The base pass saves 4 arrays; each later pass 5 and its 2 neighbours.
+    kept = [0, 4, 11, 18]
+    assert alive == (kept if scope == "tape" else [0] * 4)
+    assert len(tape.nodes) == (scope == "tape")
 
 
 # The fusion is a grouped softmax over the logits (1, mix_right, mix_left);
