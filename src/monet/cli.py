@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -388,7 +389,10 @@ def cmd_flops(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: ``main`` parses every call with it,
+    so no default may be a mutable object."""
     parser = argparse.ArgumentParser(
         prog="monet",
         description="Motion-feature hallucination toolkit: synthetic data, "
@@ -421,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="compare tape gradients to finite differences")
     p.add_argument("--family", required=True)
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--layers", type=int, nargs="+", default=[1])
+    p.add_argument("--layers", type=int, nargs="+", default=(1,))
     p.add_argument("--seed", type=int, default=20240)
 
     p = sub.add_parser("flops", help="print exact multiply-add counts for a cell config")

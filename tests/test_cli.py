@@ -4,6 +4,7 @@ hallucination, gradient checking, cost accounting, exit codes."""
 import hashlib
 import json
 import math
+import re
 import shutil
 
 import numpy as np
@@ -685,6 +686,38 @@ def test_gradcheck_out_of_range_flags_are_invalid_input(capsys, flags):
     code, out, err = run(capsys, "gradcheck", "--family", "gru", *flags)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "must be" in err
+
+
+# -- one parser per process --------------------------------------------------
+
+def _without_times(out):
+    return re.sub(r"time=\S+", "time=", out)
+
+
+def test_main_parses_every_call_with_one_parser():
+    assert monet.cli.build_parser() is monet.cli.build_parser()
+
+
+def test_repeated_gradcheck_calls_print_the_same_lines(capsys):
+    """The cached parser hands its ``--layers`` default to every call, so
+    the default is a tuple no call can grow."""
+    argv = ("gradcheck", "--family", "vanilla-rnn", "--trials", "1")
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert first[0] == second[0] == 0
+    assert _without_times(first[1]) == _without_times(second[1])
+    assert first[1].count("layers=1 ") == 1
+    assert monet.cli.build_parser().parse_args(argv).layers == (1,)
+
+
+def test_a_rejected_call_leaves_the_next_call_unaffected(capsys):
+    argv = ("gradcheck", "--family", "vanilla-rnn", "--trials", "1")
+    _, before, _ = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", "--family", "gru", "--layers", "2", "--trials", "x"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    code, after, _ = run(capsys, *argv)
+    assert code == 0 and _without_times(after) == _without_times(before)
 
 
 def test_gradcheck_detects_corrupted_backward_rule(capsys, monkeypatch):

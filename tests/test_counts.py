@@ -92,12 +92,12 @@ def test_forward_calls_of_one_gradient_check_suite_pass(monkeypatch):
     assert len(forwards) == 3589
 
 
-def test_forward_calls_of_one_inference_request(tmp_path, monkeypatch, capsys):
-    """``hallucinate`` then ``eval --teacher --appearance --csv`` run the
-    model once each."""
+def _forward_rows_of_one_inference_request(tmp_path, monkeypatch, capsys, task):
+    """The rows of every forward call that ``hallucinate`` then ``eval
+    --teacher --appearance --csv`` make on ``task``'s validation file."""
     run = tmp_path / "run"
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"task": TASK, "cell": {"family": "monet", "d_x": 16,
+    config.write_text(json.dumps({"task": task, "cell": {"family": "monet", "d_x": 16,
                                                           "d_s": 16, "layers": 3},
                                   "out_dir": str(run)}))
     assert main(["train", "--config", str(config), "--epochs", "0"]) == 0
@@ -109,4 +109,23 @@ def test_forward_calls_of_one_inference_request(tmp_path, monkeypatch, capsys):
                  "--appearance", str(run / "appearance.json"),
                  "--csv", str(tmp_path / "fused.csv")]) == 0
     capsys.readouterr()
-    assert len(forwards) == 2
+    return [len(xs) * xs[0].shape[0] for _, xs in forwards]
+
+
+def test_forward_calls_of_one_inference_request(tmp_path, monkeypatch, capsys):
+    """``hallucinate`` then ``eval --teacher --appearance --csv`` run the
+    model once each on the 4 records of T = 20: one call takes up to 25
+    such sequences (512 rows)."""
+    rows = _forward_rows_of_one_inference_request(tmp_path, monkeypatch, capsys, TASK)
+    assert rows == [80, 80]
+
+
+def test_forward_calls_of_one_largest_benchmark_shard(tmp_path, monkeypatch, capsys):
+    """The benchmark's largest shard, 64 sequences of T = 40, takes 6 calls
+    per command: a call runs 512 // 40 = 12 sequences, so no call exceeds
+    512 rows, where one call of all 64 would allocate 2,560-row blocks."""
+    task = dict(TASK, seq_len=40, n_val=64)
+    rows = _forward_rows_of_one_inference_request(tmp_path, monkeypatch, capsys, task)
+    assert len(rows) == 12
+    assert rows == [480] * 5 + [160] + [480] * 5 + [160]
+    assert max(rows) <= 512

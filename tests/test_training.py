@@ -9,7 +9,7 @@ from monet.cells import CellConfig, Hallucinator, match_params
 from monet.classify import (_np_softmax, class_probabilities_steps, classify,
                             fit_linear_classifier, pooled_matrix)
 from monet.data import SyntheticTaskSpec, generate_synthetic
-from monet.tensor import Tape, Tensor, _sweep
+from monet.tensor import ShapeError, Tape, Tensor, _sweep
 from monet.training import (Adam, LossConfig, Sgd, TrainConfig, TrainReport,
                             TrainingDiverged, clip_global_norm, evaluate,
                             global_norm, hallucinate_array,
@@ -328,13 +328,44 @@ def test_train_rejects_empty_record_sets_before_any_step():
 
 
 def test_hallucinate_array_blocks_match_whole_sequence_forward():
+    """A block is 512 // 10 = 51 sequences at T = 10, so 0, 50, 51, 101,
+    102 and 129 are the ends of the three blocks.  OpenBLAS may round a row
+    differently with the block's row count (seen at d_s 19 with a readout),
+    hence the 1e-12 bound rather than equality."""
     tr, _ = small_task(n_train=130, n_val=0)
-    model = fresh_model(layers=2)
     app = np.stack([r.appearance for r in tr])
+    monet = CellConfig(family="monet", d_x=8, d_s=6, layers=2)
+    for config in (monet, match_params(monet, "gru").config,
+                   CellConfig(family="monet", d_x=8, d_s=19, layers=2, out_dim=6)):
+        model = Hallucinator.build(config, np.random.default_rng(0))
+        out = hallucinate_array(model, app)
+        assert out.shape == (130, 10, 6)
+        for i in (0, 50, 51, 101, 102, 129):
+            np.testing.assert_allclose(out[i], model.forward(Tensor(app[i])).data,
+                                       rtol=0, atol=1e-12)
+
+
+def test_hallucinate_array_bounds_each_forward_call_at_512_rows(monkeypatch):
+    """A sequence longer than 512 steps runs alone; one of length 0 is
+    rejected by the model as before, not divided by."""
+    model = fresh_model(layers=1)
+    calls = []
+    real = Hallucinator.forward_steps
+
+    def counted(self, xs):
+        calls.append((len(xs), xs[0].shape[0] if xs else 0))
+        return real(self, xs)
+
+    monkeypatch.setattr(Hallucinator, "forward_steps", counted)
+    app = np.random.default_rng(0).normal(size=(3, 600, 8))
     out = hallucinate_array(model, app)
-    assert out.shape == (130, 10, 6)
-    for i in (0, 63, 64, 127, 128, 129):
-        np.testing.assert_allclose(out[i], model.forward(Tensor(app[i])).data, rtol=0, atol=1e-12)
+    assert calls == [(600, 1)] * 3
+    np.testing.assert_allclose(out[2], model.forward(Tensor(app[2])).data, rtol=0, atol=1e-12)
+    calls.clear()
+    hallucinate_array(model, np.zeros((5, 256, 8)))
+    assert calls == [(256, 2), (256, 2), (256, 1)]
+    with pytest.raises(ShapeError, match="at least one step"):
+        hallucinate_array(model, np.zeros((3, 0, 8)))
 
 
 @pytest.mark.parametrize("alpha,block_sums", [(0.0, 0), (10.0, 1)])
