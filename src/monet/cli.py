@@ -389,10 +389,8 @@ def cmd_flops(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
-@functools.cache
+@functools.cache  # one parser per process, shared by every main call: no mutable defaults
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process: ``main`` parses every call with it,
-    so no default may be a mutable object."""
     parser = argparse.ArgumentParser(
         prog="monet",
         description="Motion-feature hallucination toolkit: synthetic data, "

@@ -390,11 +390,24 @@ def monet_pass(pre_r: Tensor, pre_z: Tensor, pre_h: Tensor, left: Tensor | None,
                        U_z_right, U_h, n=n, layers=layers, causal_only=causal_only)[0]
 
 
+_UNTAPED_ROWS = 512  # per untaped block: glibc gave bigger ones back to the system per call
+
+
 def _monet_pass(*inputs: Tensor | None, n: int = 1, layers: int = 0,
                 causal_only: bool = False) -> tuple[Tensor, tuple]:
     """``monet_pass`` and its last pass's saved arrays.  Only while a tape
     records does the node keep ``n`` and each pass's neighbours, states and
-    saved arrays; otherwise no pass's arrays outlive the next pass."""
+    saved arrays; otherwise no pass's arrays outlive the next pass, and the
+    passes run ``_UNTAPED_ROWS`` rows of whole sequences (at least one) at a time."""
+    rows, d = inputs[2].shape
+    if rows > _UNTAPED_ROWS and n > 1 and rows % n == 0 and not _recording():
+        size, out = max(1, _UNTAPED_ROWS * n // rows), np.empty((rows // n, n, d))
+        for i in range(0, n, size):
+            part = [None if t is None else Tensor(t.data.reshape(len(out), n, d)[:, i:i + size].reshape(-1, d))
+                    for t in inputs[:5]]
+            out[:, i:i + size] = _monet_pass(*part, *inputs[5:], n=min(size, n - i), layers=layers,
+                                             causal_only=causal_only)[0].data.reshape(len(out), -1, d)
+        return _out(out.reshape(rows, d), [t for t in inputs if t is not None]), None
     pre_r, pre_z, pre_h, left, right, U_r_left, U_z_left, U_r_right, U_z_right, U_h = (
         None if t is None else t.data for t in inputs)
     # Each side's (reset, mix) state matrices as one (2, d, d) stack, once

@@ -204,13 +204,10 @@ def records_arrays(records: list[FeatureRecord]) -> tuple[np.ndarray, np.ndarray
     return app, flow, labels
 
 
-# Rows per forward call in ``hallucinate_array``: a block is
-# ``max(1, _HALLUCINATE_ROWS // T)`` sequences.  A pass holds a few dozen
-# (rows, d) intermediates at once, so the bound keeps the working set fixed
-# however many records a file or validation set has, and small enough that
-# the allocator reuses its blocks instead of returning them to the system
-# and faulting them in again on the next call.
-_HALLUCINATE_ROWS = 512
+# Sequences per forward call in ``hallucinate_array``.  A batched pass holds
+# a few dozen (T * block, d) intermediates at once, so blocking keeps the
+# working set fixed however many records a file or validation set has.
+_HALLUCINATE_BLOCK = 64
 
 
 def _step_views(batch: np.ndarray) -> list[Tensor]:
@@ -220,12 +217,10 @@ def _step_views(batch: np.ndarray) -> list[Tensor]:
 
 def hallucinate_array(model: Hallucinator, app: np.ndarray) -> np.ndarray:
     """Run the model over a stacked (n, T, d_x) batch, returning
-    (n, T, output_dim).  Nothing is recorded.  Sequences of length 0 still
-    reach ``forward_steps``, which rejects them."""
-    size = max(1, _HALLUCINATE_ROWS // max(1, app.shape[1]))
+    (n, T, output_dim).  Nothing is recorded."""
     out = []
-    for start in range(0, app.shape[0], size):
-        block = app[start:start + size]
+    for start in range(0, app.shape[0], _HALLUCINATE_BLOCK):
+        block = app[start:start + _HALLUCINATE_BLOCK]
         rows = model.forward_steps(_step_views(block)).data
         out.append(rows.reshape(block.shape[1], block.shape[0], -1).transpose(1, 0, 2))
     return np.concatenate(out)

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from monet import gradcheck
+from monet import gradcheck, tensor
 from monet.cells import FAMILIES, CellConfig, Hallucinator, match_params
 from monet.classify import fit_linear_classifier, pooled_matrix
 from monet.cli import main
@@ -93,8 +93,9 @@ def test_forward_calls_of_one_gradient_check_suite_pass(monkeypatch):
 
 
 def _forward_rows_of_one_inference_request(tmp_path, monkeypatch, capsys, task):
-    """The rows of every forward call that ``hallucinate`` then ``eval
-    --teacher --appearance --csv`` make on ``task``'s validation file."""
+    """The rows of every forward call, and of every monet pass, that
+    ``hallucinate`` then ``eval --teacher --appearance --csv`` make on
+    ``task``'s validation file with a monet L3 model."""
     run = tmp_path / "run"
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"task": task, "cell": {"family": "monet", "d_x": 16,
@@ -102,6 +103,7 @@ def _forward_rows_of_one_inference_request(tmp_path, monkeypatch, capsys, task):
                                   "out_dir": str(run)}))
     assert main(["train", "--config", str(config), "--epochs", "0"]) == 0
     forwards = _count_calls(monkeypatch, Hallucinator, "forward_steps")
+    passes = _count_calls(monkeypatch, tensor, "_monet_kernel")
     assert main(["hallucinate", "--checkpoint", str(run / "checkpoint.monw"),
                  "--data", str(run / "val.mofe"), "--out", str(tmp_path / "h.mofe")]) == 0
     assert main(["eval", "--checkpoint", str(run / "checkpoint.monw"),
@@ -109,23 +111,28 @@ def _forward_rows_of_one_inference_request(tmp_path, monkeypatch, capsys, task):
                  "--appearance", str(run / "appearance.json"),
                  "--csv", str(tmp_path / "fused.csv")]) == 0
     capsys.readouterr()
-    return [len(xs) * xs[0].shape[0] for _, xs in forwards]
+    return ([len(xs) * xs[0].shape[0] for _, xs in forwards],
+            [len(args[2]) for args in passes])
 
 
 def test_forward_calls_of_one_inference_request(tmp_path, monkeypatch, capsys):
     """``hallucinate`` then ``eval --teacher --appearance --csv`` run the
-    model once each on the 4 records of T = 20: one call takes up to 25
-    such sequences (512 rows)."""
-    rows = _forward_rows_of_one_inference_request(tmp_path, monkeypatch, capsys, TASK)
-    assert rows == [80, 80]
+    model once each on the 4 records of T = 20, each call 4 passes of all
+    80 rows."""
+    forwards, passes = _forward_rows_of_one_inference_request(tmp_path, monkeypatch, capsys, TASK)
+    assert forwards == [80, 80]
+    assert passes == [80] * 8
 
 
 def test_forward_calls_of_one_largest_benchmark_shard(tmp_path, monkeypatch, capsys):
-    """The benchmark's largest shard, 64 sequences of T = 40, takes 6 calls
-    per command: a call runs 512 // 40 = 12 sequences, so no call exceeds
-    512 rows, where one call of all 64 would allocate 2,560-row blocks."""
+    """The benchmark's largest shard, 64 sequences of T = 40, is still one
+    forward call per command, as the 4 records above are: a request makes
+    the same number of model calls whatever its file's shape.  Inside a
+    call the untaped monet pass runs 512 // 40 = 12 sequences at a time, so
+    each of the 4 passes runs 6 blocks and none exceeds 512 rows, where
+    one block of all 64 would allocate (4, 2560, 16) gate arrays."""
     task = dict(TASK, seq_len=40, n_val=64)
-    rows = _forward_rows_of_one_inference_request(tmp_path, monkeypatch, capsys, task)
-    assert len(rows) == 12
-    assert rows == [480] * 5 + [160] + [480] * 5 + [160]
-    assert max(rows) <= 512
+    forwards, passes = _forward_rows_of_one_inference_request(tmp_path, monkeypatch, capsys, task)
+    assert forwards == [2560, 2560]
+    assert passes == ([480] * 20 + [160] * 4) * 2
+    assert max(passes) <= 512

@@ -908,6 +908,44 @@ def test_monet_pass_keeps_no_pass_alive_unless_a_tape_records(monkeypatch, scope
     assert len(tape.nodes) == (scope == "tape")
 
 
+@pytest.mark.parametrize("steps,n,blocks", [(256, 5, [2, 2, 1]), (600, 3, [1, 1, 1]),
+                                            (8, 64, [64])])
+@pytest.mark.parametrize("neighbours,causal_only", [(False, False), (True, True)])
+@pytest.mark.parametrize("scope", ["no tape", "paused", "tape"])
+def test_untaped_monet_pass_runs_whole_sequences_at_most_512_rows_at_a_time(
+        monkeypatch, steps, n, blocks, neighbours, causal_only, scope):
+    """With nothing recording, the passes run over blocks of whole
+    sequences of at most 512 rows, or one sequence where one is longer; a
+    recording tape runs every row at once.  The values match within 1e-12:
+    OpenBLAS may round a row differently with the block's row count."""
+    args = _monet_inputs(np.random.default_rng(139), steps * n, 3)
+    if not neighbours:
+        args[3] = args[4] = None
+    run = lambda: monet_pass(*args, n=n, layers=2, causal_only=causal_only).data
+    with Tape():
+        whole = run()
+    rows = []
+    kernel = tensor._monet_kernel
+
+    def watched(*a):
+        rows.append(len(a[2]))
+        return kernel(*a)
+
+    monkeypatch.setattr(tensor, "_monet_kernel", watched)
+    with Tape() as tape:
+        if scope == "paused":
+            with pause_recording():
+                out = run()
+        elif scope == "tape":
+            out = run()
+    if scope == "no tape":
+        out = run()
+    expected = [steps * n] if scope == "tape" else [steps * b for b in blocks]
+    assert rows == [r for r in expected for _ in range(3)]
+    assert len(tape.nodes) == (scope == "tape")
+    np.testing.assert_allclose(out, whole, rtol=0, atol=1e-12)
+
+
 # The fusion is a grouped softmax over the logits (1, mix_right, mix_left);
 # ``_monet_pass`` hands back the weights (candidate, right, left) it saves.
 

@@ -328,44 +328,31 @@ def test_train_rejects_empty_record_sets_before_any_step():
 
 
 def test_hallucinate_array_blocks_match_whole_sequence_forward():
-    """A block is 512 // 10 = 51 sequences at T = 10, so 0, 50, 51, 101,
-    102 and 129 are the ends of the three blocks.  OpenBLAS may round a row
+    """A forward call takes 64 sequences, and at T = 10 a monet pass runs
+    512 // 10 = 51 of them at a time, so 0, 50, 51, 63, 64, 114, 115, 127,
+    128 and 129 are the ends of the blocks; the GRU runs whole calls.  A
+    sequence longer than 512 steps runs alone.  OpenBLAS may round a row
     differently with the block's row count (seen at d_s 19 with a readout),
     hence the 1e-12 bound rather than equality."""
     tr, _ = small_task(n_train=130, n_val=0)
     app = np.stack([r.appearance for r in tr])
+    long = np.random.default_rng(1).normal(size=(3, 600, 8))
     monet = CellConfig(family="monet", d_x=8, d_s=6, layers=2)
     for config in (monet, match_params(monet, "gru").config,
                    CellConfig(family="monet", d_x=8, d_s=19, layers=2, out_dim=6)):
         model = Hallucinator.build(config, np.random.default_rng(0))
         out = hallucinate_array(model, app)
         assert out.shape == (130, 10, 6)
-        for i in (0, 50, 51, 101, 102, 129):
+        for i in (0, 50, 51, 63, 64, 114, 115, 127, 128, 129):
             np.testing.assert_allclose(out[i], model.forward(Tensor(app[i])).data,
                                        rtol=0, atol=1e-12)
+        out = hallucinate_array(model, long)
+        np.testing.assert_allclose(out[2], model.forward(Tensor(long[2])).data, rtol=0, atol=1e-12)
 
 
-def test_hallucinate_array_bounds_each_forward_call_at_512_rows(monkeypatch):
-    """A sequence longer than 512 steps runs alone; one of length 0 is
-    rejected by the model as before, not divided by."""
-    model = fresh_model(layers=1)
-    calls = []
-    real = Hallucinator.forward_steps
-
-    def counted(self, xs):
-        calls.append((len(xs), xs[0].shape[0] if xs else 0))
-        return real(self, xs)
-
-    monkeypatch.setattr(Hallucinator, "forward_steps", counted)
-    app = np.random.default_rng(0).normal(size=(3, 600, 8))
-    out = hallucinate_array(model, app)
-    assert calls == [(600, 1)] * 3
-    np.testing.assert_allclose(out[2], model.forward(Tensor(app[2])).data, rtol=0, atol=1e-12)
-    calls.clear()
-    hallucinate_array(model, np.zeros((5, 256, 8)))
-    assert calls == [(256, 2), (256, 2), (256, 1)]
+def test_hallucinate_array_rejects_sequences_of_length_zero():
     with pytest.raises(ShapeError, match="at least one step"):
-        hallucinate_array(model, np.zeros((3, 0, 8)))
+        hallucinate_array(fresh_model(layers=1), np.zeros((3, 0, 8)))
 
 
 @pytest.mark.parametrize("alpha,block_sums", [(0.0, 0), (10.0, 1)])
