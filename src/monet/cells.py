@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import types
 
 import numpy as np
 
@@ -206,8 +207,11 @@ def _weight(rng: np.random.Generator, shape, bound: float) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
-def _bias(d: int) -> Tensor:
-    return Tensor(np.zeros(d), requires_grad=True)
+def _bias(rng: np.random.Generator, d: int) -> Tensor:
+    """A zero bias, or from a load's stand-in generator the file's array."""
+    if isinstance(rng, np.random.Generator):
+        return Tensor(np.zeros(d), requires_grad=True)
+    return _weight(rng, (d,), 0.0)
 
 
 _CELL_PARAMS = {"vanilla-rnn": VanillaRnnParams, "gru": GruParams, "lstm": LstmParams,
@@ -224,7 +228,7 @@ def init_cell(family: str, d_in: int, d_s: int, rng):
     shapes = {"W": (d_in, d_s), "U": (d_s, d_s),
               "U_h": ((2 if family == "monet" else 1) * d_s, d_s)}
     cls = _CELL_PARAMS[family]
-    return cls(*(_bias(d_s) if f.name[0] == "b"
+    return cls(*(_bias(rng, d_s) if f.name[0] == "b"
                  else _weight(rng, shapes.get(f.name, shapes[f.name[0]]), w)
                  for f in dataclasses.fields(cls)))
 
@@ -239,7 +243,7 @@ def init_conv1d(d_x: int, d_s: int, layers: int, kernel: int, rng) -> Conv1dPara
     d_in = d_x
     for _ in range(layers):
         taps = [_weight(rng, (d_in, d_s), w) for _ in range(kernel)]
-        stages.append(ConvStage(taps=taps, bias=_bias(d_s)))
+        stages.append(ConvStage(taps=taps, bias=_bias(rng, d_s)))
         d_in = d_s
     return Conv1dParams(stages=stages)
 
@@ -256,7 +260,7 @@ def init_bidir(family: str, d_x: int, d_s: int, layers: int, rng) -> BidirParams
         bwd=_init_stack(base, d_x, d_s, layers, rng),
         proj_fwd=_weight(rng, (d_s, d_s), w),
         proj_bwd=_weight(rng, (d_s, d_s), w),
-        b_out=_bias(d_s),
+        b_out=_bias(rng, d_s),
     )
 
 
@@ -363,29 +367,32 @@ def _monet_rows(X: Tensor, n: int, p: MoNetParams, layers: int,
                       p.U_z_right, p.U_h, n=n, layers=layers, causal_only=causal_only)
 
 
-def stacked_steps(X: Tensor, n: int, layer_params: list, family: str,
-                  reverse: bool = False) -> Tensor:
-    """A stack of causal cells over a time-major (T*n, d) matrix, returning
-    the top layer's states as a time-major (T*n, d_s) matrix.  Fresh
-    parameters per depth level, zero initial state; ``reverse`` runs every
-    layer from the last step to the first.  Each layer is one
-    ``recurrent`` node."""
+def _scan_stacks(Xs: list[Tensor], n: int, stacks: list[list], family: str,
+                 flags: tuple[bool, ...]) -> list[Tensor]:
+    """Stack k of causal cells over time-major ``Xs[k]``, last step first if
+    ``flags[k]``, from zero states: per depth level one ``recurrent`` node,
+    after each stack's projections in turn.  Returns the top layers' states."""
     n_states = _CELLS[family][3]
-    for p in layer_params:
-        pres = _project(X, p)
+    for layer in zip(*stacks):
+        pres = [q for X, p in zip(Xs, layer) for q in _project(X, p)]
         zero = Tensor(np.zeros((n, pres[0].shape[1])))
-        X = recurrent(family, pres, [zero] * n_states, _fields(p, "U"), reverse)
-        if n_states > 1:
-            X = X[0]
-    return X
+        outs = recurrent(family, pres, [zero] * (n_states * len(flags)),
+                         [U for p in layer for U in _fields(p, "U")], flags)
+        Xs = list(outs[::n_states]) if isinstance(outs, tuple) else [outs]
+    return Xs
+
+
+def stacked_steps(X: Tensor, n: int, layer_params: list, family: str) -> Tensor:
+    """A stack of causal cells over a time-major (T*n, d) matrix, returning
+    the top layer's states as a time-major (T*n, d_s) matrix."""
+    return _scan_stacks([X], n, [layer_params], family, (False,))[0]
 
 
 def bidir_steps(X: Tensor, n: int, p: BidirParams, family: str) -> Tensor:
     """Independent left-to-right and right-to-left stacks over a time-major
     (T*n, d) matrix, merged by summing the two projected states."""
-    base = family.removeprefix("bi-")
-    fwd = stacked_steps(X, n, p.fwd, base)
-    bwd = stacked_steps(X, n, p.bwd, base, reverse=True)
+    fwd, bwd = _scan_stacks([X, X], n, [p.fwd, p.bwd], family.removeprefix("bi-"),
+                            (False, True))
     return add_rowvec(add(matmul(fwd, p.proj_fwd), matmul(bwd, p.proj_bwd)), p.b_out)
 
 
@@ -439,7 +446,7 @@ class Hallucinator:
         if config.out_dim is not None and config.out_dim != config.d_s:
             w = 1.0 / math.sqrt(config.d_s)
             readout = LinearReadout(W=_weight(rng, (config.d_s, config.out_dim), w),
-                                    b=_bias(config.out_dim))
+                                    b=_bias(rng, config.out_dim))
         return cls(config, params, readout)
 
     def _rows(self, X: Tensor, n: int) -> Tensor:
@@ -512,15 +519,18 @@ class Hallucinator:
             except ValueError as e:
                 raise FormatError(f"checkpoint header: {e}") from None
             require(f, 8 * count_params(config), "the weight shapes the header declares")
-            model = cls.build(config, np.random.default_rng(0))
-            for t in model.tensors():
+
+            def uniform(low: float, high: float, size: tuple[int, ...]) -> np.ndarray:
                 arr = read_array(f, "<f8", "weight array")
-                if arr.shape != t.shape:
+                if arr.shape != size:
                     raise FormatError(f"weight shape mismatch: file has {arr.shape}, "
-                                      f"config needs {t.shape}")
+                                      f"config needs {size}")
                 if not np.isfinite(arr).all():
                     raise FormatError("non-finite weight array")
-                t.data = arr
+                return arr
+
+            # The builders ask for each weight and bias in the order save wrote.
+            model = cls.build(config, types.SimpleNamespace(uniform=uniform))
             if f.read(1):
                 raise FormatError("trailing bytes after final weight array")
         return model

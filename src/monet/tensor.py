@@ -481,21 +481,21 @@ def _monet_kernel(pre_r, pre_z, pre_h, left, right, stack_left, stack_right, U_h
 
 
 def _gates(s: np.ndarray, pres: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Every gate's pre-activation ``pre + s @ U`` as one (gates, N, d)
+    """Every gate's pre-activation ``pre + s @ U`` as one (gates, D, N, d)
     block, from one batched matmul, so one sigmoid call can cover several
-    gates."""
+    gates and directions."""
     block = np.matmul(s, mats)
     block += pres
     return block
 
 
-# A recurrent cell is two numpy kernels.  Its step maps one step's gate
-# input projections as a (gates, N, d) block, the state (a tuple: hidden, and
-# the LSTM's cell) and the gates' (gates, d, d) stack of state matrices to
-# the next state and what its rule reads.  The rule maps the next state's
-# gradients (None where nothing reached) to the gates' pre-activation
-# gradients, the state's (each only if ``need`` asks) and the matrices'
-# (None unless ``need_mats``).
+# A recurrent cell is two numpy kernels over D directions at once.  Its step
+# maps one step's gate input projections as a (gates, D, N, d) block, the
+# state (a tuple of (D, N, d) arrays: hidden, and the LSTM's cell) and the
+# gates' (gates, D, d, d) stack of state matrices to the next state and what
+# its rule reads.  The rule, given the transposed matrices, maps the next
+# state's gradients (None where nothing reached) to the state's (each only
+# if ``need`` asks) and writes the gates' pre-activation gradients to ``da``.
 
 def _vanilla_step(pre, state, mats):
     """``tanh(pre + s @ U)``."""
@@ -505,12 +505,12 @@ def _vanilla_step(pre, state, mats):
     return (a,), (a,)
 
 
-def _vanilla_rule(gs, state, mats, saved, need, need_mats):
-    (g,), (s,), (U,), (y,) = gs, state, mats, saved
-    d = y * y
+def _vanilla_rule(gs, state, mats_t, saved, need, da):
+    (g,), (y,) = gs, saved
+    d = np.multiply(y, y, out=da[0])
     np.subtract(1.0, d, out=d)
     np.multiply(g, d, out=d)
-    return [d], (d @ U.T if need[0] else None,), ([s.T @ d] if need_mats else None)
+    return (d @ mats_t[0] if need[0] else None,)
 
 
 def _gru_step(pre, state, mats):
@@ -529,30 +529,28 @@ def _gru_step(pre, state, mats):
     return (out,), (rz, rs, h, omz)
 
 
-def _gru_rule(gs, state, mats, saved, need, need_mats):
+def _gru_rule(gs, state, mats_t, saved, need, da):
     (g,), (s,) = gs, state
-    U_r, U_z, U_h = mats
+    Ut_r, Ut_z, Ut_h = mats_t
     rz, rs, h, omz = saved
-    dh = omz * g
+    dh = np.multiply(omz, g, out=da[2])
     dh *= 1.0 - h * h
-    drs = dh @ U_h.T
+    drs = dh @ Ut_h
     # The reset and update gates' pre-activation gradients as one block,
     # through one sigmoid slope y * (1 - y).
-    da = np.empty(rz.shape)
     np.multiply(drs, s, out=da[0])
     np.subtract(s, h, out=da[1])
     da[1] *= g
     slope = 1.0 - rz
     slope *= rz
-    da *= slope
+    da[:2] *= slope
     ds = None
     if need[0]:
-        ds = da[0] @ U_r.T
-        ds += da[1] @ U_z.T
+        ds = da[0] @ Ut_r
+        ds += da[1] @ Ut_z
         ds += g * rz[1]
         ds += drs * rz[0]
-    dU = [*np.matmul(s.T, da), rs.T @ dh] if need_mats else None
-    return [da[0], da[1], dh], (ds,), dU
+    return (ds,)
 
 
 def _lstm_step(pre, state, mats):
@@ -569,15 +567,14 @@ def _lstm_step(pre, state, mats):
     return (ifo[2] * tc, c_next), (ifo, g, tc)
 
 
-def _lstm_rule(gs, state, mats, saved, need, need_mats):
+def _lstm_rule(gs, state, mats_t, saved, need, da):
     gh, gc = gs
     s, c = state
     ifo, g, tc = saved
     i, f, o = ifo
-    # Pre-activation gradients of the i, f, o gates and the cell input.
-    da = np.empty((4,) + tc.shape)
-    # h = o * tanh(c_next), c_next = f * c + i * g; an output nothing
-    # reached contributes nothing.
+    # da holds the i, f, o gates' and the cell input's gradients.  h = o *
+    # tanh(c_next), c_next = f * c + i * g; an output nothing reached
+    # contributes nothing.
     if gh is None:
         da[2] = 0.0
         dc = gc
@@ -596,21 +593,22 @@ def _lstm_rule(gs, state, mats, saved, need, need_mats):
     da[3] *= 1.0 - g * g
     ds = None
     if need[0]:
-        ds = da[0] @ mats[0].T
-        for dak, U in zip(da[1:], mats[1:]):
-            ds += dak @ U.T
-    dU = list(np.matmul(s.T, da)) if need_mats else None
-    return list(da), (ds, dc * f if need[1] else None), dU
+        ds = da[0] @ mats_t[0]
+        for dak, Ut in zip(da[1:], mats_t[1:]):
+            ds += dak @ Ut
+    return ds, (dc * f if need[1] else None)
 
 
-# Per cell: its step, its rule, and how many gates and state arrays it has.
-_CELLS = {"vanilla-rnn": (_vanilla_step, _vanilla_rule, 1, 1),
-          "gru": (_gru_step, _gru_rule, 3, 1),
-          "lstm": (_lstm_step, _lstm_rule, 4, 2)}
+# Per cell: its step, its rule, its numbers of gates and state arrays, and of
+# gates whose state matrix multiplies the hidden state (the GRU candidate's
+# multiplies the step's second saved array, r * s).
+_CELLS = {"vanilla-rnn": (_vanilla_step, _vanilla_rule, 1, 1, 1),
+          "gru": (_gru_step, _gru_rule, 3, 1, 2),
+          "lstm": (_lstm_step, _lstm_rule, 4, 2, 4)}
 
 
 def recurrent(cell: str, pres: Sequence[Tensor], states: Sequence[Tensor],
-              mats: Sequence[Tensor], reverse: bool = False) -> Tensor | tuple[Tensor, Tensor]:
+              mats: Sequence[Tensor], reverse: bool | Sequence[bool] = False) -> Tensor | tuple:
     """A recurrent layer's whole scan over time, as one tape node.
 
     ``cell`` is ``"vanilla-rnn"``, ``"gru"`` or ``"lstm"``.  ``pres`` are
@@ -620,36 +618,49 @@ def recurrent(cell: str, pres: Sequence[Tensor], states: Sequence[Tensor],
     state matrices.  The steps run first to last, or last to first when
     ``reverse``.  Returns every step's hidden state as a time-major (T*n, d)
     matrix; the LSTM returns it with the cell state after the last step
-    run."""
+    run.  Given one ``reverse`` flag per direction, ``pres``, ``states``,
+    ``mats`` and outputs are each direction's in turn, and loop step i runs
+    every direction's step i (T-1-i if reversed) in the same numpy calls."""
     if cell not in _CELLS:
         raise ValueError(f"recurrent: unknown cell {cell!r}; choose from {tuple(_CELLS)}")
-    step, _, gates, n_states = _CELLS[cell]
+    step, _, gates, n_states, _ = _CELLS[cell]
+    flags = tuple(reverse) if isinstance(reverse, (tuple, list)) else (reverse,)
+    dirs = len(flags)
     P, S, U = ([t.data for t in ts] for ts in (pres, states, mats))
     n, d = S[0].shape if S and S[0].ndim == 2 else (0, 0)
     t_len = len(P[0]) // n if n and P and P[0].ndim == 2 else 0
-    if ((len(P), len(S), len(U)) != (gates, n_states, gates) or not t_len
+    if ((len(P), len(S), len(U)) != (dirs * gates, dirs * n_states, dirs * gates) or not t_len
             or {a.shape for a in P} != {(t_len * n, d)} or {a.shape for a in S} != {(n, d)}
             or {a.shape for a in U} != {(d, d)}):
         raise ShapeError(f"recurrent: {cell} needs {gates} (T*n, d) projections with T >= 1, "
-                         f"{n_states} (n, d) states and {gates} (d, d) matrices, got "
-                         f"{[[a.shape for a in A] for A in (P, S, U)]}")
-    # Every gate's projections, and its state matrices, as one stack each.
-    P, U, state = np.array(P), np.array(U), tuple(S)
-    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    # Per step t: its hidden state and, while a tape records, the state it
-    # read and what its rule reads.
-    hs = [None] * t_len
-    ins, saved = ([None] * t_len, [None] * t_len) if _recording() else (None, None)
-    for t in order:
+                         f"{n_states} (n, d) states and {gates} (d, d) matrices per direction "
+                         f"({dirs}), got {[[a.shape for a in A] for A in (P, S, U)]}")
+    # Each loop step's projections as one contiguous (gates, D, n, d) block,
+    # and the state matrices as one contiguous (gates, D, d, d) stack: a
+    # strided one would make matmul hand back strided gate blocks.
+    P_steps = np.empty((t_len, gates, dirs, n, d))
+    for k, p in enumerate(P):
+        P_steps[:, k % gates, k // gates] = p.reshape(t_len, n, d)[::-1 if flags[k // gates] else 1]
+    U = np.array([U[k * gates + j] for j in range(gates) for k in range(dirs)]).reshape(
+        gates, dirs, d, d)
+    S = np.array(S).reshape(dirs, n_states, n, d)
+    state = tuple(S[:, j] for j in range(n_states))
+    # Per loop step: every direction's hidden state and, while a tape
+    # records, the state it read and what its rule reads.
+    hs = []
+    ins, saved = ([], []) if _recording() else (None, None)
+    for pre in P_steps:
         if ins is None:
-            state = step(P[:, t * n:(t + 1) * n], state, U)[0]
+            state = step(pre, state, U)[0]
         else:
-            ins[t] = state
-            state, saved[t] = step(P[:, t * n:(t + 1) * n], state, U)
-        hs[t] = state[0]
-    inputs = (*pres, *states, *mats)
-    outs = tuple(_out(a, inputs) for a in (np.concatenate(hs), *state[1:]))
-    _record("recurrent", inputs, outs, (cell, order, ins, saved))
+            ins.append(state)
+            state, kept = step(pre, state, U)
+            saved.append(kept)
+        hs.append(state[0])
+    H, inputs = np.array(hs), (*pres, *states, *mats)
+    outs = tuple(_out(a, inputs) for k, rev in enumerate(flags) for a in
+                 (H[::-1 if rev else 1, k].reshape(t_len * n, d), *(s[k] for s in state[1:])))
+    _record("recurrent", inputs, outs, (cell, flags, U, H, ins, saved))
     return outs if len(outs) > 1 else outs[0]
 
 
@@ -798,34 +809,63 @@ def _bw_monet_pass(node, gs):
 
 
 def _bw_recurrent(node, gs):
-    cell, order, ins, saved = node.saved
-    _, rule, gates, n_states = _CELLS[cell]
-    initial, mats = node.inputs[gates:gates + n_states], node.inputs[gates + n_states:]
-    U = [t.data for t in mats]
-    need_mats = any(t.requires_grad for t in mats)
-    n = initial[0].shape[0]
-    dpres = [np.empty(node.outputs[0].shape) for _ in range(gates)]
-    dU = None
+    cell, flags, U, H, ins, saved = node.saved
+    _, rule, gates, n_states, s_gates = _CELLS[cell]
+    dirs, t_len = len(flags), len(ins)
+    reached = [[g is not None for g in gs[k * n_states:(k + 1) * n_states]] for k in range(dirs)]
+    if any(r != reached[0] for r in reached):
+        # Directions whose outputs got gradients unlike each other run one
+        # at a time, as one node per direction would (every saved array has
+        # its direction axis third from last); one that got none passes none.
+        grads = [None] * len(node.inputs)
+        for k in (k for k in range(dirs) if any(reached[k])):
+            one = lambda a: a[..., k:k + 1, :, :]
+            at = [lo + k * m + j for lo, m in ((0, gates), (dirs * gates, n_states),
+                                               (dirs * (gates + n_states), gates))
+                  for j in range(m)]
+            sub = TapeNode("recurrent", [node.inputs[i] for i in at], (), (
+                cell, flags[k:k + 1], one(U), one(H), [tuple(map(one, a)) for a in ins],
+                [tuple(map(one, a)) for a in saved]))
+            for i, g in zip(at, _bw_recurrent(sub, gs[k * n_states:(k + 1) * n_states])):
+                grads[i] = g
+        return grads
+    initial = node.inputs[dirs * gates:dirs * (gates + n_states)]
+    n, d = initial[0].shape
+    # Per loop step, every direction's rows of the hidden states' gradient.
+    G = None if gs[0] is None else np.stack(
+        [g.reshape(t_len, n, d)[::-1 if rev else 1] for g, rev in zip(gs[::n_states], flags)], 1)
+    carry = (None, *(None if gs[j] is None else np.stack(gs[j::n_states])
+                     for j in range(1, n_states)))
+    need, U_t = [True] * n_states, [u.mT for u in U]
+    # Every loop step's pre-activation gradients as one contiguous block.
+    da = np.empty((t_len, gates, dirs, n, d))
     # A step's hidden state gets its rows of the first output's gradient
     # plus the carry from the step after it, in that order, and the LSTM's
-    # last cell state the second output's; each state matrix's gradient is
-    # summed from the last step run to the first.
-    g_rows, carry = gs[0], (None, *gs[1:])
-    for t in reversed(order):
-        rows = slice(t * n, (t + 1) * n)
+    # last cell state the second output's.
+    for t in range(t_len - 1, -1, -1):
         gh = carry[0]
-        if g_rows is not None:
-            gh = g_rows[rows] if gh is None else g_rows[rows] + gh
-        need = [s.requires_grad for s in initial] if t == order[0] else [True] * n_states
-        da, carry, dU_t = rule((gh, *carry[1:]), ins[t], U, saved[t], need, need_mats)
-        for buf, d in zip(dpres, da):
-            buf[rows] = d
-        if dU is None:
-            dU = dU_t
-        else:
-            for acc, d in zip(dU, dU_t):
-                acc += d
-    return [*dpres, *carry, *(dU or [None] * gates)]
+        if G is not None:
+            gh = G[t] if gh is None else G[t] + gh
+        if not t:
+            need = [any(s.requires_grad for s in initial[j::n_states]) for j in range(n_states)]
+        carry = rule((gh, *carry[1:]), ins[t], U_t, saved[t], need, da[t])
+    dU = [None] * gates * dirs
+    if any(t.requires_grad for t in node.inputs[dirs * (gates + n_states):]):
+        # Every step's state matrix gradients from batched products (step 0
+        # read the initial state, a later step the hidden state before it),
+        # summed from the last step run to the first.
+        per_step = np.empty((t_len, gates, dirs, d, d))
+        np.matmul(ins[0][0].mT, da[0, :s_gates], out=per_step[0, :s_gates])
+        np.matmul(H[:-1, None].mT, da[1:, :s_gates], out=per_step[1:, :s_gates])
+        if s_gates < gates:
+            np.matmul(np.array([kept[1] for kept in saved])[:, None].mT, da[:, s_gates:],
+                      out=per_step[:, s_gates:])
+        for t in range(t_len - 2, -1, -1):
+            per_step[-1] += per_step[t]
+        dU = list(per_step[-1].swapaxes(0, 1).reshape(dirs * gates, d, d))
+    return ([da[::-1 if rev else 1, j, k].reshape(t_len * n, d)
+             for k, rev in enumerate(flags) for j in range(gates)]
+            + [None if c is None else c[k] for k in range(dirs) for c in carry] + dU)
 
 
 BACKWARD_RULES: dict[str, Callable] = {

@@ -1,6 +1,7 @@
 """Cell families: step semantics, receptive fields, parameter accounting,
 and checkpoint round trips."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from monet.cells import (FAMILIES, BidirParams, CellConfig, Conv1dParams,
                          MAX_LAYERS, match_params, monet_forward, monet_unit,
                          vanilla_step)
 from monet.tensor import (ShapeError, Tape, Tensor, add, add_rowvec, concat,
-                          finite_diff_grad, jacobian, matmul, mul,
+                          finite_diff_grad, jacobian, matmul, mul, recurrent,
                           relative_error, tsum)
 
 
@@ -507,6 +508,55 @@ def test_bidir_palindrome_with_tied_params_is_palindromic():
     np.testing.assert_array_equal(out, out[::-1])
 
 
+def _two_scans(X, n, p, family):
+    """A bidirectional model composed by hand from one-direction
+    ``recurrent`` scans: the whole forward stack, then the whole backward
+    stack, each layer projecting its input one gate at a time."""
+    base = family.removeprefix("bi-")
+    tops = []
+    for stack, reverse in ((p.fwd, False), (p.bwd, True)):
+        H = X
+        for q in stack:
+            names = [f.name for f in dataclasses.fields(q)]
+            pres = [add_rowvec(matmul(H, getattr(q, w)), getattr(q, "b" + w[1:]))
+                    for w in names if w[0] == "W"]
+            zero = Tensor(np.zeros((n, p.b_out.shape[0])))
+            H = recurrent(base, pres, [zero] * (2 if base == "lstm" else 1),
+                          [getattr(q, u) for u in names if u[0] == "U"], reverse)
+            H = H[0] if base == "lstm" else H
+        tops.append(H)
+    return add_rowvec(add(matmul(tops[0], p.proj_fwd), matmul(tops[1], p.proj_bwd)), p.b_out)
+
+
+@pytest.mark.parametrize("d_s", [1, 4, 19])
+@pytest.mark.parametrize("n,t_len", [(1, 1), (3, 5), (32, 20)])
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("family", ["bi-gru", "bi-lstm"])
+def test_bidir_layer_is_one_node_bit_identical_to_two_scans(family, layers, n, t_len, d_s):
+    """Both directions of a depth level run as one two-direction
+    ``recurrent`` node; its outputs and every parameter and input gradient
+    equal two one-direction scans composed by hand, bit for bit."""
+    config = CellConfig(family=family, d_x=5, d_s=d_s, layers=layers)
+    model = Hallucinator.build(config, np.random.default_rng(24 + d_s))
+    rng = np.random.default_rng(25)
+    xs = [Tensor(rng.uniform(-1, 1, (n, 5)), requires_grad=True) for _ in range(t_len)]
+    weights = Tensor(rng.uniform(-1, 1, (t_len * n, d_s)))
+    runs = []
+    for run in (model.forward_steps, lambda xs: _two_scans(concat(xs), n, model.params, family)):
+        for t in xs + model.tensors():
+            t.zero_grad()
+        with Tape() as tape:
+            out = run(xs)
+            loss = tsum(mul(out, weights))
+        tape.backward(loss)
+        runs.append(([node.op for node in tape.nodes].count("recurrent"),
+                     [out.data] + [t.grad for t in model.tensors() + xs]))
+    (nodes, got), (hand_nodes, expected) = runs
+    assert (nodes, hand_nodes) == (layers, 2 * layers)
+    for a, b in zip(got, expected, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_bidir_gradient_matches_finite_differences():
     rng = np.random.default_rng(23)
     p = init_bidir("lstm", 2, 3, 1, rng)
@@ -722,6 +772,25 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert loaded.config == cfg
         for a, b in zip(model.tensors(), loaded.tensors()):
             assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_checkpoint_load_builds_from_the_file_alone(tmp_path, monkeypatch, family):
+    """A load builds the parameters from the file's arrays in field order,
+    with no random generator and so no weights drawn and thrown away."""
+    cfg = CellConfig(family=family, d_x=5, d_s=4, layers=2, out_dim=3)
+    model = Hallucinator.build(cfg, np.random.default_rng(98))
+    path = str(tmp_path / "m.monw")
+    model.save(path)
+
+    def no_rng(*_):
+        raise AssertionError("a load made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    loaded = Hallucinator.load(path)
+    assert [t.shape for t in loaded.tensors()] == [t.shape for t in model.tensors()]
+    for a, b in zip(model.tensors(), loaded.tensors()):
+        assert b.requires_grad and a.data.tobytes() == b.data.tobytes()
 
 
 def test_checkpoint_corrupt_magic(tmp_path):

@@ -57,6 +57,16 @@ def test_tape_nodes_of_one_training_step(monkeypatch, matched_gru, alpha, nodes)
     assert _nodes_of_one_training_step(monkeypatch, config, alpha) == [nodes]
 
 
+@pytest.mark.parametrize("layers,nodes", [(1, 22), (2, 35)])
+def test_tape_nodes_of_one_bidirectional_gru_training_step(monkeypatch, layers, nodes):
+    """bi-gru without the teacher term: per layer, both directions' three
+    gate projections (a matmul and a bias add each) and one two-direction
+    ``recurrent`` node, then the two output projections, their sum and the
+    bias."""
+    config = CellConfig(family="bi-gru", d_x=16, d_s=16, layers=layers)
+    assert _nodes_of_one_training_step(monkeypatch, config, 0.0) == [nodes]
+
+
 def test_tape_nodes_of_one_causal_monet_training_step(monkeypatch):
     """All expansion passes are one node whether or not a pass reads the
     later neighbour, so causal monet L3 records as many nodes as monet L3."""

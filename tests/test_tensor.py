@@ -1153,6 +1153,61 @@ def test_lstm_cell_gradients_match_finite_differences(outputs):
         _assert_recurrent_gradients_match_finite_differences("lstm", loss_of, reverse, 110)
 
 
+# Which outputs of each direction a loss reads: its hidden states ("h"), the
+# LSTM's last cell state ("c"), both, or neither ("").
+_DIRECTION_LOSSES = {"vanilla-rnn": [("h", "h"), ("h", "")],
+                     "gru": [("h", "h"), ("", "h")],
+                     "lstm": [("hc", "hc"), ("h", "h"), ("c", "hc"), ("h", "c"), ("", "c")]}
+
+
+@pytest.mark.parametrize("flags", [(False, True), (True, False), (False, True, True)])
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_recurrent_directions_equal_one_node_per_direction_bit_for_bit(cell, flags):
+    """A node over several directions returns, and passes back, exactly
+    what one node per direction does, a direction whose outputs the loss
+    does not read included: its inputs get no gradient at all."""
+    rng = np.random.default_rng(131)
+    gates, n_states = CELLS[cell]
+    n = 3
+    for t_len, reads in itertools.product((1, 4), _DIRECTION_LOSSES[cell]):
+        per_dir = [_recurrent_args(cell, _recurrent_inputs(rng, cell, n, 4, t_len)) for _ in flags]
+        inputs = [t for part in range(3) for args in per_dir for t in args[part]]
+        for t in inputs:
+            _read_only(t.data)
+        # The first direction's initial states take no gradient, and over
+        # one step no direction's do.
+        for args in per_dir if t_len == 1 else per_dir[:1]:
+            for t in args[1]:
+                t.requires_grad = False
+        weights = [Tensor(rng.normal(size=(t_len * n, 4))) for _ in flags]
+        reads = (reads * len(flags))[:len(flags)]
+        runs = []
+        for joint in (True, False):
+            for t in inputs:
+                t.zero_grad()
+            with Tape() as tape:
+                if joint:
+                    outs = recurrent(cell, *([t for args in per_dir for t in args[part]]
+                                             for part in range(3)), flags)
+                    outs = [outs[k * n_states:(k + 1) * n_states] for k in range(len(flags))]
+                else:
+                    outs = [recurrent(cell, *args, rev) for args, rev in zip(per_dir, flags)]
+                    outs = [out if isinstance(out, tuple) else (out,) for out in outs]
+                loss = Tensor(0.0)
+                for out, read, w in zip(outs, reads, weights):
+                    if "h" in read:
+                        loss = add(loss, tsum(mul(out[0], w)))
+                    if "c" in read:
+                        loss = add(loss, tsum(mul(out[1], out[1])))
+            tape.backward(loss)
+            runs.append([t.data for out in outs for t in out] + [t.grad for t in inputs])
+        for got, expected in zip(*runs, strict=True):
+            if expected is None:
+                assert got is None, reads
+            else:
+                assert_same_bits(got, expected)
+
+
 def test_recurrent_rejects_malformed_operands():
     rng = np.random.default_rng(113)
     pres, states, mats = _recurrent_args("gru", _recurrent_inputs(rng, "gru", 2, 3, 3))
@@ -1175,5 +1230,14 @@ def test_recurrent_rejects_malformed_operands():
     for args in bad:
         with pytest.raises(ShapeError):
             recurrent("gru", *args)
+    # Two directions need two of each; an empty flag list runs no direction.
+    for args in bad[-3:] + [(pres, states, mats)]:
+        with pytest.raises(ShapeError):
+            recurrent("gru", *args, (False, True))
+    with pytest.raises(ShapeError):
+        recurrent("gru", pres + pres, states + states, mats + mats[:2] + [Tensor(np.ones((3, 4)))],
+                  (False, True))
+    with pytest.raises(ShapeError):
+        recurrent("gru", [], [], [], ())
     with pytest.raises(ValueError, match="unknown cell"):
         recurrent("gru_cell", pres, states, mats)
