@@ -612,15 +612,27 @@ def _flops_directional(family: str, d_in: int, d_s: int) -> FlopCount:
                      adds_bias=gates * d_s, activations=acts, elementwise=elem)
 
 
+def _flops_readout(c: CellConfig) -> FlopCount:
+    """The linear readout's per-step cost, counted as the bi-RNN output
+    projection is; none without a readout."""
+    if c.output_dim == c.d_s:
+        return FlopCount(0, 0, 0, 0, 0)
+    return FlopCount(0, c.d_s * c.out_dim, c.out_dim, 0, 0)
+
+
 def flops_per_step(config: CellConfig) -> FlopCount:
-    """Cost of advancing the whole configured model by one time step.
+    """Cost of advancing the whole configured model by one time step, its
+    linear readout included.
 
     For the expansion-based unit this is the cost of one unit application
     plus the once-per-step input projections; ``flops_per_sequence`` is the
     authority on how projections amortize across passes.
     """
     config.validate()
-    c = config
+    return _flops_cells(config).plus(_flops_readout(config))
+
+
+def _flops_cells(c: CellConfig) -> FlopCount:
     if c.family in _CELLS:
         total = _flops_directional(c.family, c.d_x, c.d_s)
         for _ in range(c.layers - 1):
@@ -664,7 +676,7 @@ def flops_per_sequence(config: CellConfig, seq_len: int) -> FlopCount:
                      adds_bias=3 * c.d_s, activations=0, elementwise=0)
     base_pass = FlopCount(0, 0, 0, 5 * c.d_s, c.d_s)
     unit = FlopCount(0, 6 * c.d_s * c.d_s, 0, 8 * c.d_s, 11 * c.d_s)
-    per_step = proj.plus(base_pass).plus(unit.scaled(c.layers))
+    per_step = proj.plus(base_pass).plus(unit.scaled(c.layers)).plus(_flops_readout(c))
     return per_step.scaled(seq_len)
 
 

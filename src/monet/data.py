@@ -24,7 +24,7 @@ import warnings
 
 import numpy as np
 
-from .binio import (FormatError, check_magic, check_version, read_exact,
+from .binio import (U32_MAX, FormatError, check_magic, check_version, read_exact,
                     read_str, read_u32, write_str, write_u32)
 from .tensor import _sigmoid_stable
 
@@ -69,6 +69,10 @@ class SyntheticTaskSpec:
             raise ValueError("n_classes, seq_len, d_x, d_s must all be >= 1")
         if self.n_train < 0 or self.n_val < 0:
             raise ValueError("record counts must be >= 0")
+        # The dataset header stores each of these as a u32.
+        for name in ("n_classes", "seq_len", "d_x", "d_s", "n_train", "n_val"):
+            if getattr(self, name) > U32_MAX:
+                raise ValueError(f"{name} must be <= {U32_MAX}, got {getattr(self, name)}")
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.seed < 0:

@@ -493,9 +493,10 @@ def _gates(s: np.ndarray, pres: np.ndarray, mats: np.ndarray) -> np.ndarray:
 # maps one step's gate input projections as a (gates, D, N, d) block, the
 # state (a tuple of (D, N, d) arrays: hidden, and the LSTM's cell) and the
 # gates' (gates, D, d, d) stack of state matrices to the next state and what
-# its rule reads.  The rule, given the transposed matrices, maps the next
-# state's gradients (None where nothing reached) to the state's (each only
-# if ``need`` asks) and writes the gates' pre-activation gradients to ``da``.
+# its rule reads.  The rule, given the hidden state the step read and the
+# transposed matrices, maps the next state's gradients (None where nothing
+# reached) to the state's (each only if ``need`` asks) and writes the gates'
+# pre-activation gradients to ``da``.
 
 def _vanilla_step(pre, state, mats):
     """``tanh(pre + s @ U)``."""
@@ -505,7 +506,7 @@ def _vanilla_step(pre, state, mats):
     return (a,), (a,)
 
 
-def _vanilla_rule(gs, state, mats_t, saved, need, da):
+def _vanilla_rule(gs, s, mats_t, saved, need, da):
     (g,), (y,) = gs, saved
     d = np.multiply(y, y, out=da[0])
     np.subtract(1.0, d, out=d)
@@ -529,8 +530,8 @@ def _gru_step(pre, state, mats):
     return (out,), (rz, rs, h, omz)
 
 
-def _gru_rule(gs, state, mats_t, saved, need, da):
-    (g,), (s,) = gs, state
+def _gru_rule(gs, s, mats_t, saved, need, da):
+    (g,) = gs
     Ut_r, Ut_z, Ut_h = mats_t
     rz, rs, h, omz = saved
     dh = np.multiply(omz, g, out=da[2])
@@ -564,13 +565,12 @@ def _lstm_step(pre, state, mats):
     c_next = ifo[1] * c
     c_next += ifo[0] * g
     tc = np.tanh(c_next)
-    return (ifo[2] * tc, c_next), (ifo, g, tc)
+    return (ifo[2] * tc, c_next), (ifo, g, tc, c)
 
 
-def _lstm_rule(gs, state, mats_t, saved, need, da):
+def _lstm_rule(gs, s, mats_t, saved, need, da):
     gh, gc = gs
-    s, c = state
-    ifo, g, tc = saved
+    ifo, g, tc, c = saved
     i, f, o = ifo
     # da holds the i, f, o gates' and the cell input's gradients.  h = o *
     # tanh(c_next), c_next = f * c + i * g; an output nothing reached
@@ -620,7 +620,9 @@ def recurrent(cell: str, pres: Sequence[Tensor], states: Sequence[Tensor],
     matrix; the LSTM returns it with the cell state after the last step
     run.  Given one ``reverse`` flag per direction, ``pres``, ``states``,
     ``mats`` and outputs are each direction's in turn, and loop step i runs
-    every direction's step i (T-1-i if reversed) in the same numpy calls."""
+    every direction's step i (T-1-i if reversed) in the same numpy calls.
+    A loss must then read every direction's outputs alike; the backward
+    pass raises ``GradientError`` otherwise."""
     if cell not in _CELLS:
         raise ValueError(f"recurrent: unknown cell {cell!r}; choose from {tuple(_CELLS)}")
     step, _, gates, n_states, _ = _CELLS[cell]
@@ -645,22 +647,18 @@ def recurrent(cell: str, pres: Sequence[Tensor], states: Sequence[Tensor],
         gates, dirs, d, d)
     S = np.array(S).reshape(dirs, n_states, n, d)
     state = tuple(S[:, j] for j in range(n_states))
-    # Per loop step: every direction's hidden state and, while a tape
-    # records, the state it read and what its rule reads.
-    hs = []
-    ins, saved = ([], []) if _recording() else (None, None)
+    # Per loop step: every direction's hidden state after it (after the
+    # initial one) and, while a tape records, what its rule reads.
+    hs, saved = [state[0]], ([] if _recording() else None)
     for pre in P_steps:
-        if ins is None:
-            state = step(pre, state, U)[0]
-        else:
-            ins.append(state)
-            state, kept = step(pre, state, U)
-            saved.append(kept)
+        state, kept = step(pre, state, U)
         hs.append(state[0])
+        if saved is not None:
+            saved.append(kept)
     H, inputs = np.array(hs), (*pres, *states, *mats)
     outs = tuple(_out(a, inputs) for k, rev in enumerate(flags) for a in
-                 (H[::-1 if rev else 1, k].reshape(t_len * n, d), *(s[k] for s in state[1:])))
-    _record("recurrent", inputs, outs, (cell, flags, U, H, ins, saved))
+                 (H[1:][::-1 if rev else 1, k].reshape(t_len * n, d), *(s[k] for s in state[1:])))
+    _record("recurrent", inputs, outs, (cell, flags, U, H, saved))
     return outs if len(outs) > 1 else outs[0]
 
 
@@ -809,26 +807,13 @@ def _bw_monet_pass(node, gs):
 
 
 def _bw_recurrent(node, gs):
-    cell, flags, U, H, ins, saved = node.saved
+    cell, flags, U, H, saved = node.saved
     _, rule, gates, n_states, s_gates = _CELLS[cell]
-    dirs, t_len = len(flags), len(ins)
-    reached = [[g is not None for g in gs[k * n_states:(k + 1) * n_states]] for k in range(dirs)]
-    if any(r != reached[0] for r in reached):
-        # Directions whose outputs got gradients unlike each other run one
-        # at a time, as one node per direction would (every saved array has
-        # its direction axis third from last); one that got none passes none.
-        grads = [None] * len(node.inputs)
-        for k in (k for k in range(dirs) if any(reached[k])):
-            one = lambda a: a[..., k:k + 1, :, :]
-            at = [lo + k * m + j for lo, m in ((0, gates), (dirs * gates, n_states),
-                                               (dirs * (gates + n_states), gates))
-                  for j in range(m)]
-            sub = TapeNode("recurrent", [node.inputs[i] for i in at], (), (
-                cell, flags[k:k + 1], one(U), one(H), [tuple(map(one, a)) for a in ins],
-                [tuple(map(one, a)) for a in saved]))
-            for i, g in zip(at, _bw_recurrent(sub, gs[k * n_states:(k + 1) * n_states])):
-                grads[i] = g
-        return grads
+    dirs, t_len = len(flags), len(saved)
+    reached = [g is not None for g in gs]
+    if reached != reached[:n_states] * dirs:
+        raise GradientError(f"recurrent: the loss reads the outputs of this node's {dirs} "
+                            f"directions unlike each other; record one node per direction")
     initial = node.inputs[dirs * gates:dirs * (gates + n_states)]
     n, d = initial[0].shape
     # Per loop step, every direction's rows of the hidden states' gradient.
@@ -848,15 +833,13 @@ def _bw_recurrent(node, gs):
             gh = G[t] if gh is None else G[t] + gh
         if not t:
             need = [any(s.requires_grad for s in initial[j::n_states]) for j in range(n_states)]
-        carry = rule((gh, *carry[1:]), ins[t], U_t, saved[t], need, da[t])
+        carry = rule((gh, *carry[1:]), H[t], U_t, saved[t], need, da[t])
     dU = [None] * gates * dirs
     if any(t.requires_grad for t in node.inputs[dirs * (gates + n_states):]):
-        # Every step's state matrix gradients from batched products (step 0
-        # read the initial state, a later step the hidden state before it),
-        # summed from the last step run to the first.
+        # Every step's state matrix gradients from batched products of the
+        # hidden state it read, summed from the last step run to the first.
         per_step = np.empty((t_len, gates, dirs, d, d))
-        np.matmul(ins[0][0].mT, da[0, :s_gates], out=per_step[0, :s_gates])
-        np.matmul(H[:-1, None].mT, da[1:, :s_gates], out=per_step[1:, :s_gates])
+        np.matmul(H[:-1, None].mT, da[:, :s_gates], out=per_step[:, :s_gates])
         if s_gates < gates:
             np.matmul(np.array([kept[1] for kept in saved])[:, None].mT, da[:, s_gates:],
                       out=per_step[:, s_gates:])

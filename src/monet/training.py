@@ -17,11 +17,11 @@ import json
 
 import numpy as np
 
-from .cells import Hallucinator
+from .cells import Hallucinator, _time_major
 from .classify import (PROB_SUM_TOL, LinearClassifier, _np_softmax,
                        class_probabilities_steps)
 from .data import FeatureRecord
-from .tensor import Tape, Tensor, abs_, add, concat, mul, scale, sub, tsum
+from .tensor import Tape, Tensor, abs_, add, mul, scale, sub, tsum
 
 
 class TrainingDiverged(RuntimeError):
@@ -86,14 +86,9 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 # ---------------------------------------------------------------------------
 
 def _as_matrix(x) -> Tensor:
-    """A (T*N, D) tensor as it is, or per-timestep (N, D) steps stacked into
-    one: one ``concat`` node if they carry gradient, joined off the tape
-    if they are constants."""
-    if isinstance(x, Tensor):
-        return x
-    if any(s.requires_grad for s in x):
-        return concat(x)
-    return Tensor(np.concatenate([s.data for s in x]))
+    """A (T*N, D) tensor as it is, or per-timestep (N, D) steps joined into
+    one time-major matrix."""
+    return x if isinstance(x, Tensor) else _time_major(x)[0]
 
 
 def _check_prob_rows(p: Tensor, name: str) -> None:
@@ -211,8 +206,9 @@ _HALLUCINATE_BLOCK = 64
 
 
 def _step_views(batch: np.ndarray) -> list[Tensor]:
-    """An (n, T, d) batch as T (n, d) steps, views of one time-major copy."""
-    return [Tensor(step) for step in np.ascontiguousarray(batch.transpose(1, 0, 2))]
+    """An (n, T, d) batch as T (n, d) steps, views into the batch: the
+    model's one join copies them."""
+    return [Tensor(step) for step in batch.transpose(1, 0, 2)]
 
 
 def hallucinate_array(model: Hallucinator, app: np.ndarray) -> np.ndarray:

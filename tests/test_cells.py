@@ -10,7 +10,8 @@ import pytest
 from monet.binio import BadMagicError, FormatError, TruncatedError, VersionError
 from monet.cells import (FAMILIES, BidirParams, CellConfig, Conv1dParams,
                          ConvStage, GruParams, Hallucinator, MoNetParams,
-                         collect_tensors, count_params, gru_step, init_bidir,
+                         collect_tensors, count_params, flops_per_sequence,
+                         flops_per_step, gru_step, init_bidir,
                          init_cell, init_conv1d, init_monet, lstm_step,
                          MAX_LAYERS, match_params, monet_forward, monet_unit,
                          vanilla_step)
@@ -710,6 +711,21 @@ def test_count_params_matches_built_tensors(family, layers, kernel, out_dim):
                      out_dim=out_dim)
     model = Hallucinator.build(cfg, np.random.default_rng(0))
     assert count_params(cfg) == sum(t.size for t in model.tensors())
+
+
+@pytest.mark.parametrize("out_dim", [None, 4, 7])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_multiply_adds_per_step_equal_the_parameter_count(family, out_dim):
+    """A step uses every weight in one multiply-add and every bias in one
+    add, the linear readout's (present only when out_dim differs from d_s)
+    included; over a sequence the readout adds its count once per step."""
+    cfg = CellConfig(family=family, d_x=5, d_s=4, layers=2, out_dim=out_dim)
+    assert flops_per_step(cfg).total_madds == count_params(cfg)
+    bare = dataclasses.replace(cfg, out_dim=None)
+    readout = count_params(cfg) - count_params(bare)
+    assert readout == (0 if out_dim in (None, 4) else 4 * 7 + 7)
+    assert (flops_per_sequence(cfg, 6).total_madds
+            == flops_per_sequence(bare, 6).total_madds + 6 * readout)
 
 
 def test_match_params_finds_gru_width_for_wide_monet():

@@ -122,6 +122,18 @@ def test_gen_data_float_count_is_invalid_input_before_writing(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("field", ["n_classes", "seq_len", "d_x", "d_s", "n_train", "n_val"])
+def test_gen_data_count_beyond_u32_is_invalid_input_before_writing(tmp_path, capsys, field):
+    """The dataset header stores these as u32s: a larger value exits 2
+    before a record is generated or a directory made."""
+    spec_path = write_json(tmp_path / "spec.json", dict(TASK, **{field: 2**32}))
+    code, out, err = run(capsys, "gen-data", "--spec", spec_path,
+                         "--out", str(tmp_path / "d"))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: task spec: {field} must be <= ")
+    assert not (tmp_path / "d").exists()
+
+
 def assert_train_config_value_is_invalid_input(tmp_path, capsys, section, key, value):
     """``monet train`` with one config value replaced (a top-level key when
     ``section`` is None) exits 2, names the key and writes nothing."""
@@ -155,12 +167,13 @@ def test_train_config_value_of_the_wrong_json_type_is_invalid_input(tmp_path, ca
     pytest.param("train", "lr", 10**400, id="train-lr-10**400"),
     pytest.param("loss", "alpha", 10**400, id="loss-alpha-10**400"),
     ("task", "seed", -1), ("train", "seed", -1), ("cell", "kernel", -1),
-    pytest.param("cell", "kernel", 2**32, id="cell-kernel-2**32")])
+    pytest.param("cell", "kernel", 2**32, id="cell-kernel-2**32"),
+    pytest.param("task", "n_val", 2**32, id="task-n_val-2**32")])
 def test_train_config_non_finite_or_out_of_range_value_is_invalid_input(tmp_path, capsys,
                                                                          section, key, value):
     """No number field takes NaN, an infinity or an integer too large for a
-    float, no seed or kernel is negative, and no field the checkpoint header
-    stores as a u32 exceeds it; nothing is written first."""
+    float, no seed or kernel is negative, and no field the checkpoint or
+    dataset header stores as a u32 exceeds it; nothing is written first."""
     assert_train_config_value_is_invalid_input(tmp_path, capsys, section, key, value)
 
 

@@ -57,13 +57,14 @@ def test_tape_nodes_of_one_training_step(monkeypatch, matched_gru, alpha, nodes)
     assert _nodes_of_one_training_step(monkeypatch, config, alpha) == [nodes]
 
 
-@pytest.mark.parametrize("layers,nodes", [(1, 22), (2, 35)])
-def test_tape_nodes_of_one_bidirectional_gru_training_step(monkeypatch, layers, nodes):
-    """bi-gru without the teacher term: per layer, both directions' three
-    gate projections (a matmul and a bias add each) and one two-direction
-    ``recurrent`` node, then the two output projections, their sum and the
-    bias."""
-    config = CellConfig(family="bi-gru", d_x=16, d_s=16, layers=layers)
+@pytest.mark.parametrize("family,layers,nodes", [("bi-gru", 1, 22), ("bi-gru", 2, 35),
+                                                 ("bi-lstm", 1, 26), ("bi-lstm", 2, 43)])
+def test_tape_nodes_of_one_bidirectional_training_step(monkeypatch, family, layers, nodes):
+    """bi-gru and bi-lstm without the teacher term: per layer, both
+    directions' gate projections (a matmul and a bias add each, three gates
+    for the GRU, four for the LSTM) and one two-direction ``recurrent``
+    node, then the two output projections, their sum and the bias."""
+    config = CellConfig(family=family, d_x=16, d_s=16, layers=layers)
     assert _nodes_of_one_training_step(monkeypatch, config, 0.0) == [nodes]
 
 

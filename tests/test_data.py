@@ -36,6 +36,18 @@ def test_spec_rejects_bad_values():
         small_spec(n_train=-1).validate()
 
 
+_U32_FIELDS = ["n_classes", "seq_len", "d_x", "d_s", "n_train", "n_val"]
+
+
+@pytest.mark.parametrize("field", _U32_FIELDS)
+def test_spec_bounds_the_u32_header_fields(field):
+    """The dataset header stores these as u32s, so a larger value fails
+    validation instead of the write after generating every record."""
+    small_spec(**{field: 2**32 - 1}).validate()
+    with pytest.raises(ValueError, match=field):
+        small_spec(**{field: 2**32}).validate()
+
+
 def test_record_validate_rejects_malformed():
     good = FeatureRecord(id="a", label=0, appearance=np.zeros((3, 2)),
                          flow_target=np.zeros((3, 2)))

@@ -1154,23 +1154,49 @@ def test_lstm_cell_gradients_match_finite_differences(outputs):
 
 
 # Which outputs of each direction a loss reads: its hidden states ("h"), the
-# LSTM's last cell state ("c"), both, or neither ("").
-_DIRECTION_LOSSES = {"vanilla-rnn": [("h", "h"), ("h", "")],
-                     "gru": [("h", "h"), ("", "h")],
-                     "lstm": [("hc", "hc"), ("h", "h"), ("c", "hc"), ("h", "c"), ("", "c")]}
+# LSTM's last cell state ("c"), both, or neither ("").  A read shared by
+# every direction, and pairs of reads that differ between directions.
+_SHARED_READS = {"vanilla-rnn": ["h"], "gru": ["h"], "lstm": ["hc", "h", "c"]}
+_MIXED_READS = {"vanilla-rnn": [("h", ""), ("", "h")], "gru": [("h", ""), ("", "h")],
+                "lstm": [("h", ""), ("", "h"), ("c", "hc"), ("h", "c"), ("", "c")]}
+
+
+def _direction_inputs(rng, cell, flags, t_len):
+    """Per direction, random ``recurrent`` operands of ``t_len`` steps of
+    (3, 4) rows, and a weight for its hidden states in the loss."""
+    per_dir = [_recurrent_args(cell, _recurrent_inputs(rng, cell, 3, 4, t_len)) for _ in flags]
+    weights = [Tensor(rng.normal(size=(t_len * 3, 4))) for _ in flags]
+    return per_dir, weights
+
+
+def _joint_outputs(cell, per_dir, flags):
+    """Each direction's outputs of one ``recurrent`` node over all of them."""
+    n_states = CELLS[cell][1]
+    outs = recurrent(cell, *([t for args in per_dir for t in args[part]] for part in range(3)),
+                     flags)
+    return [outs[k * n_states:(k + 1) * n_states] for k in range(len(flags))]
+
+
+def _read_loss(outs, reads, weights):
+    """A loss reading direction k's outputs as ``reads[k]`` says."""
+    loss = Tensor(0.0)
+    for out, read, w in zip(outs, reads, weights):
+        if "h" in read:
+            loss = add(loss, tsum(mul(out[0], w)))
+        if "c" in read:
+            loss = add(loss, tsum(mul(out[1], out[1])))
+    return loss
 
 
 @pytest.mark.parametrize("flags", [(False, True), (True, False), (False, True, True)])
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_recurrent_directions_equal_one_node_per_direction_bit_for_bit(cell, flags):
     """A node over several directions returns, and passes back, exactly
-    what one node per direction does, a direction whose outputs the loss
-    does not read included: its inputs get no gradient at all."""
+    what one node per direction does when the loss reads every direction
+    alike."""
     rng = np.random.default_rng(131)
-    gates, n_states = CELLS[cell]
-    n = 3
-    for t_len, reads in itertools.product((1, 4), _DIRECTION_LOSSES[cell]):
-        per_dir = [_recurrent_args(cell, _recurrent_inputs(rng, cell, n, 4, t_len)) for _ in flags]
+    for t_len, read in itertools.product((1, 4), _SHARED_READS[cell]):
+        per_dir, weights = _direction_inputs(rng, cell, flags, t_len)
         inputs = [t for part in range(3) for args in per_dir for t in args[part]]
         for t in inputs:
             _read_only(t.data)
@@ -1179,33 +1205,40 @@ def test_recurrent_directions_equal_one_node_per_direction_bit_for_bit(cell, fla
         for args in per_dir if t_len == 1 else per_dir[:1]:
             for t in args[1]:
                 t.requires_grad = False
-        weights = [Tensor(rng.normal(size=(t_len * n, 4))) for _ in flags]
-        reads = (reads * len(flags))[:len(flags)]
         runs = []
         for joint in (True, False):
             for t in inputs:
                 t.zero_grad()
             with Tape() as tape:
                 if joint:
-                    outs = recurrent(cell, *([t for args in per_dir for t in args[part]]
-                                             for part in range(3)), flags)
-                    outs = [outs[k * n_states:(k + 1) * n_states] for k in range(len(flags))]
+                    outs = _joint_outputs(cell, per_dir, flags)
                 else:
                     outs = [recurrent(cell, *args, rev) for args, rev in zip(per_dir, flags)]
                     outs = [out if isinstance(out, tuple) else (out,) for out in outs]
-                loss = Tensor(0.0)
-                for out, read, w in zip(outs, reads, weights):
-                    if "h" in read:
-                        loss = add(loss, tsum(mul(out[0], w)))
-                    if "c" in read:
-                        loss = add(loss, tsum(mul(out[1], out[1])))
+                loss = _read_loss(outs, [read] * len(flags), weights)
             tape.backward(loss)
             runs.append([t.data for out in outs for t in out] + [t.grad for t in inputs])
         for got, expected in zip(*runs, strict=True):
             if expected is None:
-                assert got is None, reads
+                assert got is None, read
             else:
                 assert_same_bits(got, expected)
+
+
+@pytest.mark.parametrize("flags", [(False, True), (True, False), (False, True, True)])
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_recurrent_directions_read_unlike_each_other_raise(cell, flags):
+    """A loss that reads the directions of one node unlike each other gets
+    a ``GradientError`` from the backward pass rather than a gradient
+    silently dropped; such a loss records one node per direction."""
+    rng = np.random.default_rng(137)
+    for t_len, reads in itertools.product((1, 4), _MIXED_READS[cell]):
+        per_dir, weights = _direction_inputs(rng, cell, flags, t_len)
+        with Tape() as tape:
+            outs = _joint_outputs(cell, per_dir, flags)
+            loss = _read_loss(outs, (reads * len(flags))[:len(flags)], weights)
+        with pytest.raises(GradientError, match="one node per direction"):
+            tape.backward(loss)
 
 
 def test_recurrent_rejects_malformed_operands():

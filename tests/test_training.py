@@ -118,12 +118,15 @@ def test_list_form_loss_matches_matrix_form():
     pred = rng.normal(size=(t_len * n, d))
     tgt = rng.normal(size=(t_len * n, d))
     steps = [Tensor(pred[t * n:(t + 1) * n].copy(), requires_grad=True) for t in range(t_len)]
-    listed, _ = _loss_with_grad(steps, [Tensor(tgt[t * n:(t + 1) * n]) for t in range(t_len)])
+    listed, listed_nodes = _loss_with_grad(
+        steps, [Tensor(tgt[t * n:(t + 1) * n]) for t in range(t_len)])
     whole = Tensor(pred.copy(), requires_grad=True)
-    joined, _ = _loss_with_grad(whole, Tensor(tgt))
+    joined, joined_nodes = _loss_with_grad(whole, Tensor(tgt))
     joined_grad = np.concatenate([s.grad for s in steps])
     assert np.array_equal(joined_grad.view(np.int64), whole.grad.view(np.int64))
-    assert math.isclose(listed, joined, rel_tol=1e-12)
+    assert listed == joined
+    # Each list, the constant targets' too, is joined by one concat node.
+    assert listed_nodes == joined_nodes + 2
 
 
 def test_list_form_loss_tape_size_does_not_depend_on_length():
@@ -155,6 +158,9 @@ def test_loss_contract_errors():
                            LossConfig(alpha=0.0))
     with pytest.raises(ValueError, match="lengths differ"):
         hallucination_loss([a, a], [a], None, None, LossConfig(alpha=0.0))
+    ragged = [a, Tensor(np.zeros((2, 2)))]
+    with pytest.raises(ShapeError, match="all of one shape"):
+        hallucination_loss(ragged, ragged, None, None, LossConfig(alpha=0.0))
     with pytest.raises(ValueError, match="probability"):
         hallucination_loss(a, a, Tensor(np.array([[0.7, 0.7]])),
                            Tensor(np.array([[0.5, 0.5]])),
