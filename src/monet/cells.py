@@ -25,8 +25,8 @@ import numpy as np
 from .binio import (U32_MAX, FormatError, check_magic, check_version, read_array,
                     read_str, read_u32, require, write_array, write_str,
                     write_u32)
-from .tensor import (_CELLS, ShapeError, Tensor, _monet_pass, add, add_rowvec, concat,
-                     matmul, monet_pass, recurrent, relu, shift_rows)
+from .tensor import (_CELLS, ShapeError, Tensor, _monet_pass, affine, concat, monet_pass,
+                     recurrent, relu, shift_rows)
 
 FAMILIES = ("vanilla-rnn", "gru", "lstm", "bi-gru", "bi-lstm", "conv1d", "monet")
 
@@ -318,7 +318,7 @@ def _field_names(cls, prefix: str) -> tuple[str, ...]:
 def _project(X: Tensor, p) -> list[Tensor]:
     """The input projection ``X @ W + b`` of each gate of a cell, in the
     order its fields list them.  MoNet's gates are named as the GRU's."""
-    return [add_rowvec(matmul(X, W), b) for W, b in zip(_fields(p, "W"), _fields(p, "b"))]
+    return [affine(((X, W),), b) for W, b in zip(_fields(p, "W"), _fields(p, "b"))]
 
 
 def monet_unit(x: Tensor, s_left: Tensor, s_right: Tensor, p: MoNetParams) -> MoNetTrace:
@@ -345,7 +345,7 @@ def monet_unit(x: Tensor, s_left: Tensor, s_right: Tensor, p: MoNetParams) -> Mo
 # previous pass's (or stage's) outputs, so they run each pass over every
 # position at once, and a shift by N rows is a shift by one time step that
 # never crosses sequences.  The recurrent runners project every step's input
-# in one matmul per gate and run each layer's state side as one
+# in one ``affine`` node per gate and run each layer's state side as one
 # ``recurrent`` node.
 
 def _time_major(xs: list[Tensor]) -> tuple[Tensor, int]:
@@ -393,21 +393,19 @@ def bidir_steps(X: Tensor, n: int, p: BidirParams, family: str) -> Tensor:
     (T*n, d) matrix, merged by summing the two projected states."""
     fwd, bwd = _scan_stacks([X, X], n, [p.fwd, p.bwd], family.removeprefix("bi-"),
                             (False, True))
-    return add_rowvec(add(matmul(fwd, p.proj_fwd), matmul(bwd, p.proj_bwd)), p.b_out)
+    return affine(((fwd, p.proj_fwd), (bwd, p.proj_bwd)), p.b_out)
 
 
 def _conv1d_rows(X: Tensor, n: int, p: Conv1dParams, causal_only: bool) -> Tensor:
     """Stacked temporal convolutions over a time-major (T*n, d) matrix: tap
     j of a stage reads the input shifted by (pad - j) steps, so positions
-    outside the sequence read zeros."""
+    outside the sequence read zeros.  A stage is its taps' ``shift_rows``
+    nodes, then one ``affine`` node."""
     for idx, stage in enumerate(p.stages):
         k = len(stage.taps)
         pad = k - 1 if causal_only else (k - 1) // 2
-        acc = None
-        for j, tap in enumerate(stage.taps):
-            term = matmul(shift_rows(X, (pad - j) * n), tap)
-            acc = term if acc is None else add(acc, term)
-        X = add_rowvec(acc, stage.bias)
+        X = affine([(shift_rows(X, (pad - j) * n), tap) for j, tap in enumerate(stage.taps)],
+                   stage.bias)
         if idx + 1 < len(p.stages):
             X = relu(X)
     return X
@@ -461,7 +459,7 @@ class Hallucinator:
         else:
             out = stacked_steps(X, n, self.params, c.family)
         if self.readout is not None:
-            out = add_rowvec(matmul(out, self.readout.W), self.readout.b)
+            out = affine(((out, self.readout.W),), self.readout.b)
         return out
 
     def forward_steps(self, xs: list[Tensor]) -> Tensor:

@@ -12,8 +12,8 @@ import dataclasses
 
 import numpy as np
 
-from .tensor import (Tensor, _softmax_stable as _np_softmax, add_rowvec,
-                     matmul, scale, softmax, sum_row_blocks)
+from .tensor import (Tensor, _softmax_stable as _np_softmax, affine, scale, softmax,
+                     sum_row_blocks)
 
 PROB_SUM_TOL = 1e-9
 
@@ -109,7 +109,7 @@ def class_probabilities_steps(rows: Tensor, clf: LinearClassifier, n: int) -> Te
     time, summed first step to last.  Classifier weights enter as constants,
     so backward reaches the features only."""
     pooled = scale(sum_row_blocks(rows, n), 1.0 / (rows.shape[0] // n))
-    logits = add_rowvec(matmul(pooled, Tensor(clf.W.T.copy())), Tensor(clf.b.copy()))
+    logits = affine(((pooled, Tensor(clf.W.T.copy())),), Tensor(clf.b.copy()))
     return softmax(logits)
 
 

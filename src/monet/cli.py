@@ -298,10 +298,11 @@ def cmd_eval(args) -> int:
     if appearance_clf is not None and appearance_clf.feature_dim != model.config.d_x:
         raise PipelineError(f"appearance classifier reads {appearance_clf.feature_dim} "
                             f"features but data has d_x={model.config.d_x}")
-    if teacher is not None and appearance_clf is not None \
-            and teacher.n_classes != appearance_clf.n_classes:
-        raise PipelineError(f"teacher has {teacher.n_classes} classes but the appearance "
-                            f"classifier has {appearance_clf.n_classes}")
+    n_classes = read_dataset_header(args.data)["n_classes"]
+    for name, clf in (("teacher", teacher), ("appearance classifier", appearance_clf)):
+        if clf is not None and clf.n_classes != n_classes:
+            raise PipelineError(f"{name} has {clf.n_classes} classes but the data has "
+                                f"{n_classes}")
     result = evaluate(model, records, teacher)
     if not np.isfinite(result.hallucinated).all():
         raise PipelineError("the hallucinated features are not finite: the checkpoint's "

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import warnings
 
 import numpy as np
@@ -73,8 +74,8 @@ class SyntheticTaskSpec:
         for name in ("n_classes", "seq_len", "d_x", "d_s", "n_train", "n_val"):
             if getattr(self, name) > U32_MAX:
                 raise ValueError(f"{name} must be <= {U32_MAX}, got {getattr(self, name)}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.context_radius != 1:

@@ -8,8 +8,8 @@ bit-identical) and lets ``jacobian`` extract exact structural sparsity:
 a coordinate never touched by the reverse sweep stays exactly 0.0.
 
 There is no broadcasting: binary operations demand equal shapes, and the one
-matrix-plus-row-vector case that batched cells need is its own explicit
-operation (``add_rowvec``).
+matrix-plus-row-vector case that batched cells need, a bias, is added inside
+the one affine-map operation (``affine``).
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class Tensor:
         return scale(self, -1.0)
 
     def __matmul__(self, other):
-        return matmul(self, other)
+        return affine(((self, other),))
 
 
 class TapeNode:
@@ -216,24 +216,28 @@ def scale(a: Tensor, c: float) -> Tensor:
     return out
 
 
-def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
-    """Add a length-D vector to every row of an (N, D) matrix."""
-    md, vd = m.data, v.data
-    if md.ndim != 2 or vd.ndim != 1 or md.shape[1] != vd.shape[0]:
-        raise ShapeError(f"add_rowvec: need (N, D) and (D,), got {md.shape} and {vd.shape}")
-    out = _out(md + vd, (m, v))
-    _record("add_rowvec", (m, v), (out,))
-    return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2:
-        raise ShapeError(f"matmul: both operands must be 2-D, got {ad.shape} and {bd.shape}")
-    if ad.shape[1] != bd.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree, got {ad.shape} and {bd.shape}")
-    out = _out(ad @ bd, (a, b))
-    _record("matmul", (a, b), (out,))
+def affine(terms: Sequence[tuple[Tensor, Tensor]], b: Tensor | None = None) -> Tensor:
+    """``X_1 @ W_1 + X_2 @ W_2 + ... + b`` as one tape node: (N, K_i) @
+    (K_i, D) products summed first to last into the first one, then the
+    (D,) row vector ``b``, if given, added to every row."""
+    data, inputs = None, ()
+    for X, W in terms:
+        xd, wd = X.data, W.data
+        if (xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]
+                or data is not None and (xd.shape[0], wd.shape[1]) != data.shape):
+            raise ShapeError(f"affine: need (N, K) @ (K, D) pairs of one (N, D), got "
+                             f"{[(X.shape, W.shape) for X, W in terms]}")
+        data = xd @ wd if data is None else np.add(data, xd @ wd, out=data)
+        inputs += (X, W)
+    if data is None:
+        raise ShapeError("affine: need at least one (X, W) pair")
+    if b is not None:
+        if b.data.shape != data.shape[1:]:
+            raise ShapeError(f"affine: the bias must be {data.shape[1:]}, got {b.data.shape}")
+        data += b.data
+        inputs += (b,)
+    out = _out(data, inputs)
+    _record("affine", inputs, (out,))
     return out
 
 
@@ -695,16 +699,15 @@ def _bw_scale(node, gs):
     return (g * c,)
 
 
-def _bw_add_rowvec(node, gs):
+def _bw_affine(node, gs):
     (g,) = gs
-    return g, (g.sum(axis=0) if node.inputs[1].requires_grad else None)
-
-
-def _bw_matmul(node, gs):
-    (g,) = gs
-    a, b = node.inputs
-    return (g @ b.data.T if a.requires_grad else None,
-            a.data.T @ g if b.requires_grad else None)
+    inputs, grads = node.inputs, []
+    for X, W in zip(inputs[::2], inputs[1::2]):
+        grads += (g @ W.data.T if X.requires_grad else None,
+                  X.data.T @ g if W.requires_grad else None)
+    if len(inputs) % 2:
+        grads.append(g.sum(axis=0) if inputs[-1].requires_grad else None)
+    return grads
 
 
 def _bw_relu(node, gs):
@@ -856,8 +859,7 @@ BACKWARD_RULES: dict[str, Callable] = {
     "sub": _bw_sub,
     "mul": _bw_mul,
     "scale": _bw_scale,
-    "add_rowvec": _bw_add_rowvec,
-    "matmul": _bw_matmul,
+    "affine": _bw_affine,
     "relu": _bw_relu,
     "abs": _bw_abs,
     "sum": _bw_sum,

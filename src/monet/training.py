@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 
@@ -35,8 +36,8 @@ class LossConfig:
     classifier: LinearClassifier | None = None
 
     def validate(self) -> None:
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.alpha > 0 and self.classifier is None:
             raise ValueError("alpha > 0 requires a frozen teacher classifier")
 
@@ -54,16 +55,16 @@ class TrainConfig:
     patience: int = 5
 
     def validate(self) -> None:
-        if self.lr < 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if not 0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if not 0 < self.decay_factor <= 1:
             raise ValueError(f"decay_factor must be in (0, 1], got {self.decay_factor}")
         if self.decay_every < 1 or self.batch_size < 1:
             raise ValueError("decay_every and batch_size must be >= 1")
         if self.max_epochs < 0:
             raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
-        if self.clip_norm <= 0:
-            raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
+        if not 0 < self.clip_norm < math.inf:
+            raise ValueError(f"clip_norm must be finite and > 0, got {self.clip_norm}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"optimizer must be sgd or adam, got {self.optimizer!r}")
         if self.patience < 1:

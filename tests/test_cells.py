@@ -15,9 +15,8 @@ from monet.cells import (FAMILIES, BidirParams, CellConfig, Conv1dParams,
                          init_cell, init_conv1d, init_monet, lstm_step,
                          MAX_LAYERS, match_params, monet_forward, monet_unit,
                          vanilla_step)
-from monet.tensor import (ShapeError, Tape, Tensor, add, add_rowvec, concat,
-                          finite_diff_grad, jacobian, matmul, mul, recurrent,
-                          relative_error, tsum)
+from monet.tensor import (ShapeError, Tape, Tensor, affine, concat, finite_diff_grad,
+                          jacobian, mul, recurrent, relative_error, tsum)
 
 
 def zero_gru(d_x, d_s):
@@ -401,8 +400,8 @@ def _recurrent_loop(xs, config, params):
     base = config.family.removeprefix("bi-")
     fwd = _step_loop(xs, params.fwd, base)
     bwd = _step_loop(xs[::-1], params.bwd, base)[::-1]
-    return concat([add_rowvec(add(matmul(f, params.proj_fwd), matmul(b, params.proj_bwd)),
-                              params.b_out) for f, b in zip(fwd, bwd)])
+    return concat([affine([(f, params.proj_fwd), (b, params.proj_bwd)], params.b_out)
+                   for f, b in zip(fwd, bwd)])
 
 
 @pytest.mark.parametrize("t_len", [1, 4, 20])
@@ -429,7 +428,7 @@ def test_recurrent_runners_match_per_step_loop(family, t_len):
 
 
 @pytest.mark.parametrize("family", _RECURRENT)
-def test_recurrent_input_matrices_enter_one_matmul_each(family):
+def test_recurrent_input_matrices_enter_one_affine_node_each(family):
     config = CellConfig(family=family, d_x=3, d_s=4, layers=2)
     model = Hallucinator.build(config, np.random.default_rng(21))
     layers = model.params.fwd + model.params.bwd if family.startswith("bi-") else model.params
@@ -442,7 +441,7 @@ def test_recurrent_input_matrices_enter_one_matmul_each(family):
             model.forward_steps(xs)
         for W in inputs:
             uses = [node for node in tape.nodes if any(t is W for t in node.inputs)]
-            assert [node.op for node in uses] == ["matmul"], (t_len, W.shape)
+            assert [node.op for node in uses] == ["affine"], (t_len, W.shape)
 
 
 @pytest.mark.parametrize("out_dim", [None, 5])
@@ -492,9 +491,8 @@ def test_bidir_zero_backward_params_equals_forward_branch():
     out = Hallucinator(CellConfig(family="bi-gru", d_x=3, d_s=4), p).forward(X)
 
     from monet.cells import stacked_steps
-    from monet.tensor import add_rowvec
     fwd = stacked_steps(X, 1, p.fwd, "gru")  # one sequence: already time-major
-    expected = add_rowvec(matmul(fwd, p.proj_fwd), p.b_out).data
+    expected = affine([(fwd, p.proj_fwd)], p.b_out).data
     np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-15)
 
 
@@ -519,14 +517,14 @@ def _two_scans(X, n, p, family):
         H = X
         for q in stack:
             names = [f.name for f in dataclasses.fields(q)]
-            pres = [add_rowvec(matmul(H, getattr(q, w)), getattr(q, "b" + w[1:]))
+            pres = [affine([(H, getattr(q, w))], getattr(q, "b" + w[1:]))
                     for w in names if w[0] == "W"]
             zero = Tensor(np.zeros((n, p.b_out.shape[0])))
             H = recurrent(base, pres, [zero] * (2 if base == "lstm" else 1),
                           [getattr(q, u) for u in names if u[0] == "U"], reverse)
             H = H[0] if base == "lstm" else H
         tops.append(H)
-    return add_rowvec(add(matmul(tops[0], p.proj_fwd), matmul(tops[1], p.proj_bwd)), p.b_out)
+    return affine([(tops[0], p.proj_fwd), (tops[1], p.proj_bwd)], p.b_out)
 
 
 @pytest.mark.parametrize("d_s", [1, 4, 19])

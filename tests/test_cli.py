@@ -413,11 +413,11 @@ def test_eval_of_overflowing_checkpoint_is_runtime_failure(trained_dir, capsys, 
     assert not csv_path.exists()
 
 
-def _eval_with(run_dir, capsys, teacher=None, appearance=None):
+def _eval_with(run_dir, capsys, teacher=None, appearance=None, extra=()):
     return run(capsys, "eval", "--checkpoint", str(run_dir / "checkpoint.monw"),
                "--data", str(run_dir / "val.mofe"),
                "--teacher", teacher or str(run_dir / "teacher.json"),
-               "--appearance", appearance or str(run_dir / "appearance.json"))
+               "--appearance", appearance or str(run_dir / "appearance.json"), *extra)
 
 
 @pytest.mark.parametrize("payload", [
@@ -448,11 +448,19 @@ def test_eval_appearance_dim_mismatch_is_runtime_failure(trained_dir, capsys, tm
     assert err.startswith("failed: appearance classifier reads 4 features")
 
 
-def test_eval_class_count_mismatch_is_runtime_failure(trained_dir, capsys, tmp_path):
-    app = write_json(tmp_path / "a.json", {"W": np.zeros((2, 6)).tolist(), "b": [0.0] * 2})
-    code, out, err = _eval_with(trained_dir / "run", capsys, appearance=app)
+@pytest.mark.parametrize("cut", ["teacher", "appearance"])
+def test_eval_class_count_mismatch_is_runtime_failure(trained_dir, capsys, tmp_path, cut):
+    """A classifier cut to 2 of the dataset's 3 classes fails before any
+    CSV is written, whichever stream it scores."""
+    run_dir = trained_dir / "run"
+    clf = json.loads((run_dir / f"{cut}.json").read_text())
+    path = write_json(tmp_path / "cut.json", {"W": clf["W"][:2], "b": clf["b"][:2]})
+    csv_path = tmp_path / "fused.csv"
+    code, out, err = _eval_with(run_dir, capsys, extra=("--csv", str(csv_path)), **{cut: path})
+    name = "teacher" if cut == "teacher" else "appearance classifier"
     assert code == 1 and out == ""
-    assert err.startswith("failed: teacher has 3 classes but the appearance classifier has 2")
+    assert err.startswith(f"failed: {name} has 2 classes but the data has 3")
+    assert not csv_path.exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "hallucinate"])

@@ -7,6 +7,8 @@ pass or an inference request does; it updates the number here and says why.
 
 import dataclasses
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -49,21 +51,23 @@ def _nodes_of_one_training_step(monkeypatch, config, alpha):
     return [len(tape.nodes) for tape, _ in backward]
 
 
-@pytest.mark.parametrize("matched_gru,alpha,nodes", [(False, 10.0, 22), (True, 0.0, 14)])
+@pytest.mark.parametrize("matched_gru,alpha,nodes", [(False, 10.0, 18), (True, 0.0, 10)])
 def test_tape_nodes_of_one_training_step(monkeypatch, matched_gru, alpha, nodes):
     """monet L3 with the teacher term, and the parameter-matched GRU
-    without it."""
+    without it.  Each input projection, and the GRU's readout, is one
+    ``affine`` node."""
     config = match_params(MONET_L3, "gru").config if matched_gru else MONET_L3
     assert _nodes_of_one_training_step(monkeypatch, config, alpha) == [nodes]
 
 
-@pytest.mark.parametrize("family,layers,nodes", [("bi-gru", 1, 22), ("bi-gru", 2, 35),
-                                                 ("bi-lstm", 1, 26), ("bi-lstm", 2, 43)])
+@pytest.mark.parametrize("family,layers,nodes", [("bi-gru", 1, 13), ("bi-gru", 2, 20),
+                                                 ("bi-lstm", 1, 15), ("bi-lstm", 2, 24)])
 def test_tape_nodes_of_one_bidirectional_training_step(monkeypatch, family, layers, nodes):
     """bi-gru and bi-lstm without the teacher term: per layer, both
-    directions' gate projections (a matmul and a bias add each, three gates
-    for the GRU, four for the LSTM) and one two-direction ``recurrent``
-    node, then the two output projections, their sum and the bias."""
+    directions' gate projections (one ``affine`` node each, three gates for
+    the GRU, four for the LSTM) and one two-direction ``recurrent`` node,
+    then one ``affine`` node that sums the two output projections and adds
+    the bias."""
     config = CellConfig(family=family, d_x=16, d_s=16, layers=layers)
     assert _nodes_of_one_training_step(monkeypatch, config, 0.0) == [nodes]
 
@@ -72,7 +76,7 @@ def test_tape_nodes_of_one_causal_monet_training_step(monkeypatch):
     """All expansion passes are one node whether or not a pass reads the
     later neighbour, so causal monet L3 records as many nodes as monet L3."""
     config = dataclasses.replace(MONET_L3, causal_only=True)
-    assert _nodes_of_one_training_step(monkeypatch, config, 10.0) == [22]
+    assert _nodes_of_one_training_step(monkeypatch, config, 10.0) == [18]
 
 
 def test_every_backward_rule_has_a_caller(monkeypatch):
@@ -90,6 +94,15 @@ def test_every_backward_rule_has_a_caller(monkeypatch):
               LossConfig(alpha=10.0, classifier=clf))
     assert len(backward) == len(FAMILIES)
     assert {node.op for tape, _ in backward for node in tape.nodes} == set(BACKWARD_RULES)
+
+
+def test_readme_names_every_backward_rule():
+    """The README's ``monet.tensor`` row gives the number of ops and names
+    each one that has a backward rule."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    [row] = [line for line in readme.splitlines() if line.startswith("| `monet.tensor` |")]
+    assert re.search(r"\bthe (\d+) ops\b", row).group(1) == str(len(BACKWARD_RULES))
+    assert [op for op in BACKWARD_RULES if not re.search(rf"\b{op}\b", row)] == []
 
 
 def test_forward_calls_of_one_gradient_check_suite_pass(monkeypatch):

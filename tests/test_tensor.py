@@ -9,8 +9,8 @@ import pytest
 
 from monet import tensor
 from monet.tensor import (BACKWARD_RULES, GradientError, ShapeError, Tape,
-                          Tensor, _monet_pass, _shifted, _sigmoid_stable, abs_, add, add_rowvec,
-                          concat, finite_diff_grad, jacobian, matmul, monet_pass, mul,
+                          Tensor, _monet_pass, _shifted, _sigmoid_stable, abs_, add, affine,
+                          concat, finite_diff_grad, jacobian, monet_pass, mul,
                           pause_recording, recurrent, relative_error, relu, scale, shift_rows,
                           softmax, sub, sum_row_blocks, tsum)
 
@@ -18,13 +18,21 @@ from monet.tensor import (BACKWARD_RULES, GradientError, ShapeError, Tape,
 def test_matmul_identity():
     eye = Tensor([[1.0, 0.0], [0.0, 1.0]])
     v = Tensor([[3.0], [4.0]])
-    np.testing.assert_array_equal(matmul(eye, v).data, [[3.0], [4.0]])
+    np.testing.assert_array_equal((eye @ v).data, [[3.0], [4.0]])
 
 
 def test_matmul_hand_computed():
     a = Tensor([[1.0, 2.0]])
     b = Tensor([[3.0], [4.0]])
-    np.testing.assert_array_equal(matmul(a, b).data, [[11.0]])
+    np.testing.assert_array_equal((a @ b).data, [[11.0]])
+
+
+def test_matmul_operator_is_one_affine_node_without_bias():
+    a, b = Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]])
+    with Tape() as tape:
+        a @ b
+    [node] = tape.nodes
+    assert node.op == "affine" and node.inputs == (a, b)
 
 
 def test_matmul_backward_matches_finite_differences():
@@ -32,18 +40,18 @@ def test_matmul_backward_matches_finite_differences():
     a = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
     b = Tensor(rng.uniform(-2, 2, (4, 2)), requires_grad=True)
     with Tape() as tape:
-        loss = tsum(matmul(a, b))
+        loss = tsum(a @ b)
     tape.backward(loss)
 
-    fd_a = finite_diff_grad(lambda t: tsum(matmul(t, b)), a)
-    fd_b = finite_diff_grad(lambda t: tsum(matmul(a, t)), b)
+    fd_a = finite_diff_grad(lambda t: tsum(t @ b), a)
+    fd_b = finite_diff_grad(lambda t: tsum(a @ t), b)
     assert relative_error(a.grad, fd_a) < 1e-6
     assert relative_error(b.grad, fd_b) < 1e-6
 
 
 def test_matmul_shape_mismatch_names_both_shapes():
     with pytest.raises(ShapeError) as exc:
-        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+        Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((2, 3)))
     assert "(2, 3)" in str(exc.value)
 
 
@@ -303,7 +311,7 @@ def test_backward_composed_graph_matches_finite_differences():
     w = Tensor(rng.uniform(-2, 2, (4, 3)), requires_grad=True)
 
     def f(t):
-        h = softmax(matmul(Tensor(rng_x), t))
+        h = softmax(Tensor(rng_x) @ t)
         g = recurrent("vanilla-rnn", [add(h, relu(h))], [Tensor(np.zeros((1, 3)))], [u])
         return tsum(mul(g, g))
 
@@ -439,7 +447,7 @@ def test_backward_is_deterministic():
         rng = np.random.default_rng(23)
         x = Tensor(rng.uniform(-2, 2, (3, 3)), requires_grad=True)
         with Tape() as tape:
-            y = matmul(softmax(x), recurrent("vanilla-rnn", [x], [Tensor(np.zeros((1, 3)))], [x]))
+            y = softmax(x) @ recurrent("vanilla-rnn", [x], [Tensor(np.zeros((1, 3)))], [x])
             loss = tsum(mul(y, y))
         tape.backward(loss)
         return x.grad
@@ -487,7 +495,7 @@ def test_tape_is_topologically_ordered():
     rng = np.random.default_rng(31)
     x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     with Tape() as tape:
-        y = matmul(relu(x), softmax(x))
+        y = relu(x) @ softmax(x)
         tsum(add(y, shift_rows(y, 1)))
     all_outputs = {o for n in tape.nodes for o in n.outputs}
     produced = set()
@@ -573,6 +581,12 @@ def _recurrent_case(cell):
              for t_len in (1, 3)])
 
 
+def _affine_case(*ts):
+    """``affine`` over operands given as X, W pairs and, if odd in number,
+    a bias last."""
+    return affine(list(zip(ts[::2], ts[1::2])), ts[-1] if len(ts) % 2 else None)
+
+
 # Every recorded op with operand shapes it accepts; the elementwise ones
 # also on 0-d operands, where numpy computes a scalar rather than an array.
 OP_CASES = {
@@ -580,8 +594,8 @@ OP_CASES = {
     "sub": (sub, [[(2, 3), (2, 3)], [(), ()]]),
     "mul": (mul, [[(2, 3), (2, 3)], [(), ()]]),
     "scale": (lambda a: scale(a, -0.5), [[(2, 3)], [()]]),
-    "add_rowvec": (add_rowvec, [[(2, 3), (3,)]]),
-    "matmul": (matmul, [[(2, 3), (3, 4)]]),
+    "affine": (_affine_case, [[(2, 3), (3, 4)], [(2, 3), (3, 4), (4,)],
+                              [(2, 3), (3, 4), (2, 5), (5, 4), (2, 1), (1, 4), (4,)]]),
     "relu": (relu, [[(2, 3)], [()]]),
     "abs": (abs_, [[(2, 3)], [()]]),
     "sum": (tsum, [[(2, 3)], [()]]),
@@ -680,16 +694,87 @@ def test_kernels_write_only_into_buffers_they_allocated(case):
                 assert np.array_equal(t.data, data)
 
 
-def test_add_rowvec_value_and_gradient():
+def test_affine_adds_the_bias_to_every_row():
     m = Tensor(np.zeros((2, 3)), requires_grad=True)
     v = Tensor([1.0, 2.0, 3.0], requires_grad=True)
     with Tape() as tape:
-        loss = tsum(add_rowvec(m, v))
+        y = affine([(m, Tensor(np.eye(3)))], v)
+        loss = tsum(y)
     tape.backward(loss)
+    np.testing.assert_array_equal(y.data, [[1.0, 2.0, 3.0]] * 2)
     np.testing.assert_array_equal(m.grad, np.ones((2, 3)))
     np.testing.assert_array_equal(v.grad, [2.0, 2.0, 2.0])
-    with pytest.raises(ShapeError):
-        add_rowvec(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
+
+
+def _affine_operands(rng, n=3, d=4, ks=(2, 5, 1)):
+    pairs = [(Tensor(rng.uniform(-2, 2, (n, k)), requires_grad=True),
+              Tensor(rng.uniform(-2, 2, (k, d)), requires_grad=True)) for k in ks]
+    return pairs, Tensor(rng.uniform(-2, 2, d), requires_grad=True)
+
+
+def test_affine_gradients_match_finite_differences():
+    rng = np.random.default_rng(59)
+    pairs, b = _affine_operands(rng)
+    leaves = [t for pair in pairs for t in pair] + [b]
+    weights = Tensor(rng.uniform(-1, 1, (3, 4)))
+
+    def loss_of(i):
+        def f(t):
+            ts = leaves[:i] + [t] + leaves[i + 1:]
+            return tsum(mul(_affine_case(*ts), weights))
+        return f
+
+    with Tape() as tape:
+        loss = loss_of(0)(leaves[0])
+    tape.backward(loss)
+    for i, leaf in enumerate(leaves):
+        assert relative_error(leaf.grad, finite_diff_grad(loss_of(i), leaf)) < 1e-6, i
+
+
+def test_affine_is_the_numpy_chain_bit_for_bit():
+    """The value sums the products first to last, then adds the bias; the
+    rule returns ``g @ W.T`` and ``X.T @ g`` per pair and ``g.sum(axis=0)``
+    for the bias, each on the same upstream gradient."""
+    rng = np.random.default_rng(61)
+    pairs, b = _affine_operands(rng)
+    (x1, w1), (x2, w2), (x3, w3) = pairs
+    with Tape() as tape:
+        y = affine(pairs, b)
+    value = ((x1.data @ w1.data + x2.data @ w2.data) + x3.data @ w3.data) + b.data
+    assert y.data.tobytes() == value.tobytes()
+    g = rng.uniform(-1, 1, (3, 4))
+    grads = BACKWARD_RULES["affine"](tape.nodes[0], (g,))
+    expected = [e for x, w in pairs for e in (g @ w.data.T, x.data.T @ g)] + [g.sum(axis=0)]
+    assert len(grads) == len(expected) == 7
+    for got, want in zip(grads, expected):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_affine_returns_no_gradient_for_a_constant():
+    x, b = Tensor(np.ones((2, 3))), Tensor(np.ones(2))
+    w = Tensor(np.ones((3, 2)), requires_grad=True)
+    with Tape() as tape:
+        affine([(x, w)], b)
+    dx, dw, db = BACKWARD_RULES["affine"](tape.nodes[0], (np.ones((2, 2)),))
+    assert dx is None and db is None
+    np.testing.assert_array_equal(dw, np.full((3, 2), 2.0))
+
+
+@pytest.mark.parametrize("pairs,bias", [
+    ([], None),
+    ([((3,), (3, 4))], None),
+    ([((2, 3), (3,))], None),
+    ([((2, 3), (2, 4))], None),
+    ([((2, 3), (3, 4)), ((3, 3), (3, 4))], None),
+    ([((2, 3), (3, 4)), ((2, 3), (3, 5))], None),
+    ([((2, 3), (3, 4))], (3,)),
+    ([((2, 3), (3, 4))], (1, 4)),
+], ids=["no-pairs", "1-d-x", "1-d-w", "inner-dims", "rows-differ", "cols-differ",
+        "bias-length", "2-d-bias"])
+def test_affine_rejects_bad_shapes(pairs, bias):
+    with pytest.raises(ShapeError, match="affine"):
+        affine([(Tensor(np.zeros(a)), Tensor(np.zeros(b))) for a, b in pairs],
+               None if bias is None else Tensor(np.zeros(bias)))
 
 
 def test_small_op_gradients_match_finite_differences():

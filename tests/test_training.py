@@ -240,6 +240,22 @@ def test_train_config_rejects_bad_values():
             TrainConfig(**bad).validate()
 
 
+@pytest.mark.parametrize("field,build", [
+    ("alpha", lambda v: LossConfig(alpha=v, classifier="frozen")),
+    ("lr", lambda v: TrainConfig(lr=v)),
+    ("clip_norm", lambda v: TrainConfig(clip_norm=v)),
+    ("noise_sigma", lambda v: SyntheticTaskSpec(n_classes=2, seq_len=3, d_x=2, d_s=2, n_train=2,
+                                                n_val=1, noise_sigma=v, seed=0)),
+], ids=["alpha", "lr", "clip_norm", "noise_sigma"])
+def test_validate_rejects_non_finite_floats(field, build):
+    """A NaN or infinite value fails validation instead of dropping a term
+    (alpha) or writing NaN weights (lr)."""
+    build(1.0).validate()
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=field):
+            build(value).validate()
+
+
 # -- Epoch loop --------------------------------------------------------------
 
 def test_zero_learning_rate_leaves_parameters_bit_identical():
