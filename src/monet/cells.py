@@ -538,34 +538,12 @@ class Hallucinator:
 # Parameter accounting
 # ---------------------------------------------------------------------------
 
-def _count_directional(family: str, d_in: int, d_s: int) -> int:
-    return _CELLS[family][2] * (d_in * d_s + d_s * d_s + d_s)
-
-
-def _count_stack(family: str, d_x: int, d_s: int, layers: int) -> int:
-    total = _count_directional(family, d_x, d_s)
-    total += (layers - 1) * _count_directional(family, d_s, d_s)
-    return total
-
-
 def count_params(config: CellConfig) -> int:
-    """Exact learnable-scalar count from closed-form formulas (the build
-    path is independent; tests reconcile the two)."""
-    config.validate()
-    c = config
-    if c.family in _CELLS:
-        n = _count_stack(c.family, c.d_x, c.d_s, c.layers)
-    elif c.family in ("bi-gru", "bi-lstm"):
-        base = c.family.removeprefix("bi-")
-        n = 2 * _count_stack(base, c.d_x, c.d_s, c.layers) + 2 * c.d_s * c.d_s + c.d_s
-    elif c.family == "conv1d":
-        n = c.kernel * c.d_x * c.d_s + c.d_s
-        n += (c.layers - 1) * (c.kernel * c.d_s * c.d_s + c.d_s)
-    else:
-        n = 3 * c.d_s * c.d_x + 6 * c.d_s * c.d_s + 3 * c.d_s
-    if c.out_dim is not None and c.out_dim != c.d_s:
-        n += c.d_s * c.out_dim + c.out_dim
-    return n
+    """Exact learnable-scalar count.  A step uses every weight in one
+    multiply-add and every bias in one add, so this is the per-step
+    multiply-add total (the build path is independent; tests reconcile the
+    two)."""
+    return flops_per_step(config).total_madds
 
 
 @dataclasses.dataclass
@@ -630,34 +608,36 @@ def flops_per_step(config: CellConfig) -> FlopCount:
     return _flops_cells(config).plus(_flops_readout(config))
 
 
+def _flops_stack(family: str, c: CellConfig) -> FlopCount:
+    """A stack of ``c.layers`` cells: the first reads d_x, the rest d_s."""
+    return _flops_directional(family, c.d_x, c.d_s).plus(
+        _flops_directional(family, c.d_s, c.d_s).scaled(c.layers - 1))
+
+
+def _monet_terms(c: CellConfig) -> tuple[FlopCount, FlopCount, FlopCount]:
+    """MoNet's per-step cost terms: the shared input projections for the
+    three gates; the context-free base pass; one expansion unit (four
+    directional state matrices plus the double-width candidate matrix, four
+    sigmoid gates, the ReLU candidate, a three-way softmax per coordinate)."""
+    proj = FlopCount(3 * c.d_x * c.d_s, 0, 3 * c.d_s, 0, 0)
+    base_pass = FlopCount(0, 0, 0, 5 * c.d_s, c.d_s)
+    unit = FlopCount(0, 6 * c.d_s * c.d_s, 0, 8 * c.d_s, 11 * c.d_s)
+    return proj, base_pass, unit
+
+
 def _flops_cells(c: CellConfig) -> FlopCount:
     if c.family in _CELLS:
-        total = _flops_directional(c.family, c.d_x, c.d_s)
-        for _ in range(c.layers - 1):
-            total = total.plus(_flops_directional(c.family, c.d_s, c.d_s))
-        return total
+        return _flops_stack(c.family, c)
     if c.family in ("bi-gru", "bi-lstm"):
-        base = c.family.removeprefix("bi-")
-        one = _flops_directional(base, c.d_x, c.d_s)
-        for _ in range(c.layers - 1):
-            one = one.plus(_flops_directional(base, c.d_s, c.d_s))
-        both = one.scaled(2)
         merge = FlopCount(madds_input=0, madds_state=2 * c.d_s * c.d_s,
                           adds_bias=c.d_s, activations=0, elementwise=c.d_s)
-        return both.plus(merge)
+        return _flops_stack(c.family.removeprefix("bi-"), c).scaled(2).plus(merge)
     if c.family == "conv1d":
-        total = FlopCount(c.kernel * c.d_x * c.d_s, 0, c.d_s, 0, 0)
-        for i in range(c.layers - 1):
-            total = total.plus(FlopCount(0, c.kernel * c.d_s * c.d_s, c.d_s, c.d_s, 0))
-        return total
-    # monet: shared input projections for the three gates, four directional
-    # state matrices plus the double-width candidate matrix, four sigmoid
-    # gates, the ReLU candidate, a three-way softmax per coordinate.
-    return FlopCount(madds_input=3 * c.d_x * c.d_s,
-                     madds_state=6 * c.d_s * c.d_s,
-                     adds_bias=3 * c.d_s,
-                     activations=8 * c.d_s,
-                     elementwise=11 * c.d_s)
+        first = FlopCount(c.kernel * c.d_x * c.d_s, 0, c.d_s, 0, 0)
+        rest = FlopCount(0, c.kernel * c.d_s * c.d_s, c.d_s, c.d_s, 0)
+        return first.plus(rest.scaled(c.layers - 1))
+    proj, _, unit = _monet_terms(c)
+    return proj.plus(unit)
 
 
 def flops_per_sequence(config: CellConfig, seq_len: int) -> FlopCount:
@@ -667,14 +647,10 @@ def flops_per_sequence(config: CellConfig, seq_len: int) -> FlopCount:
     config.validate()
     if seq_len < 1:
         raise ValueError(f"seq_len must be >= 1, got {seq_len}")
-    c = config
-    if c.family != "monet":
+    if config.family != "monet":
         return flops_per_step(config).scaled(seq_len)
-    proj = FlopCount(madds_input=3 * c.d_x * c.d_s, madds_state=0,
-                     adds_bias=3 * c.d_s, activations=0, elementwise=0)
-    base_pass = FlopCount(0, 0, 0, 5 * c.d_s, c.d_s)
-    unit = FlopCount(0, 6 * c.d_s * c.d_s, 0, 8 * c.d_s, 11 * c.d_s)
-    per_step = proj.plus(base_pass).plus(unit.scaled(c.layers)).plus(_flops_readout(c))
+    proj, base_pass, unit = _monet_terms(config)
+    per_step = proj.plus(base_pass).plus(unit.scaled(config.layers)).plus(_flops_readout(config))
     return per_step.scaled(seq_len)
 
 

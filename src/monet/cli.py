@@ -4,12 +4,13 @@ hallucination, gradient checking, and cost accounting.
 Config files are strict JSON: unknown keys are rejected so a typo cannot
 silently fall back to a default.  Exit codes: 0 success, 1 runtime failure
 (diverged training, artifact/data mismatch, failed check), 2 invalid input
-(bad flags, missing or malformed files, bad config values).
+(bad flags, missing, unopenable or malformed files, bad config values).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -40,13 +41,15 @@ class PipelineError(RuntimeError):
     """Runtime failure on valid input: maps to exit code 1."""
 
 
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as f:
+        return json.load(f)
+
+
 def _load_json(path: str, what: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-    except FileNotFoundError:
-        raise UsageError(f"{what} file not found: {path}") from None
-    except json.JSONDecodeError as e:
+        raw = _read_file(_read_json, path, what)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise UsageError(f"{what} file {path} is not valid JSON: {e}") from None
     if not isinstance(raw, dict):
         raise UsageError(f"{what} file {path} must hold a JSON object")
@@ -123,13 +126,26 @@ def _load_classifier(path: str) -> LinearClassifier:
 
 
 def _read_file(reader, path: str, what: str):
-    """``reader(path)``, with a missing or damaged file as invalid input."""
+    """``reader(path)``, with a missing, unopenable or damaged file as
+    invalid input."""
     try:
         return reader(path)
     except FileNotFoundError:
         raise UsageError(f"{what} file not found: {path}") from None
+    except OSError as e:
+        raise UsageError(f"{what} file {path}: {e.strerror or e}") from None
     except FormatError as e:
         raise UsageError(f"{what} file {path}: {e}") from None
+
+
+@contextlib.contextmanager
+def _writing(path: str, what: str):
+    """A path that cannot be written (a missing parent directory, a file
+    where a directory goes) is invalid input."""
+    try:
+        yield
+    except OSError as e:
+        raise UsageError(f"{what} {path}: {e.strerror or e}") from None
 
 
 def _write_records(path: str, records: list[FeatureRecord], n_classes: int,
@@ -137,13 +153,28 @@ def _write_records(path: str, records: list[FeatureRecord], n_classes: int,
     """Write a dataset file and, for a ``<stem>.mofe`` file, its
     ``<stem>.manifest.json``: a sidecar left from the file this one
     replaces would no longer match."""
-    try:
-        write_dataset(path, records, n_classes=n_classes)
-    except ValueError as e:
-        raise PipelineError(f"cannot write {path}: {e}") from None
+    with _writing(path, "dataset file"):
+        try:
+            write_dataset(path, records, n_classes=n_classes)
+        except ValueError as e:
+            raise PipelineError(f"cannot write {path}: {e}") from None
     manifest_path = _manifest_path(path)
     if manifest_path is not None:
-        write_manifest(manifest_path, dataset_manifest(path, spec))
+        with _writing(manifest_path, "dataset manifest file"):
+            write_manifest(manifest_path, dataset_manifest(path, spec))
+
+
+def _write_splits(spec: SyntheticTaskSpec, out_dir: str) -> list[tuple[str, list]]:
+    """Make ``out_dir``, generate the task's train and val splits, and write
+    each as ``<split>.mofe`` with its manifest.  Returns each split's path
+    and records, train first."""
+    with _writing(out_dir, "output directory"):
+        os.makedirs(out_dir, exist_ok=True)
+    splits = [(os.path.join(out_dir, f"{name}.mofe"), recs)
+              for name, recs in zip(("train", "val"), generate_synthetic(spec))]
+    for path, recs in splits:
+        _write_records(path, recs, spec.n_classes, spec)
+    return splits
 
 
 def _manifest_path(data_path: str) -> str | None:
@@ -173,9 +204,9 @@ def _verify_manifest(path: str, manifest_path: str | None, what: str) -> None:
         raise UsageError(f"{what} file {path} does not match the sha256 in {manifest_path}")
 
 
-def _model_and_records(args) -> tuple[Hallucinator, list[FeatureRecord]]:
-    """The checkpoint and the records it will run on; a dataset the model
-    cannot run on is a runtime failure."""
+def _model_and_records(args) -> tuple[Hallucinator, list[FeatureRecord], int]:
+    """The checkpoint, the records it will run on and the dataset header's
+    class count; a dataset the model cannot run on is a runtime failure."""
     _verify_manifest(args.checkpoint, args.checkpoint + CHECKPOINT_SIDECAR, "checkpoint")
     model = _read_file(Hallucinator.load, args.checkpoint, "checkpoint")
     _verify_manifest(args.data, _manifest_path(args.data), "dataset")
@@ -187,7 +218,7 @@ def _model_and_records(args) -> tuple[Hallucinator, list[FeatureRecord]]:
         raise PipelineError("dataset sequences have length 0")
     if model.config.d_x != d_x:
         raise PipelineError(f"checkpoint expects d_x={model.config.d_x} but data has d_x={d_x}")
-    return model, records
+    return model, records, read_dataset_header(args.data)["n_classes"]
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +227,8 @@ def _model_and_records(args) -> tuple[Hallucinator, list[FeatureRecord]]:
 
 def cmd_gen_data(args) -> int:
     spec = _strict_build(SyntheticTaskSpec, _load_json(args.spec, "task spec"), "task spec")
-    os.makedirs(args.out, exist_ok=True)
-    train_recs, val_recs = generate_synthetic(spec)
-    paths = {}
-    for name, recs in (("train", train_recs), ("val", val_recs)):
-        paths[name] = os.path.join(args.out, f"{name}.mofe")
-        _write_records(paths[name], recs, spec.n_classes, spec)
-    print(json.dumps({"train": paths["train"], "val": paths["val"],
+    (train_path, train_recs), (val_path, val_recs) = _write_splits(spec, args.out)
+    print(json.dumps({"train": train_path, "val": val_path,
                       "n_train": len(train_recs), "n_val": len(val_recs)}))
     return 0
 
@@ -247,14 +273,9 @@ def cmd_train(args) -> int:
     if task.n_train < 1 or task.n_val < 1:
         raise UsageError(f"task spec: training needs n_train >= 1 and n_val >= 1, "
                          f"got {task.n_train} and {task.n_val}")
-    os.makedirs(out_dir, exist_ok=True)
-    train_gen, val_gen = generate_synthetic(task)
-    for name, recs in (("train", train_gen), ("val", val_gen)):
-        _write_records(os.path.join(out_dir, f"{name}.mofe"), recs, task.n_classes, task)
     # Train from the files just written so later evaluation of those files
     # sees byte-for-byte the features the reported numbers came from.
-    train_recs = read_dataset(os.path.join(out_dir, "train.mofe"))
-    val_recs = read_dataset(os.path.join(out_dir, "val.mofe"))
+    train_recs, val_recs = (read_dataset(path) for path, _ in _write_splits(task, out_dir))
     flow_pool = pooled_matrix([r.flow_target for r in train_recs])
     app_pool = pooled_matrix([r.appearance for r in train_recs])
     labels = np.array([r.label for r in train_recs])
@@ -278,14 +299,14 @@ def cmd_train(args) -> int:
     summary = {"epochs_run": len(report.epochs), "best_epoch": report.best_epoch,
                "best_val_mse": report.best_val_mse,
                "checkpoint": checkpoint}
-    print(json.dumps(summary))
+    print(json.dumps(summary, allow_nan=False))
     return 0
 
 
 def cmd_eval(args) -> int:
     if args.csv and not (args.teacher and args.appearance):
         raise UsageError("--csv needs both --teacher and --appearance")
-    model, records = _model_and_records(args)
+    model, records, n_classes = _model_and_records(args)
     out_dim = model.config.output_dim
     d_s = records[0].flow_target.shape[1]
     if out_dim != d_s:
@@ -298,7 +319,6 @@ def cmd_eval(args) -> int:
     if appearance_clf is not None and appearance_clf.feature_dim != model.config.d_x:
         raise PipelineError(f"appearance classifier reads {appearance_clf.feature_dim} "
                             f"features but data has d_x={model.config.d_x}")
-    n_classes = read_dataset_header(args.data)["n_classes"]
     for name, clf in (("teacher", teacher), ("appearance classifier", appearance_clf)):
         if clf is not None and clf.n_classes != n_classes:
             raise PipelineError(f"{name} has {clf.n_classes} classes but the data has "
@@ -327,20 +347,20 @@ def cmd_eval(args) -> int:
         raise PipelineError(f"non-finite metrics {bad}: the checkpoint's weights "
                             f"overflow on this data")
     if args.csv and fused is not None:
-        with open(args.csv, "w", encoding="utf-8") as f:
+        with _writing(args.csv, "predictions CSV file"), \
+                open(args.csv, "w", encoding="utf-8") as f:
             f.write(predictions_csv([r.id for r in records], labels, fused))
     print(json.dumps(out, allow_nan=False))
     return 0
 
 
 def cmd_hallucinate(args) -> int:
-    model, records = _model_and_records(args)
+    model, records, n_classes = _model_and_records(args)
     app, _, _ = records_arrays(records)
     halluc = hallucinate_array(model, app)
     out_records = [FeatureRecord(id=r.id, label=r.label, appearance=r.appearance,
                                  flow_target=halluc[i])
                    for i, r in enumerate(records)]
-    n_classes = read_dataset_header(args.data)["n_classes"]
     _write_records(args.out, out_records, n_classes)
     print(json.dumps({"out": args.out, "n_records": len(out_records)}))
     return 0

@@ -26,8 +26,8 @@ from .tensor import Tape, Tensor, abs_, add, mul, scale, sub, tsum
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss or gradient norm became non-finite; message names the epoch and
-    batch, and no weight was updated from that batch."""
+    """Loss or gradient norm became non-finite (no weight was updated from
+    that batch), or an epoch's validation MSE did; the message says where."""
 
 
 @dataclasses.dataclass
@@ -285,7 +285,7 @@ class TrainReport:
     stopped_early: bool
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2)
+        return json.dumps(dataclasses.asdict(self), indent=2, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "TrainReport":
@@ -352,6 +352,8 @@ def train(model: Hallucinator, train_records: list[FeatureRecord],
             loss_sum += value * len(idx)
             norms.append(norm)
         val = evaluate(model, val_records, clf)
+        if not np.isfinite(val.mse):
+            raise TrainingDiverged(f"non-finite validation MSE in epoch {epoch}")
         history.append(EpochStats(epoch=epoch, lr=lr, train_loss=loss_sum / n,
                                   val_mse=val.mse, val_top1=val.top1,
                                   grad_norm_mean=sum(norms) / len(norms),

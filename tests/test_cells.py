@@ -691,20 +691,10 @@ def test_count_params_monet_example():
     assert count_params(CellConfig(family="monet", d_x=4, d_s=4)) == 156
 
 
-@pytest.mark.parametrize("family,layers,kernel,out_dim", [
-    ("vanilla-rnn", 1, 3, None),
-    ("vanilla-rnn", 2, 3, None),
-    ("gru", 1, 3, None),
-    ("gru", 2, 3, None),
-    ("lstm", 1, 3, None),
-    ("bi-gru", 1, 3, None),
-    ("bi-lstm", 2, 3, None),
-    ("conv1d", 1, 3, None),
-    ("conv1d", 3, 5, None),
-    ("monet", 3, 3, None),
-    ("gru", 1, 3, 7),
-])
-def test_count_params_matches_built_tensors(family, layers, kernel, out_dim):
+@pytest.mark.parametrize("out_dim", [None, 7])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("family,kernel", [(f, 3) for f in FAMILIES] + [("conv1d", 5)])
+def test_count_params_matches_built_tensors(family, kernel, layers, out_dim):
     cfg = CellConfig(family=family, d_x=5, d_s=4, layers=layers, kernel=kernel,
                      out_dim=out_dim)
     model = Hallucinator.build(cfg, np.random.default_rng(0))
@@ -724,6 +714,35 @@ def test_multiply_adds_per_step_equal_the_parameter_count(family, out_dim):
     assert readout == (0 if out_dim in (None, 4) else 4 * 7 + 7)
     assert (flops_per_sequence(cfg, 6).total_madds
             == flops_per_sequence(bare, 6).total_madds + 6 * readout)
+
+
+# Per family and out_dim at d_x=5, d_s=4, layers=2, kernel=3: the per-step
+# FlopCount fields, the length-20 sequence's fields and the parameter count.
+_GOLDEN_COSTS = [
+    ("vanilla-rnn", None, (36, 32, 8, 8, 8), (720, 640, 160, 160, 160), 76),
+    ("vanilla-rnn", 7, (36, 60, 15, 8, 8), (720, 1200, 300, 160, 160), 111),
+    ("gru", None, (108, 96, 24, 24, 56), (2160, 1920, 480, 480, 1120), 228),
+    ("gru", 7, (108, 124, 31, 24, 56), (2160, 2480, 620, 480, 1120), 263),
+    ("lstm", None, (144, 128, 32, 40, 64), (2880, 2560, 640, 800, 1280), 304),
+    ("lstm", 7, (144, 156, 39, 40, 64), (2880, 3120, 780, 800, 1280), 339),
+    ("bi-gru", None, (216, 224, 52, 48, 116), (4320, 4480, 1040, 960, 2320), 492),
+    ("bi-gru", 7, (216, 252, 59, 48, 116), (4320, 5040, 1180, 960, 2320), 527),
+    ("bi-lstm", None, (288, 288, 68, 80, 132), (5760, 5760, 1360, 1600, 2640), 644),
+    ("bi-lstm", 7, (288, 316, 75, 80, 132), (5760, 6320, 1500, 1600, 2640), 679),
+    ("conv1d", None, (60, 48, 8, 4, 0), (1200, 960, 160, 80, 0), 116),
+    ("conv1d", 7, (60, 76, 15, 4, 0), (1200, 1520, 300, 80, 0), 151),
+    ("monet", None, (60, 96, 12, 32, 44), (1200, 3840, 240, 1680, 1840), 168),
+    ("monet", 7, (60, 124, 19, 32, 44), (1200, 4400, 380, 1680, 1840), 203),
+]
+
+
+@pytest.mark.parametrize("family,out_dim,step,seq,params", _GOLDEN_COSTS)
+def test_cost_model_golden_values(family, out_dim, step, seq, params):
+    """Every field of the cost model, activations and elementwise included."""
+    cfg = CellConfig(family=family, d_x=5, d_s=4, layers=2, out_dim=out_dim)
+    assert dataclasses.astuple(flops_per_step(cfg)) == step
+    assert dataclasses.astuple(flops_per_sequence(cfg, 20)) == seq
+    assert count_params(cfg) == params
 
 
 def test_match_params_finds_gru_width_for_wide_monet():

@@ -186,6 +186,14 @@ def test_malformed_json_is_invalid_input(tmp_path, capsys):
     assert "JSON" in err
 
 
+def test_config_not_in_utf8_is_invalid_input(tmp_path, capsys):
+    bad = tmp_path / "spec.json"
+    bad.write_bytes(b"\xff\xfe{")
+    code, _, err = run(capsys, "gen-data", "--spec", str(bad), "--out", str(tmp_path / "d"))
+    assert code == 2
+    assert "not valid JSON" in err
+
+
 # -- train -------------------------------------------------------------------
 
 def test_train_writes_artifacts(trained_dir):
@@ -312,6 +320,23 @@ def test_train_rejects_cell_task_dim_mismatch(tmp_path, capsys):
     assert "does not match task d_s" in err
 
 
+def test_train_non_finite_validation_mse_is_runtime_failure(tmp_path, capsys):
+    """One SGD step at a huge rate leaves finite loss and gradients but
+    weights whose validation output overflows: no checkpoint, no report,
+    and no Infinity printed."""
+    config = {"task": dict(TASK, d_x=4, seq_len=5, n_train=8, n_val=6),
+              "cell": {"family": "monet", "d_x": 4, "d_s": 4, "layers": 1},
+              "train": {"optimizer": "sgd", "lr": 1e300, "max_epochs": 1},
+              "loss": {"alpha": 0.0},
+              "out_dir": str(tmp_path / "run")}
+    code, out, err = run(capsys, "train", "--config", write_json(tmp_path / "c.json", config))
+    assert code == 1
+    assert err.startswith("failed: ") and "validation MSE" in err
+    assert out == ""
+    assert not (tmp_path / "run" / "checkpoint.monw").exists()
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
 @pytest.mark.parametrize("counts", [{"n_val": 0}, {"n_train": 0}])
 def test_train_rejects_empty_split_before_writing(tmp_path, capsys, counts):
     config = {"task": dict(TASK, **counts),
@@ -331,6 +356,41 @@ def test_eval_missing_checkpoint_is_invalid_input(trained_dir, capsys, tmp_path)
                        "--data", str(trained_dir / "run" / "val.mofe"))
     assert code == 2
     assert "not found" in err
+
+
+@pytest.mark.parametrize("case", ["eval-checkpoint", "eval-data", "eval-teacher", "eval-csv",
+                                  "train-config", "train-out-dir", "gen-data-spec",
+                                  "gen-data-out", "hallucinate-out"])
+def test_path_that_cannot_be_opened_is_invalid_input(trained_dir, capsys, tmp_path, case):
+    """A directory where a file is read, a file where a directory is made,
+    or an output under a missing directory: exit 2 naming the path, not an
+    uncaught OSError."""
+    run_dir = trained_dir / "run"
+    ckpt, val = run_dir / "checkpoint.monw", run_dir / "val.mofe"
+    a_dir, a_file, missing = tmp_path / "a_dir", tmp_path / "a_file", tmp_path / "missing"
+    a_dir.mkdir()
+    a_file.write_text("x")
+    spec = write_json(tmp_path / "spec.json", TASK)
+    train_cfg = write_json(tmp_path / "c.json", {
+        "task": TASK, "cell": {"family": "monet", "d_x": 6, "d_s": 4}, "out_dir": str(a_file)})
+    evaluate = ["eval", "--checkpoint", ckpt, "--data", val]
+    both = ["--teacher", run_dir / "teacher.json", "--appearance", run_dir / "appearance.json"]
+    argv, path = {
+        "eval-checkpoint": (["eval", "--checkpoint", a_dir, "--data", val], a_dir),
+        "eval-data": (["eval", "--checkpoint", ckpt, "--data", a_dir], a_dir),
+        "eval-teacher": ([*evaluate, "--teacher", a_dir], a_dir),
+        "eval-csv": ([*evaluate, *both, "--csv", missing / "p.csv"], missing / "p.csv"),
+        "train-config": (["train", "--config", a_dir], a_dir),
+        "train-out-dir": (["train", "--config", train_cfg], a_file),
+        "gen-data-spec": (["gen-data", "--spec", a_dir, "--out", tmp_path / "d"], a_dir),
+        "gen-data-out": (["gen-data", "--spec", spec, "--out", a_file], a_file),
+        "hallucinate-out": (["hallucinate", "--checkpoint", ckpt, "--data", val,
+                             "--out", missing / "x.mofe"], missing / "x.mofe"),
+    }[case]
+    code, out, err = run(capsys, *map(str, argv))
+    assert code == 2
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err and out == ""
 
 
 def test_eval_dimension_mismatch_is_runtime_failure(trained_dir, capsys, tmp_path):
