@@ -4,13 +4,16 @@ hallucination, gradient checking, and cost accounting.
 Config files are strict JSON: unknown keys are rejected so a typo cannot
 silently fall back to a default.  Exit codes: 0 success, 1 runtime failure
 (diverged training, artifact/data mismatch, failed check), 2 invalid input
-(bad flags, missing, unopenable or malformed files, bad config values).
+(bad flags, malformed files, bad config values, and any path that cannot be
+opened, read, written or created).  ``main`` is the one place that turns a
+failure into its exit code and a single stderr line; numpy's floating-point
+warnings are silenced there, since non-finite results are checked where
+they matter.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
 import json
@@ -41,14 +44,10 @@ class PipelineError(RuntimeError):
     """Runtime failure on valid input: maps to exit code 1."""
 
 
-def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
-
-
 def _load_json(path: str, what: str) -> dict:
     try:
-        raw = _read_file(_read_json, path, what)
+        with open(path, "r", encoding="utf-8") as f:
+            raw = json.load(f)
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise UsageError(f"{what} file {path} is not valid JSON: {e}") from None
     if not isinstance(raw, dict):
@@ -73,9 +72,11 @@ def _fits(annotation: str, value) -> bool:
     return isinstance(value, kinds) and isinstance(value, bool) == (kinds == (bool,))
 
 
-def _strict_build(cls, raw: dict, what: str):
+def _strict_build(cls, raw, what: str):
     """Instantiate a config dataclass from a dict, rejecting unknown keys
     and values of the wrong JSON type."""
+    if not isinstance(raw, dict):
+        raise UsageError(f"{what} must be a JSON object, got {raw!r}")
     fields = {f.name: f.type for f in dataclasses.fields(cls)}
     unknown = sorted(set(raw) - set(fields))
     if unknown:
@@ -126,26 +127,11 @@ def _load_classifier(path: str) -> LinearClassifier:
 
 
 def _read_file(reader, path: str, what: str):
-    """``reader(path)``, with a missing, unopenable or damaged file as
-    invalid input."""
+    """``reader(path)``, with a damaged file as invalid input."""
     try:
         return reader(path)
-    except FileNotFoundError:
-        raise UsageError(f"{what} file not found: {path}") from None
-    except OSError as e:
-        raise UsageError(f"{what} file {path}: {e.strerror or e}") from None
     except FormatError as e:
         raise UsageError(f"{what} file {path}: {e}") from None
-
-
-@contextlib.contextmanager
-def _writing(path: str, what: str):
-    """A path that cannot be written (a missing parent directory, a file
-    where a directory goes) is invalid input."""
-    try:
-        yield
-    except OSError as e:
-        raise UsageError(f"{what} {path}: {e.strerror or e}") from None
 
 
 def _write_records(path: str, records: list[FeatureRecord], n_classes: int,
@@ -153,23 +139,20 @@ def _write_records(path: str, records: list[FeatureRecord], n_classes: int,
     """Write a dataset file and, for a ``<stem>.mofe`` file, its
     ``<stem>.manifest.json``: a sidecar left from the file this one
     replaces would no longer match."""
-    with _writing(path, "dataset file"):
-        try:
-            write_dataset(path, records, n_classes=n_classes)
-        except ValueError as e:
-            raise PipelineError(f"cannot write {path}: {e}") from None
+    try:
+        write_dataset(path, records, n_classes=n_classes)
+    except ValueError as e:
+        raise PipelineError(f"cannot write {path}: {e}") from None
     manifest_path = _manifest_path(path)
     if manifest_path is not None:
-        with _writing(manifest_path, "dataset manifest file"):
-            write_manifest(manifest_path, dataset_manifest(path, spec))
+        write_manifest(manifest_path, dataset_manifest(path, spec))
 
 
 def _write_splits(spec: SyntheticTaskSpec, out_dir: str) -> list[tuple[str, list]]:
     """Make ``out_dir``, generate the task's train and val splits, and write
     each as ``<split>.mofe`` with its manifest.  Returns each split's path
     and records, train first."""
-    with _writing(out_dir, "output directory"):
-        os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     splits = [(os.path.join(out_dir, f"{name}.mofe"), recs)
               for name, recs in zip(("train", "val"), generate_synthetic(spec))]
     for path, recs in splits:
@@ -200,7 +183,7 @@ def _verify_manifest(path: str, manifest_path: str | None, what: str) -> None:
     expected = _load_json(manifest_path, f"{what} manifest").get("sha256")
     if not isinstance(expected, str):
         raise UsageError(f"{what} manifest file {manifest_path} has no sha256 string")
-    if _read_file(file_sha256, path, what) != expected:
+    if file_sha256(path) != expected:
         raise UsageError(f"{what} file {path} does not match the sha256 in {manifest_path}")
 
 
@@ -244,7 +227,9 @@ def _experiment_parts(raw: dict):
     task = _strict_build(SyntheticTaskSpec, raw["task"], "task spec")
     cell = _strict_build(CellConfig, raw["cell"], "cell config")
     tcfg = _strict_build(TrainConfig, raw.get("train", {}), "train config")
-    loss_raw = dict(raw.get("loss", {}))
+    loss_raw = raw.get("loss", {})
+    if not isinstance(loss_raw, dict):
+        raise UsageError(f"loss config must be a JSON object, got {loss_raw!r}")
     if set(loss_raw) - {"alpha"}:
         raise UsageError(f"loss config: unknown key(s) {sorted(set(loss_raw) - {'alpha'})}; "
                          f"allowed: ['alpha']")
@@ -285,10 +270,7 @@ def cmd_train(args) -> int:
     _save_classifier(os.path.join(out_dir, "appearance.json"), appearance_clf)
     model = Hallucinator.build(cell, np.random.default_rng(seed))
     loss_cfg = LossConfig(alpha=alpha, classifier=teacher if alpha > 0 else None)
-    try:
-        report = train(model, train_recs, val_recs, tcfg, loss_cfg)
-    except TrainingDiverged as e:
-        raise PipelineError(str(e)) from None
+    report = train(model, train_recs, val_recs, tcfg, loss_cfg)
     checkpoint = os.path.join(out_dir, "checkpoint.monw")
     model.save(checkpoint)
     write_manifest(checkpoint + CHECKPOINT_SIDECAR,
@@ -347,8 +329,7 @@ def cmd_eval(args) -> int:
         raise PipelineError(f"non-finite metrics {bad}: the checkpoint's weights "
                             f"overflow on this data")
     if args.csv and fused is not None:
-        with _writing(args.csv, "predictions CSV file"), \
-                open(args.csv, "w", encoding="utf-8") as f:
+        with open(args.csv, "w", encoding="utf-8") as f:
             f.write(predictions_csv([r.id for r in records], labels, fused))
     print(json.dumps(out, allow_nan=False))
     return 0
@@ -461,11 +442,19 @@ def main(argv: list[str] | None = None) -> int:
                 "flops": cmd_flops}
     try:
         _thread_cap()
-        return handlers[args.cmd](args)
+        with np.errstate(all="ignore"):
+            return handlers[args.cmd](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except PipelineError as e:
+    except OSError as e:
+        # Every path the CLI opens is one it was given, or one under it; a
+        # failed write to an open file (a full disk) names none.
+        where = "" if e.filename is None else f"{e.filename}: "
+        reason = "not found" if isinstance(e, FileNotFoundError) else e.strerror or e
+        print(f"error: {where}{reason}", file=sys.stderr)
+        return 2
+    except (PipelineError, TrainingDiverged) as e:
         print(f"failed: {e}", file=sys.stderr)
         return 1
 

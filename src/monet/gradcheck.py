@@ -18,6 +18,11 @@ from .cells import CellConfig, Hallucinator
 from .tensor import Tape, Tensor, finite_diff_grad, mul, relative_error, sub, tsum
 
 
+# Each instance's model widths, sequence length, conv1d kernel, and the
+# central-difference step.
+D_X, D_S, T_LEN, KERNEL, H = 5, 4, 6, 3, 1e-6
+
+
 @dataclasses.dataclass
 class GradCheckResult:
     family: str
@@ -38,8 +43,7 @@ def _loss_value(model: Hallucinator, xs: list[Tensor], targets: np.ndarray) -> f
     return sum(diff.sum(axis=(1, 2)).tolist())
 
 
-def check_instance(model: Hallucinator, rng: np.random.Generator,
-                   t_len: int, h: float = 1e-6) -> float:
+def check_instance(model: Hallucinator, rng: np.random.Generator, t_len: int) -> float:
     """Max relative error across all parameter and input gradients for one
     random input/target draw."""
     c = model.config
@@ -58,21 +62,20 @@ def check_instance(model: Hallucinator, rng: np.random.Generator,
                 return _loss_value(model, xs, targets)
             finally:
                 _leaf.data = original
-        numeric = finite_diff_grad(f, leaf, h=h)
+        numeric = finite_diff_grad(f, leaf, h=H)
         computed = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
         worst = max(worst, relative_error(computed, numeric))
     return worst
 
 
-def check_family(family: str, layers: int, instances: int = 10, d_x: int = 5,
-                 d_s: int = 4, t_len: int = 6, kernel: int = 3,
-                 seed: int = 20240, h: float = 1e-6) -> GradCheckResult:
-    config = CellConfig(family=family, d_x=d_x, d_s=d_s, layers=layers, kernel=kernel)
+def check_family(family: str, layers: int, instances: int = 10,
+                 seed: int = 20240) -> GradCheckResult:
+    config = CellConfig(family=family, d_x=D_X, d_s=D_S, layers=layers, kernel=KERNEL)
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     worst = 0.0
     for _ in range(instances):
         model = Hallucinator.build(config, rng)
-        worst = max(worst, check_instance(model, rng, t_len, h=h))
+        worst = max(worst, check_instance(model, rng, T_LEN))
     return GradCheckResult(family=family, layers=layers, instances=instances,
                            max_rel_err=worst, seconds=time.perf_counter() - start)

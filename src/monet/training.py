@@ -161,9 +161,12 @@ class Sgd:
             p.data = p.data - lr * g
 
 
+# Adam's moment decay rates and denominator guard.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self):
         self.m: list[np.ndarray] | None = None
         self.v: list[np.ndarray] | None = None
         self.t = 0
@@ -173,13 +176,13 @@ class Adam:
             self.m = [np.zeros_like(p.data) for p in params]
             self.v = [np.zeros_like(p.data) for p in params]
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for i, (p, g) in enumerate(zip(params, grads)):
             self.m[i] = b1 * self.m[i] + (1 - b1) * g
             self.v[i] = b2 * self.v[i] + (1 - b2) * (g * g)
             m_hat = self.m[i] / (1 - b1 ** self.t)
             v_hat = self.v[i] / (1 - b2 ** self.t)
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def make_optimizer(name: str):

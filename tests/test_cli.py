@@ -4,8 +4,10 @@ hallucination, gradient checking, cost accounting, exit codes."""
 import hashlib
 import json
 import math
+import os
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +177,21 @@ def test_train_config_non_finite_or_out_of_range_value_is_invalid_input(tmp_path
     float, no seed or kernel is negative, and no field the checkpoint or
     dataset header stores as a u32 exceeds it; nothing is written first."""
     assert_train_config_value_is_invalid_input(tmp_path, capsys, section, key, value)
+
+
+@pytest.mark.parametrize("key,value,what", [
+    ("train", None, "train config"), ("task", 5, "task spec"), ("cell", None, "cell config"),
+    ("loss", 5, "loss config"), ("loss", "ab", "loss config")])
+def test_train_config_section_that_is_not_an_object_is_invalid_input(tmp_path, capsys,
+                                                                     key, value, what):
+    """A section holding a JSON value other than an object names the
+    section; nothing is written first."""
+    config = {"task": TASK, "cell": {"family": "monet", "d_x": 6, "d_s": 4},
+              "out_dir": str(tmp_path / "run"), key: value}
+    code, out, err = run(capsys, "train", "--config", write_json(tmp_path / "c.json", config))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {what} must be a JSON object") and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_malformed_json_is_invalid_input(tmp_path, capsys):
@@ -359,12 +376,14 @@ def test_eval_missing_checkpoint_is_invalid_input(trained_dir, capsys, tmp_path)
 
 
 @pytest.mark.parametrize("case", ["eval-checkpoint", "eval-data", "eval-teacher", "eval-csv",
-                                  "train-config", "train-out-dir", "gen-data-spec",
+                                  "train-config", "train-out-dir", "train-teacher.json",
+                                  "train-report.json", "gen-data-spec",
                                   "gen-data-out", "hallucinate-out"])
 def test_path_that_cannot_be_opened_is_invalid_input(trained_dir, capsys, tmp_path, case):
-    """A directory where a file is read, a file where a directory is made,
-    or an output under a missing directory: exit 2 naming the path, not an
-    uncaught OSError."""
+    """A directory where a file is read or written, a file where a directory
+    is made, or an output under a missing directory: exit 2 naming the path,
+    not an uncaught OSError.  ``train`` writes its report after the
+    checkpoint, so a blocked report path fails after training."""
     run_dir = trained_dir / "run"
     ckpt, val = run_dir / "checkpoint.monw", run_dir / "val.mofe"
     a_dir, a_file, missing = tmp_path / "a_dir", tmp_path / "a_file", tmp_path / "missing"
@@ -373,6 +392,11 @@ def test_path_that_cannot_be_opened_is_invalid_input(trained_dir, capsys, tmp_pa
     spec = write_json(tmp_path / "spec.json", TASK)
     train_cfg = write_json(tmp_path / "c.json", {
         "task": TASK, "cell": {"family": "monet", "d_x": 6, "d_s": 4}, "out_dir": str(a_file)})
+    out_run = tmp_path / "run"
+    run_cfg = write_json(tmp_path / "r.json", {
+        "task": TASK, "cell": {"family": "monet", "d_x": 6, "d_s": 4}, "out_dir": str(out_run)})
+    if case.startswith("train-") and case.endswith(".json"):
+        (out_run / case.removeprefix("train-")).mkdir(parents=True)
     evaluate = ["eval", "--checkpoint", ckpt, "--data", val]
     both = ["--teacher", run_dir / "teacher.json", "--appearance", run_dir / "appearance.json"]
     argv, path = {
@@ -382,6 +406,10 @@ def test_path_that_cannot_be_opened_is_invalid_input(trained_dir, capsys, tmp_pa
         "eval-csv": ([*evaluate, *both, "--csv", missing / "p.csv"], missing / "p.csv"),
         "train-config": (["train", "--config", a_dir], a_dir),
         "train-out-dir": (["train", "--config", train_cfg], a_file),
+        "train-teacher.json": (["train", "--config", run_cfg, "--epochs", 0],
+                               out_run / "teacher.json"),
+        "train-report.json": (["train", "--config", run_cfg, "--epochs", 0],
+                              out_run / "report.json"),
         "gen-data-spec": (["gen-data", "--spec", a_dir, "--out", tmp_path / "d"], a_dir),
         "gen-data-out": (["gen-data", "--spec", spec, "--out", a_file], a_file),
         "hallucinate-out": (["hallucinate", "--checkpoint", ckpt, "--data", val,
@@ -471,6 +499,24 @@ def test_eval_of_overflowing_checkpoint_is_runtime_failure(trained_dir, capsys, 
     assert err.startswith("failed: ") and message in err
     assert out == ""
     assert not csv_path.exists()
+
+
+def test_eval_overflow_prints_one_line_and_no_numpy_warnings(trained_dir, capsys, tmp_path):
+    """The overflow behind a non-finite metric is reported once, by the
+    ``failed:`` line, not also by numpy's RuntimeWarnings."""
+    run_dir = trained_dir / "run"
+    model = Hallucinator.load(str(run_dir / "checkpoint.monw"))
+    model.params.W_h.data = model.params.W_h.data * 1e300
+    model.save(str(tmp_path / "huge.monw"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "eval", "--checkpoint", str(tmp_path / "huge.monw"),
+                             "--data", str(run_dir / "val.mofe"),
+                             "--teacher", str(run_dir / "teacher.json"),
+                             "--appearance", str(run_dir / "appearance.json"))
+    assert code == 1 and out == ""
+    assert [str(w.message) for w in caught] == []
+    assert len(err.splitlines()) == 1 and err.startswith("failed: non-finite metrics")
 
 
 def _eval_with(run_dir, capsys, teacher=None, appearance=None, extra=()):
@@ -737,6 +783,15 @@ def test_eval_csv_without_both_classifiers_is_invalid_input(trained_dir, capsys,
     assert code == 2 and out == ""
     assert err == "error: --csv needs both --teacher and --appearance\n"
     assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full-device file")
+def test_failed_write_to_an_open_file_is_invalid_input(trained_dir, capsys):
+    """A write that fails after its file opened (a full disk) carries no
+    path to name: exit 2 with the reason alone."""
+    code, out, err = _eval_with(trained_dir / "run", capsys, extra=("--csv", "/dev/full"))
+    assert code == 2 and out == ""
+    assert err == "error: No space left on device\n"
 
 
 # -- gradcheck ---------------------------------------------------------------
