@@ -3,8 +3,13 @@
 Both on-disk formats (weight checkpoints, feature datasets) are built from
 the same few primitives: little-endian u32 scalars, length-prefixed UTF-8
 strings, and contiguous row-major float arrays with an explicit dims header.
-Keeping the primitives here means both formats fail the same way on damage:
-a field declared longer than what is left of the file raises
+
+A file is encoded in memory and written in one call, so its writer can hash
+the bytes it wrote without reading the file back.  A file is read through a
+``BlockReader``, which parses fields with ``struct.unpack_from`` out of
+blocks of at most ``BLOCK_BYTES``: reading costs one block of memory beyond
+what it returns, however large the file.  Both formats fail the same way on
+damage: a field declared longer than what is left of the file raises
 ``TruncatedError`` naming what was being read.
 """
 
@@ -19,6 +24,13 @@ from typing import BinaryIO
 import numpy as np
 
 U32_MAX = 0xFFFFFFFF
+
+# Bytes a reader holds at once, unless one field is longer.
+BLOCK_BYTES = 1 << 20
+
+# A cut-short field longer than this is reported with the bytes left in the
+# file, a shorter one with the bytes it got.
+_SHORT_FIELD = 1 << 16
 
 
 class FormatError(ValueError):
@@ -37,77 +49,141 @@ class TruncatedError(FormatError):
     """File ended before a declared field was complete."""
 
 
-def require(f: BinaryIO, n: int, what: str) -> None:
-    """Raise ``TruncatedError`` unless a regular file still holds ``n``
-    bytes, so a damaged length never turns into a huge read or allocation."""
-    st = os.fstat(f.fileno())
-    left = st.st_size - f.tell() if stat.S_ISREG(st.st_mode) else n
-    if n > left:
-        raise TruncatedError(f"expected {n} bytes for {what}, {left} left in the file")
+# ---------------------------------------------------------------------------
+# Encoding
+# ---------------------------------------------------------------------------
+
+def pack_u32(*values: int) -> bytes:
+    for value in values:
+        if not 0 <= value <= U32_MAX:
+            raise FormatError(f"u32 out of range: {value}")
+    return struct.pack(f"<{len(values)}I", *values)
 
 
-def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
-    # Reads up to 64 KiB cannot be a hazard and are checked after the fact:
-    # an fstat for every small field doubled the read time of a dataset.
-    if n > 1 << 16:
-        require(f, n, what)
-    buf = f.read(n)
-    if len(buf) != n:
-        raise TruncatedError(f"expected {n} bytes for {what}, got {len(buf)}")
-    return buf
-
-
-def write_u32(f: BinaryIO, value: int) -> None:
-    if not 0 <= value <= U32_MAX:
-        raise FormatError(f"u32 out of range: {value}")
-    f.write(struct.pack("<I", value))
-
-
-def read_u32(f: BinaryIO, what: str = "u32") -> int:
-    return struct.unpack("<I", read_exact(f, 4, what))[0]
-
-
-def write_str(f: BinaryIO, s: str) -> None:
+def pack_str(s: str) -> bytes:
     raw = s.encode("utf-8")
-    write_u32(f, len(raw))
-    f.write(raw)
+    return pack_u32(len(raw)) + raw
 
 
-def read_str(f: BinaryIO, what: str = "string") -> str:
-    n = read_u32(f, f"{what} length")
-    try:
-        return read_exact(f, n, what).decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{what} is not valid UTF-8: {e}") from None
-
-
-def write_array(f: BinaryIO, arr: np.ndarray, dtype: str) -> None:
-    """Write dims header (rank, then each dim as u32) plus row-major payload."""
+def pack_array(arr: np.ndarray, dtype: str) -> list:
+    """Dims header (rank, then each dim as u32) and the row-major payload,
+    as two pieces for ``write_file``."""
     a = np.ascontiguousarray(arr, dtype=np.dtype(dtype).newbyteorder("<"))
-    write_u32(f, a.ndim)
-    for d in a.shape:
-        write_u32(f, d)
-    f.write(a.tobytes())
+    return [pack_u32(a.ndim, *a.shape), a]
 
 
-def read_array(f: BinaryIO, dtype: str, what: str = "array") -> np.ndarray:
-    rank = read_u32(f, f"{what} rank")
-    if rank > 8:
-        raise FormatError(f"{what}: implausible rank {rank}")
-    shape = tuple(read_u32(f, f"{what} dim {i}") for i in range(rank))
-    dt = np.dtype(dtype).newbyteorder("<")
-    count = math.prod(shape)
-    raw = read_exact(f, count * dt.itemsize, f"{what} payload")
-    return np.frombuffer(raw, dtype=dt).reshape(shape).astype(np.float64)
+def write_file(path: str, pieces: list) -> bytes:
+    """Join ``pieces`` (bytes or contiguous arrays) and write them to
+    ``path`` in one call; returns the bytes written."""
+    raw = b"".join(pieces)
+    with open(path, "wb") as f:
+        f.write(raw)
+    return raw
 
 
-def check_magic(f: BinaryIO, expected: bytes) -> None:
-    got = read_exact(f, 4, "magic")
-    if got != expected:
-        raise BadMagicError(f"bad magic: expected {expected!r}, got {got!r}")
+# ---------------------------------------------------------------------------
+# Decoding
+# ---------------------------------------------------------------------------
 
+class BlockReader:
+    """A binary file just opened for reading, read front to back.
 
-def check_version(f: BinaryIO, supported: int) -> None:
-    version = read_u32(f, "format version")
-    if version != supported:
-        raise VersionError(f"unsupported format version {version}, expected {supported}")
+    ``take(n, ...)`` consumes the next ``n`` bytes and returns where they
+    start in ``buf``, for ``struct.unpack_from`` or ``np.frombuffer``; they
+    stay there until the next ``take``.  ``buf`` holds one block of the file
+    (or one field, if a field is longer) and is refilled when a field
+    crosses its end.  A field's name is a ``str.format`` template and its
+    arguments, formatted only when the field is cut short.  A parser may
+    also read the held bytes ``buf[pos:end]`` directly and advance ``pos``
+    past those it has consumed.
+    """
+
+    def __init__(self, f: BinaryIO):
+        self._f = f
+        st = os.fstat(f.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size > BLOCK_BYTES:
+            self.size = st.st_size
+            self.buf = bytearray(BLOCK_BYTES)
+            self.end = 0
+        else:
+            # A file that fits in one block is read whole, and so is a pipe,
+            # which has no size to check lengths against.
+            self.buf = f.read()
+            self.size = self.end = len(self.buf)
+        self._start = 0  # file offset of buf[0]
+        self.pos = 0     # offset in buf of the next byte to take
+
+    def left(self) -> int:
+        """Bytes of the file not yet taken."""
+        return self.size - self._start - self.pos
+
+    def require(self, n: int, what: str) -> None:
+        """Raise ``TruncatedError`` unless the file still holds ``n`` bytes,
+        so a damaged length never turns into a huge read or allocation."""
+        left = self.left()
+        if n > left:
+            raise TruncatedError(f"expected {n} bytes for {what}, {left} left in the file")
+
+    def take(self, n: int, what: str, *args) -> int:
+        p = self.pos
+        if p + n > self.end:
+            p = self._refill(n, what, args)
+        self.pos = p + n
+        return p
+
+    def _refill(self, n: int, what: str, args: tuple) -> int:
+        left = self.left()
+        if n > left:
+            got = f"{left} left in the file" if n > _SHORT_FIELD else f"got {left}"
+            raise TruncatedError(f"expected {n} bytes for {what.format(*args)}, {got}")
+        tail = self.buf[self.pos:self.end]
+        if n > len(self.buf):
+            self.buf = bytearray(n)  # at most the rest of the file, checked above
+        self.buf[:len(tail)] = tail
+        self._start += self.pos
+        want = min(len(self.buf), self.size - self._start)
+        end = len(tail)
+        with memoryview(self.buf) as view:
+            while end < want:
+                got = self._f.readinto(view[end:want])
+                if not got:
+                    raise TruncatedError(f"expected {n} bytes for {what.format(*args)}, "
+                                         f"the file shrank while being read")
+                end += got
+        self.end = end
+        self.pos = 0
+        return 0
+
+    def u32(self, what: str, *args) -> int:
+        p = self.take(4, what, *args)
+        return struct.unpack_from("<I", self.buf, p)[0]
+
+    def string(self, what: str, *args) -> str:
+        n = self.u32(what + " length", *args)
+        p = self.take(n, what, *args)
+        try:
+            return self.buf[p:p + n].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{what.format(*args)} is not valid UTF-8: {e}") from None
+
+    def array(self, dtype: str, what: str) -> np.ndarray:
+        """A dims header and its payload, widened to a new f64 array."""
+        rank = self.u32(what + " rank")
+        if rank > 8:
+            raise FormatError(f"{what}: implausible rank {rank}")
+        shape = tuple(self.u32(what + " dim {}", i) for i in range(rank))
+        dt = np.dtype(dtype).newbyteorder("<")
+        count = math.prod(shape)
+        p = self.take(count * dt.itemsize, what + " payload")
+        return np.frombuffer(self.buf, dt, count, p).reshape(shape).astype(np.float64)
+
+    def magic(self, expected: bytes) -> None:
+        p = self.take(4, "magic")
+        got = bytes(self.buf[p:p + 4])
+        if got != expected:
+            raise BadMagicError(f"bad magic: expected {expected!r}, got {got!r}")
+
+    def version(self, supported: int) -> None:
+        version = self.u32("format version")
+        if version != supported:
+            raise VersionError(f"unsupported format version {version}, expected {supported}")

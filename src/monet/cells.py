@@ -22,9 +22,8 @@ import types
 
 import numpy as np
 
-from .binio import (U32_MAX, FormatError, check_magic, check_version, read_array,
-                    read_str, read_u32, require, write_array, write_str,
-                    write_u32)
+from .binio import (U32_MAX, BlockReader, FormatError, pack_array, pack_str, pack_u32,
+                    write_file)
 from .tensor import (_CELLS, ShapeError, Tensor, _monet_pass, affine, concat, monet_pass,
                      recurrent, relu, shift_rows)
 
@@ -482,33 +481,25 @@ class Hallucinator:
 
     # -- checkpoint round trip ---------------------------------------------
 
-    def save(self, path: str) -> None:
+    def save(self, path: str) -> bytes:
+        """Write the checkpoint in one call; returns its bytes."""
         c = self.config
-        with open(path, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            write_u32(f, CHECKPOINT_VERSION)
-            write_str(f, c.family)
-            write_u32(f, c.d_x)
-            write_u32(f, c.d_s)
-            write_u32(f, c.layers)
-            write_u32(f, c.kernel)
-            write_u32(f, 1 if c.causal_only else 0)
-            write_u32(f, 0 if c.out_dim is None else c.out_dim)
-            for t in self.tensors():
-                write_array(f, t.data, "<f8")
+        pieces = [CHECKPOINT_MAGIC, pack_u32(CHECKPOINT_VERSION), pack_str(c.family),
+                  pack_u32(c.d_x, c.d_s, c.layers, c.kernel, 1 if c.causal_only else 0,
+                           0 if c.out_dim is None else c.out_dim)]
+        for t in self.tensors():
+            pieces += pack_array(t.data, "<f8")
+        return write_file(path, pieces)
 
     @classmethod
     def load(cls, path: str) -> "Hallucinator":
-        with open(path, "rb") as f:
-            check_magic(f, CHECKPOINT_MAGIC)
-            check_version(f, CHECKPOINT_VERSION)
-            family = read_str(f, "family tag")
-            d_x = read_u32(f, "d_x")
-            d_s = read_u32(f, "d_s")
-            layers = read_u32(f, "layers")
-            kernel = read_u32(f, "kernel")
-            causal = read_u32(f, "causal flag")
-            out_dim = read_u32(f, "out_dim")
+        with open(path, "rb", buffering=0) as f:
+            r = BlockReader(f)
+            r.magic(CHECKPOINT_MAGIC)
+            r.version(CHECKPOINT_VERSION)
+            family = r.string("family tag")
+            d_x, d_s, layers, kernel, causal, out_dim = (
+                r.u32(name) for name in ("d_x", "d_s", "layers", "kernel", "causal flag", "out_dim"))
             config = CellConfig(family=family, d_x=d_x, d_s=d_s, layers=layers,
                                 kernel=kernel, causal_only=bool(causal),
                                 out_dim=None if out_dim == 0 else out_dim)
@@ -516,10 +507,10 @@ class Hallucinator:
                 config.validate()
             except ValueError as e:
                 raise FormatError(f"checkpoint header: {e}") from None
-            require(f, 8 * count_params(config), "the weight shapes the header declares")
+            r.require(8 * count_params(config), "the weight shapes the header declares")
 
             def uniform(low: float, high: float, size: tuple[int, ...]) -> np.ndarray:
-                arr = read_array(f, "<f8", "weight array")
+                arr = r.array("<f8", "weight array")
                 if arr.shape != size:
                     raise FormatError(f"weight shape mismatch: file has {arr.shape}, "
                                       f"config needs {size}")
@@ -529,7 +520,7 @@ class Hallucinator:
 
             # The builders ask for each weight and bias in the order save wrote.
             model = cls.build(config, types.SimpleNamespace(uniform=uniform))
-            if f.read(1):
+            if r.left():
                 raise FormatError("trailing bytes after final weight array")
         return model
 

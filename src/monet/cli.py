@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import hashlib
 import json
 import os
 import sys
@@ -28,9 +29,9 @@ from .cells import (CellConfig, Hallucinator, count_params,
 from .classify import (LinearClassifier, Prediction, classify, ensemble,
                        fit_linear_classifier, pooled_matrix, predictions_csv,
                        top1_accuracy)
-from .data import (FeatureRecord, SyntheticTaskSpec, dataset_manifest,
-                   file_sha256, generate_synthetic, read_dataset,
-                   read_dataset_header, write_dataset, write_manifest)
+from .data import (Dataset, FeatureRecord, SyntheticTaskSpec, dataset_manifest,
+                   file_sha256, generate_synthetic, read_dataset, write_dataset,
+                   write_manifest)
 from .gradcheck import check_family
 from .training import (LossConfig, TrainConfig, TrainingDiverged, evaluate,
                        hallucinate_array, records_arrays, train)
@@ -137,15 +138,15 @@ def _read_file(reader, path: str, what: str):
 def _write_records(path: str, records: list[FeatureRecord], n_classes: int,
                    spec: SyntheticTaskSpec | None = None) -> None:
     """Write a dataset file and, for a ``<stem>.mofe`` file, its
-    ``<stem>.manifest.json``: a sidecar left from the file this one
-    replaces would no longer match."""
+    ``<stem>.manifest.json`` (hashed from the bytes written, not read back):
+    a sidecar left from the file this one replaces would no longer match."""
     try:
-        write_dataset(path, records, n_classes=n_classes)
+        raw = write_dataset(path, records, n_classes=n_classes)
     except ValueError as e:
         raise PipelineError(f"cannot write {path}: {e}") from None
     manifest_path = _manifest_path(path)
     if manifest_path is not None:
-        write_manifest(manifest_path, dataset_manifest(path, spec))
+        write_manifest(manifest_path, dataset_manifest(raw, spec))
 
 
 def _write_splits(spec: SyntheticTaskSpec, out_dir: str) -> list[tuple[str, list]]:
@@ -187,9 +188,10 @@ def _verify_manifest(path: str, manifest_path: str | None, what: str) -> None:
         raise UsageError(f"{what} file {path} does not match the sha256 in {manifest_path}")
 
 
-def _model_and_records(args) -> tuple[Hallucinator, list[FeatureRecord], int]:
-    """The checkpoint, the records it will run on and the dataset header's
-    class count; a dataset the model cannot run on is a runtime failure."""
+def _model_and_records(args) -> tuple[Hallucinator, Dataset]:
+    """The checkpoint and the records it will run on, with the class count
+    their header declares; a dataset the model cannot run on is a runtime
+    failure."""
     _verify_manifest(args.checkpoint, args.checkpoint + CHECKPOINT_SIDECAR, "checkpoint")
     model = _read_file(Hallucinator.load, args.checkpoint, "checkpoint")
     _verify_manifest(args.data, _manifest_path(args.data), "dataset")
@@ -201,7 +203,7 @@ def _model_and_records(args) -> tuple[Hallucinator, list[FeatureRecord], int]:
         raise PipelineError("dataset sequences have length 0")
     if model.config.d_x != d_x:
         raise PipelineError(f"checkpoint expects d_x={model.config.d_x} but data has d_x={d_x}")
-    return model, records, read_dataset_header(args.data)["n_classes"]
+    return model, records
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +274,9 @@ def cmd_train(args) -> int:
     loss_cfg = LossConfig(alpha=alpha, classifier=teacher if alpha > 0 else None)
     report = train(model, train_recs, val_recs, tcfg, loss_cfg)
     checkpoint = os.path.join(out_dir, "checkpoint.monw")
-    model.save(checkpoint)
+    raw = model.save(checkpoint)
     write_manifest(checkpoint + CHECKPOINT_SIDECAR,
-                   {"format": "MONW", "sha256": file_sha256(checkpoint)})
+                   {"format": "MONW", "sha256": hashlib.sha256(raw).hexdigest()})
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as f:
         f.write(report.to_json())
         f.write("\n")
@@ -288,7 +290,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if args.csv and not (args.teacher and args.appearance):
         raise UsageError("--csv needs both --teacher and --appearance")
-    model, records, n_classes = _model_and_records(args)
+    model, records = _model_and_records(args)
     out_dim = model.config.output_dim
     d_s = records[0].flow_target.shape[1]
     if out_dim != d_s:
@@ -302,9 +304,9 @@ def cmd_eval(args) -> int:
         raise PipelineError(f"appearance classifier reads {appearance_clf.feature_dim} "
                             f"features but data has d_x={model.config.d_x}")
     for name, clf in (("teacher", teacher), ("appearance classifier", appearance_clf)):
-        if clf is not None and clf.n_classes != n_classes:
+        if clf is not None and clf.n_classes != records.n_classes:
             raise PipelineError(f"{name} has {clf.n_classes} classes but the data has "
-                                f"{n_classes}")
+                                f"{records.n_classes}")
     result = evaluate(model, records, teacher)
     if not np.isfinite(result.hallucinated).all():
         raise PipelineError("the hallucinated features are not finite: the checkpoint's "
@@ -336,13 +338,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_hallucinate(args) -> int:
-    model, records, n_classes = _model_and_records(args)
+    model, records = _model_and_records(args)
     app, _, _ = records_arrays(records)
     halluc = hallucinate_array(model, app)
     out_records = [FeatureRecord(id=r.id, label=r.label, appearance=r.appearance,
                                  flow_target=halluc[i])
                    for i, r in enumerate(records)]
-    _write_records(args.out, out_records, n_classes)
+    _write_records(args.out, out_records, records.n_classes)
     print(json.dumps({"out": args.out, "n_records": len(out_records)}))
     return 0
 

@@ -22,11 +22,11 @@ import hashlib
 import json
 import math
 import warnings
+from struct import pack, unpack_from
 
 import numpy as np
 
-from .binio import (U32_MAX, FormatError, check_magic, check_version, read_exact,
-                    read_str, read_u32, write_str, write_u32)
+from .binio import U32_MAX, BlockReader, FormatError, pack_u32, write_file
 from .tensor import _sigmoid_stable
 
 DATASET_MAGIC = b"MOFE"
@@ -42,15 +42,19 @@ class FeatureRecord:
     appearance: np.ndarray  # (T, d_x) float64
     flow_target: np.ndarray  # (T, d_s) float64
 
-    def validate(self) -> None:
+    def check_layout(self) -> None:
+        """The checks that need no pass over the values."""
         a, s = self.appearance, self.flow_target
         if a.ndim != 2 or s.ndim != 2 or a.shape[0] != s.shape[0]:
             raise ValueError(f"record {self.id}: sequences must be 2-D with equal length, "
                              f"got {a.shape} and {s.shape}")
-        if not (np.isfinite(a).all() and np.isfinite(s).all()):
-            raise ValueError(f"record {self.id}: non-finite values")
         if self.label < 0:
             raise ValueError(f"record {self.id}: negative label")
+
+    def validate(self) -> None:
+        self.check_layout()
+        if not (np.isfinite(self.appearance).all() and np.isfinite(self.flow_target).all()):
+            raise ValueError(f"record {self.id}: non-finite values")
 
 
 @dataclasses.dataclass
@@ -187,80 +191,131 @@ def generate_synthetic(spec: SyntheticTaskSpec) -> tuple[list[FeatureRecord], li
 # Dataset files
 # ---------------------------------------------------------------------------
 
-def write_dataset(path: str, records: list[FeatureRecord], n_classes: int | None = None) -> None:
+class Dataset(list):
+    """The records of one dataset file in file order, with the class count
+    its header declares (which the labels need not all reach)."""
+
+    def __init__(self, records, n_classes: int):
+        super().__init__(records)
+        self.n_classes = n_classes
+
+
+def write_dataset(path: str, records: list[FeatureRecord], n_classes: int | None = None) -> bytes:
     """Write records to one file: fixed header (counts), then per record the
     id, label, and both sequences as little-endian f32 row-major payloads.
     Every record is checked before the file is opened, including that its
     values fit f32, so a write never leaves a file that reads back as
-    non-finite."""
-    for r in records:
-        r.validate()
-    if records:
-        t_len, d_x = records[0].appearance.shape
-        d_s = records[0].flow_target.shape[1]
-        for r in records:
-            if r.appearance.shape != (t_len, d_x) or r.flow_target.shape != (t_len, d_s):
-                raise ValueError(f"record {r.id}: shape differs from first record")
-    else:
-        t_len = d_x = d_s = 0
+    non-finite.  The file is written in one call; returns its bytes."""
     if n_classes is None:
         n_classes = 1 + max((r.label for r in records), default=-1)
+    shapes = None
     for r in records:
+        r.check_layout()
         if r.label >= n_classes:
             raise ValueError(f"record {r.id}: label {r.label} outside [0, {n_classes})")
+        shapes = shapes or (r.appearance.shape, r.flow_target.shape)
+        if (r.appearance.shape, r.flow_target.shape) != shapes:
+            raise ValueError(f"record {r.id}: shape differs from first record")
+    (t_len, d_x), (_, d_s) = shapes or ((0, 0), (0, 0))
     n = len(records)
-    with np.errstate(over="ignore"):
+    header = DATASET_MAGIC + pack_u32(DATASET_VERSION, n, n_classes, t_len, d_x, d_s)
+    with np.errstate(over="ignore", invalid="ignore"):
         appearance = np.array([r.appearance for r in records], dtype="<f4").reshape(n, t_len, d_x)
         flow = np.array([r.flow_target for r in records], dtype="<f4").reshape(n, t_len, d_s)
     fits = np.isfinite(appearance).all(axis=(1, 2)) & np.isfinite(flow).all(axis=(1, 2))
     if not fits.all():
         bad = records[int(np.argmin(fits))]
+        bad.validate()
         raise ValueError(f"record {bad.id}: values outside the f32 range the file stores")
-    with open(path, "wb") as f:
-        f.write(DATASET_MAGIC)
-        write_u32(f, DATASET_VERSION)
-        for value in (n, n_classes, t_len, d_x, d_s):
-            write_u32(f, value)
-        for r, a, s in zip(records, appearance, flow):
-            write_str(f, r.id)
-            write_u32(f, r.label)
-            f.write(a.tobytes())
-            f.write(s.tobytes())
+    pieces = [header]
+    for r, a, s in zip(records, appearance, flow):
+        rid = r.id.encode("utf-8")
+        pieces += (pack(f"<I{len(rid)}sI", len(rid), rid, r.label), a, s)
+    return write_file(path, pieces)
 
 
-def _read_header(f) -> dict:
-    check_magic(f, DATASET_MAGIC)
-    check_version(f, DATASET_VERSION)
-    return {k: read_u32(f, k) for k in ("n_records", "n_classes", "seq_len", "d_x", "d_s")}
+_HEADER_FIELDS = ("n_records", "n_classes", "seq_len", "d_x", "d_s")
 
 
-def read_dataset(path: str) -> list[FeatureRecord]:
+def _read_header(r: BlockReader) -> dict:
+    r.magic(DATASET_MAGIC)
+    r.version(DATASET_VERSION)
+    return {k: r.u32(k) for k in _HEADER_FIELDS}
+
+
+def read_dataset(path: str) -> Dataset:
     """Read a dataset file back; values come out as the f32 the file stores,
-    widened to f64.  Non-finite payloads are rejected."""
-    with open(path, "rb") as f:
-        n, n_classes, t_len, d_x, d_s = _read_header(f).values()
-        records = []
-        for i in range(n):
-            rid = read_str(f, f"record {i} id")
-            label = read_u32(f, f"record {i} label")
+    widened to f64.  Non-finite payloads are rejected.
+
+    Every record's arrays are views into one f64 array that holds the whole
+    file's payloads, one row per record."""
+    with open(path, "rb", buffering=0) as f:
+        r = BlockReader(f)
+        n, n_classes, t_len, d_x, d_s = _read_header(r).values()
+        na, ns = t_len * d_x, t_len * d_s
+        row = na + ns
+        # A record is at least its payload, id length and label, so a count
+        # the file cannot hold fails in the loop before it outgrows ``rows``.
+        rows = min(n, r.left() // (4 * row + 8))
+        values = np.empty((rows, row) if rows else (0, 0))
+        ids, labels = [], []
+        size = 4 * row
+        i = 0
+        while i < n:
+            # The records the block holds whole, parsed without a check per
+            # field; one that crosses the block's end or looks damaged goes
+            # through the checked path below.
+            buf, p, end = r.buf, r.pos, r.end
+            while i < n and p + 4 <= end:
+                k = unpack_from("<I", buf, p)[0]
+                q = p + 4 + k
+                if q + 4 + size > end:
+                    break
+                label = unpack_from("<I", buf, q)[0]
+                if label >= n_classes:
+                    break
+                try:
+                    rid = buf[p + 4:q].decode("utf-8")
+                except UnicodeDecodeError:
+                    break
+                values[i] = np.frombuffer(buf, "<f4", row, q + 4)
+                ids.append(rid)
+                labels.append(label)
+                p = q + 4 + size
+                i += 1
+            r.pos = p
+            if i == n:
+                break
+            rid = r.string("record {} id", i)
+            label = r.u32("record {} label", i)
             if label >= n_classes:
                 raise FormatError(f"record {rid}: label {label} outside [0, {n_classes})")
-            raw_a = read_exact(f, t_len * d_x * 4, f"record {rid} appearance")
-            raw_s = read_exact(f, t_len * d_s * 4, f"record {rid} target")
-            appearance = np.frombuffer(raw_a, dtype="<f4").reshape(t_len, d_x).astype(np.float64)
-            flow = np.frombuffer(raw_s, dtype="<f4").reshape(t_len, d_s).astype(np.float64)
-            if not (np.isfinite(appearance).all() and np.isfinite(flow).all()):
-                raise FormatError(f"record {rid}: non-finite payload")
-            records.append(FeatureRecord(id=rid, label=label, appearance=appearance,
-                                         flow_target=flow))
-        if f.read(1):
+            if size > r.left():
+                # Cut short: fail on the first of the two sequences it lacks.
+                r.take(4 * na, "record {} appearance", rid)
+                r.take(4 * ns, "record {} target", rid)
+            p = r.take(size, "record {} payload", rid)
+            values[i] = np.frombuffer(r.buf, "<f4", row, p)
+            ids.append(rid)
+            labels.append(label)
+            i += 1
+        # A widened f32 is at most 3.5e38 in size, so the sum of a file's
+        # values is finite exactly when each of them is.
+        if not math.isfinite(values.sum()):
+            bad = int(np.argmin(np.isfinite(values).all(axis=1)))
+            raise FormatError(f"record {ids[bad]}: non-finite payload")
+        if r.left():
             raise FormatError("trailing bytes after final record")
-    return records
+    if not n:
+        return Dataset([], n_classes)
+    appearance = values[:, :na].reshape(n, t_len, d_x)
+    flow = values[:, na:].reshape(n, t_len, d_s)
+    return Dataset(map(FeatureRecord, ids, labels, appearance, flow), n_classes)
 
 
 def read_dataset_header(path: str) -> dict:
-    with open(path, "rb") as f:
-        return _read_header(f)
+    with open(path, "rb", buffering=0) as f:
+        return _read_header(BlockReader(f))
 
 
 def file_sha256(path: str) -> str:
@@ -272,11 +327,17 @@ def file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def dataset_manifest(path: str, spec: SyntheticTaskSpec | None = None) -> dict:
+def dataset_manifest(data: str | bytes, spec: SyntheticTaskSpec | None = None) -> dict:
     """JSON-ready description of a dataset file: header counts plus a sha256
-    of the exact bytes, and the generating spec when known."""
-    manifest = {"format": "MOFE", "version": DATASET_VERSION,
-                "header": read_dataset_header(path), "sha256": file_sha256(path)}
+    of the exact bytes, and the generating spec when known.  ``data`` is the
+    file's path, or the bytes ``write_dataset`` returned for it, which are
+    hashed in memory."""
+    if isinstance(data, str):
+        header, sha256 = read_dataset_header(data), file_sha256(data)
+    else:
+        header = dict(zip(_HEADER_FIELDS, unpack_from("<5I", data, 8)))
+        sha256 = hashlib.sha256(data).hexdigest()
+    manifest = {"format": "MOFE", "version": DATASET_VERSION, "header": header, "sha256": sha256}
     if spec is not None:
         manifest["spec"] = dataclasses.asdict(spec)
     return manifest

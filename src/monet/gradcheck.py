@@ -10,6 +10,7 @@ right, not that the same code was run twice.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -34,6 +35,12 @@ class GradCheckResult:
     @property
     def passed(self) -> bool:
         return self.max_rel_err <= 1e-5
+
+
+def _fold(worst: float, err: float) -> float:
+    """The larger error, where NaN is larger than anything: ``max`` would
+    drop a NaN that came second and so pass a rule that returns NaN."""
+    return err if err > worst or math.isnan(err) else worst
 
 
 def _loss_value(model: Hallucinator, xs: list[Tensor], targets: np.ndarray) -> float:
@@ -64,7 +71,7 @@ def check_instance(model: Hallucinator, rng: np.random.Generator, t_len: int) ->
                 _leaf.data = original
         numeric = finite_diff_grad(f, leaf, h=H)
         computed = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-        worst = max(worst, relative_error(computed, numeric))
+        worst = _fold(worst, relative_error(computed, numeric))
     return worst
 
 
@@ -76,6 +83,6 @@ def check_family(family: str, layers: int, instances: int = 10,
     worst = 0.0
     for _ in range(instances):
         model = Hallucinator.build(config, rng)
-        worst = max(worst, check_instance(model, rng, T_LEN))
+        worst = _fold(worst, check_instance(model, rng, T_LEN))
     return GradCheckResult(family=family, layers=layers, instances=instances,
                            max_rel_err=worst, seconds=time.perf_counter() - start)

@@ -12,11 +12,15 @@ import warnings
 import numpy as np
 import pytest
 
+from monet import binio
 from monet.cells import CellConfig, Hallucinator, flops_per_step
+import monet.cells
 import monet.cli
+import monet.data
 from monet.cli import main
-from monet.data import (FeatureRecord, dataset_manifest, read_dataset,
+from monet.data import (FeatureRecord, dataset_manifest, file_sha256, read_dataset,
                         read_dataset_header, write_dataset)
+from monet.gradcheck import check_family
 
 TASK = dict(n_classes=3, seq_len=8, d_x=6, d_s=4, n_train=24, n_val=9,
             noise_sigma=0.05, seed=1)
@@ -621,6 +625,45 @@ def _flip_first_appearance_exponent(src, dst):
     dst.write_bytes(bytes(raw))
 
 
+def test_every_manifest_names_the_file_on_disk(trained_dir, capsys, tmp_path):
+    """The manifests hash the bytes as they are written, in memory; each
+    must still match the file read back from disk: both of gen-data's,
+    train's two and its checkpoint sidecar, and hallucinate's."""
+    spec_path = write_json(tmp_path / "spec.json", TASK)
+    assert run(capsys, "gen-data", "--spec", spec_path, "--out", str(tmp_path / "d"))[0] == 0
+    run_dir = trained_dir / "run"
+    out_path = tmp_path / "h.mofe"
+    code, _, _ = run(capsys, "hallucinate", "--checkpoint", str(run_dir / "checkpoint.monw"),
+                     "--data", str(run_dir / "val.mofe"), "--out", str(out_path))
+    assert code == 0
+    for data in (tmp_path / "d" / "train.mofe", tmp_path / "d" / "val.mofe",
+                 run_dir / "train.mofe", run_dir / "val.mofe", out_path):
+        manifest = json.loads(data.with_suffix(".manifest.json").read_text())
+        assert manifest["sha256"] == file_sha256(str(data))
+        manifest.pop("spec", None)
+        assert manifest == dataset_manifest(str(data))
+    checkpoint = run_dir / "checkpoint.monw"
+    sidecar = json.loads((run_dir / "checkpoint.monw.sha256.json").read_text())
+    assert sidecar == {"format": "MONW", "sha256": file_sha256(str(checkpoint))}
+
+
+@pytest.mark.parametrize("command", ["eval", "hallucinate"])
+def test_each_input_file_is_parsed_once(trained_dir, capsys, tmp_path, monkeypatch, command):
+    opened = []
+
+    class Counting(binio.BlockReader):
+        def __init__(self, f):
+            opened.append(f.name)
+            super().__init__(f)
+
+    monkeypatch.setattr(monet.data, "BlockReader", Counting)
+    monkeypatch.setattr(monet.cells, "BlockReader", Counting)
+    run_dir = trained_dir / "run"
+    code, _, _ = _run_on_data(capsys, run_dir, run_dir / "val.mofe", command)
+    assert code == 0
+    assert opened == [str(run_dir / "checkpoint.monw"), str(run_dir / "val.mofe")]
+
+
 def test_hallucinate_onto_its_input_replaces_the_manifest(trained_dir, capsys, tmp_path):
     """``--out`` onto a dataset that has a sidecar rewrites the sidecar, so
     the hallucinated file still passes eval's checksum."""
@@ -870,6 +913,24 @@ def test_gradcheck_detects_corrupted_backward_rule(capsys, monkeypatch):
     code, out, _ = run(capsys, "gradcheck", "--family", "gru", "--trials", "2")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_gradcheck_fails_on_nan_gradients(capsys, monkeypatch):
+    """A rule that returns NaN gradients must fail: the error folds keep a
+    NaN instead of dropping it as ``max`` would."""
+    from monet import tensor as tensor_mod
+
+    original = tensor_mod.BACKWARD_RULES["recurrent"]
+
+    def nan_rule(node, grad):
+        return [None if g is None else np.full_like(g, np.nan) for g in original(node, grad)]
+
+    monkeypatch.setitem(tensor_mod.BACKWARD_RULES, "recurrent", nan_rule)
+    result = check_family("gru", 1, instances=2)
+    assert math.isnan(result.max_rel_err) and not result.passed
+    code, out, _ = run(capsys, "gradcheck", "--family", "gru", "--trials", "2")
+    assert code == 1
+    assert "max_rel_err=nan" in out and out.rstrip().endswith("FAIL")
 
 
 # -- flops -------------------------------------------------------------------
