@@ -7,8 +7,9 @@ strings, and contiguous row-major float arrays with an explicit dims header.
 A file is encoded in memory and written in one call, so its writer can hash
 the bytes it wrote without reading the file back.  A file is read through a
 ``BlockReader``, which parses fields with ``struct.unpack_from`` out of
-blocks of at most ``BLOCK_BYTES``: reading costs one block of memory beyond
-what it returns, however large the file.  Both formats fail the same way on
+blocks of at most ``BLOCK_BYTES``: reading a regular file costs one block of
+memory beyond what it returns, however large the file.  A pipe has no size
+to check lengths against and is read whole.  Both formats fail the same way on
 damage: a field declared longer than what is left of the file raises
 ``TruncatedError`` naming what was being read.
 """
@@ -90,12 +91,11 @@ class BlockReader:
 
     ``take(n, ...)`` consumes the next ``n`` bytes and returns where they
     start in ``buf``, for ``struct.unpack_from`` or ``np.frombuffer``; they
-    stay there until the next ``take``.  ``buf`` holds one block of the file
-    (or one field, if a field is longer) and is refilled when a field
-    crosses its end.  A field's name is a ``str.format`` template and its
-    arguments, formatted only when the field is cut short.  A parser may
-    also read the held bytes ``buf[pos:end]`` directly and advance ``pos``
-    past those it has consumed.
+    stay there until the next ``take``.  For a regular file ``buf`` holds
+    one block (or one field, if a field is longer) and is refilled when a
+    field crosses its end; a pipe or other stream is read whole.  A field's
+    name is a ``str.format`` template and its arguments, formatted only when
+    the field is cut short.
     """
 
     def __init__(self, f: BinaryIO):

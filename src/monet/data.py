@@ -245,72 +245,30 @@ def _read_header(r: BlockReader) -> dict:
 
 def read_dataset(path: str) -> Dataset:
     """Read a dataset file back; values come out as the f32 the file stores,
-    widened to f64.  Non-finite payloads are rejected.
-
-    Every record's arrays are views into one f64 array that holds the whole
-    file's payloads, one row per record."""
+    widened to f64.  Non-finite payloads are rejected."""
     with open(path, "rb", buffering=0) as f:
         r = BlockReader(f)
         n, n_classes, t_len, d_x, d_s = _read_header(r).values()
         na, ns = t_len * d_x, t_len * d_s
-        row = na + ns
-        # A record is at least its payload, id length and label, so a count
-        # the file cannot hold fails in the loop before it outgrows ``rows``.
-        rows = min(n, r.left() // (4 * row + 8))
-        values = np.empty((rows, row) if rows else (0, 0))
-        ids, labels = [], []
-        size = 4 * row
-        i = 0
-        while i < n:
-            # The records the block holds whole, parsed without a check per
-            # field; one that crosses the block's end or looks damaged goes
-            # through the checked path below.
-            buf, p, end = r.buf, r.pos, r.end
-            while i < n and p + 4 <= end:
-                k = unpack_from("<I", buf, p)[0]
-                q = p + 4 + k
-                if q + 4 + size > end:
-                    break
-                label = unpack_from("<I", buf, q)[0]
-                if label >= n_classes:
-                    break
-                try:
-                    rid = buf[p + 4:q].decode("utf-8")
-                except UnicodeDecodeError:
-                    break
-                values[i] = np.frombuffer(buf, "<f4", row, q + 4)
-                ids.append(rid)
-                labels.append(label)
-                p = q + 4 + size
-                i += 1
-            r.pos = p
-            if i == n:
-                break
+        records = []
+        for i in range(n):
             rid = r.string("record {} id", i)
             label = r.u32("record {} label", i)
             if label >= n_classes:
                 raise FormatError(f"record {rid}: label {label} outside [0, {n_classes})")
-            if size > r.left():
+            if 4 * (na + ns) > r.left():
                 # Cut short: fail on the first of the two sequences it lacks.
                 r.take(4 * na, "record {} appearance", rid)
                 r.take(4 * ns, "record {} target", rid)
-            p = r.take(size, "record {} payload", rid)
-            values[i] = np.frombuffer(r.buf, "<f4", row, p)
-            ids.append(rid)
-            labels.append(label)
-            i += 1
-        # A widened f32 is at most 3.5e38 in size, so the sum of a file's
-        # values is finite exactly when each of them is.
-        if not math.isfinite(values.sum()):
-            bad = int(np.argmin(np.isfinite(values).all(axis=1)))
-            raise FormatError(f"record {ids[bad]}: non-finite payload")
+            p = r.take(4 * (na + ns), "record {} payload", rid)
+            values = np.frombuffer(r.buf, "<f4", na + ns, p).astype(np.float64)
+            if not np.isfinite(values).all():
+                raise FormatError(f"record {rid}: non-finite payload")
+            records.append(FeatureRecord(rid, label, values[:na].reshape(t_len, d_x),
+                                         values[na:].reshape(t_len, d_s)))
         if r.left():
             raise FormatError("trailing bytes after final record")
-    if not n:
-        return Dataset([], n_classes)
-    appearance = values[:, :na].reshape(n, t_len, d_x)
-    flow = values[:, na:].reshape(n, t_len, d_s)
-    return Dataset(map(FeatureRecord, ids, labels, appearance, flow), n_classes)
+    return Dataset(records, n_classes)
 
 
 def read_dataset_header(path: str) -> dict:
