@@ -5,29 +5,22 @@ the same few primitives: little-endian u32 scalars, length-prefixed UTF-8
 strings, and contiguous row-major float arrays with an explicit dims header.
 
 A file is encoded in memory and written in one call, so its writer can hash
-the bytes it wrote without reading the file back.  A file is read through a
-``BlockReader``, which parses fields with ``struct.unpack_from`` out of
-blocks of at most ``BLOCK_BYTES``: reading a regular file costs one block of
-memory beyond what it returns, however large the file.  A pipe has no size
-to check lengths against and is read whole.  Both formats fail the same way on
-damage: a field declared longer than what is left of the file raises
+the bytes it wrote without reading the file back.  A file, or a pipe, is
+read whole in one call by a ``BlockReader``, which parses its fields with
+``struct.unpack_from`` out of that one buffer.  Both formats fail the same
+way on damage: a field declared longer than what is left of the file raises
 ``TruncatedError`` naming what was being read.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import stat
 import struct
 from typing import BinaryIO
 
 import numpy as np
 
 U32_MAX = 0xFFFFFFFF
-
-# Bytes a reader holds at once, unless one field is longer.
-BLOCK_BYTES = 1 << 20
 
 # A cut-short field longer than this is reported with the bytes left in the
 # file, a shorter one with the bytes it got.
@@ -87,39 +80,27 @@ def write_file(path: str, pieces: list) -> bytes:
 # ---------------------------------------------------------------------------
 
 class BlockReader:
-    """A binary file just opened for reading, read front to back.
+    """A binary file just opened for reading, read whole and parsed front
+    to back.
 
     ``take(n, ...)`` consumes the next ``n`` bytes and returns where they
-    start in ``buf``, for ``struct.unpack_from`` or ``np.frombuffer``; they
-    stay there until the next ``take``.  For a regular file ``buf`` holds
-    one block (or one field, if a field is longer) and is refilled when a
-    field crosses its end; a pipe or other stream is read whole.  A field's
-    name is a ``str.format`` template and its arguments, formatted only when
-    the field is cut short.
+    start in ``buf``, for ``struct.unpack_from`` or ``np.frombuffer``.  A
+    field's name is a ``str.format`` template and its arguments, formatted
+    only when the field is cut short.
     """
 
     def __init__(self, f: BinaryIO):
-        self._f = f
-        st = os.fstat(f.fileno())
-        if stat.S_ISREG(st.st_mode) and st.st_size > BLOCK_BYTES:
-            self.size = st.st_size
-            self.buf = bytearray(BLOCK_BYTES)
-            self.end = 0
-        else:
-            # A file that fits in one block is read whole, and so is a pipe,
-            # which has no size to check lengths against.
-            self.buf = f.read()
-            self.size = self.end = len(self.buf)
-        self._start = 0  # file offset of buf[0]
-        self.pos = 0     # offset in buf of the next byte to take
+        self.buf = f.read()
+        self.end = len(self.buf)
+        self.pos = 0  # offset in buf of the next byte to take
 
     def left(self) -> int:
         """Bytes of the file not yet taken."""
-        return self.size - self._start - self.pos
+        return self.end - self.pos
 
     def require(self, n: int, what: str) -> None:
         """Raise ``TruncatedError`` unless the file still holds ``n`` bytes,
-        so a damaged length never turns into a huge read or allocation."""
+        so a damaged length never turns into a huge allocation."""
         left = self.left()
         if n > left:
             raise TruncatedError(f"expected {n} bytes for {what}, {left} left in the file")
@@ -127,32 +108,11 @@ class BlockReader:
     def take(self, n: int, what: str, *args) -> int:
         p = self.pos
         if p + n > self.end:
-            p = self._refill(n, what, args)
-        self.pos = p + n
-        return p
-
-    def _refill(self, n: int, what: str, args: tuple) -> int:
-        left = self.left()
-        if n > left:
+            left = self.end - p
             got = f"{left} left in the file" if n > _SHORT_FIELD else f"got {left}"
             raise TruncatedError(f"expected {n} bytes for {what.format(*args)}, {got}")
-        tail = self.buf[self.pos:self.end]
-        if n > len(self.buf):
-            self.buf = bytearray(n)  # at most the rest of the file, checked above
-        self.buf[:len(tail)] = tail
-        self._start += self.pos
-        want = min(len(self.buf), self.size - self._start)
-        end = len(tail)
-        with memoryview(self.buf) as view:
-            while end < want:
-                got = self._f.readinto(view[end:want])
-                if not got:
-                    raise TruncatedError(f"expected {n} bytes for {what.format(*args)}, "
-                                         f"the file shrank while being read")
-                end += got
-        self.end = end
-        self.pos = 0
-        return 0
+        self.pos = p + n
+        return p
 
     def u32(self, what: str, *args) -> int:
         p = self.take(4, what, *args)

@@ -87,6 +87,15 @@ def top1_accuracy(preds: list[Prediction], labels: list[int]) -> float:
     return hits / len(preds)
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted when it holds a comma, a quote or a
+    line break.  (``csv.writer`` with a ``"\\n"`` line end leaves a bare
+    ``"\\r"`` unquoted, which ``csv.reader`` splits the row at.)"""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def predictions_csv(ids: list[str], labels: list[int], preds: list[Prediction]) -> str:
     """CSV export: example_id, label, top1, then one probability column per class."""
     if not preds:
@@ -94,7 +103,7 @@ def predictions_csv(ids: list[str], labels: list[int], preds: list[Prediction]) 
     c = preds[0].probs.shape[0]
     lines = ["example_id,label,top1," + ",".join(f"prob_{k}" for k in range(c))]
     for rid, y, p in zip(ids, labels, preds):
-        cells = [rid, str(y), str(p.top1)] + [f"{float(v):.17g}" for v in p.probs]
+        cells = [_csv_field(rid), str(y), str(p.top1)] + [f"{float(v):.17g}" for v in p.probs]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

@@ -3,11 +3,11 @@ and checkpoint round trips."""
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
-from monet import binio
 from monet.binio import BadMagicError, FormatError, TruncatedError, VersionError
 from monet.cells import (FAMILIES, BidirParams, CellConfig, Conv1dParams,
                          ConvStage, GruParams, Hallucinator, MoNetParams,
@@ -929,34 +929,30 @@ def test_checkpoint_non_finite_weight_is_format_error(tmp_path):
         Hallucinator.load(path)
 
 
-def test_checkpoint_truncated_at_every_offset_is_a_format_error(tmp_path, monkeypatch):
+def test_checkpoint_loads_alike_through_a_pipe(tmp_path):
+    model = Hallucinator.build(CellConfig(family="bi-lstm", d_x=5, d_s=4, layers=2, out_dim=3),
+                               np.random.default_rng(1))
+    raw = model.save(str(tmp_path / "m.monw"))
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, raw)  # small enough for the pipe's buffer
+        os.close(write_end)
+        loaded = Hallucinator.load(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert loaded.config == model.config
+    assert [t.data.tobytes() for t in loaded.tensors()] == [t.data.tobytes() for t in model.tensors()]
+
+
+def test_checkpoint_truncated_at_every_offset_is_a_format_error(tmp_path):
     """Cut at every byte offset, a checkpoint fails with a ``FormatError``
-    subclass and nothing else, with one message per cut whatever the
-    reader's block size."""
+    subclass and nothing else."""
     model = Hallucinator.build(CellConfig(family="monet", d_x=4, d_s=3, layers=2),
                                np.random.default_rng(0))
     path = tmp_path / "m.monw"
     raw = model.save(str(path))
     assert raw == path.read_bytes()
-    messages = {}
-    for block in (binio.BLOCK_BYTES, 5):
-        monkeypatch.setattr(binio, "BLOCK_BYTES", block)
-        for n in range(len(raw)):
-            path.write_bytes(raw[:n])
-            with pytest.raises(FormatError) as err:
-                Hallucinator.load(str(path))
-            messages.setdefault(n, set()).add((type(err.value), str(err.value)))
-    assert all(len(m) == 1 for m in messages.values())
-
-
-@pytest.mark.parametrize("block", [1, 7, 64])
-def test_checkpoint_arrays_straddling_a_block_edge_load_identically(tmp_path, monkeypatch,
-                                                                     block):
-    model = Hallucinator.build(CellConfig(family="bi-lstm", d_x=5, d_s=4, layers=2, out_dim=3),
-                               np.random.default_rng(1))
-    path = str(tmp_path / "m.monw")
-    model.save(path)
-    monkeypatch.setattr(binio, "BLOCK_BYTES", block)
-    loaded = Hallucinator.load(path)
-    assert loaded.config == model.config
-    assert [t.data.tobytes() for t in loaded.tensors()] == [t.data.tobytes() for t in model.tensors()]
+    for n in range(len(raw)):
+        path.write_bytes(raw[:n])
+        with pytest.raises(FormatError):
+            Hallucinator.load(str(path))

@@ -1,5 +1,8 @@
 """Pooled linear classification, two-stream ensembling, and metrics."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -159,6 +162,18 @@ def test_predictions_csv_layout():
     assert float(lines[2].split(",")[3]) == 0.9
     with pytest.raises(ValueError):
         predictions_csv([], [], [])
+
+
+def test_predictions_csv_reads_back_any_id():
+    """Ids holding a comma, a quote or a line break come back whole from
+    ``csv.reader``, each row with the header's six columns."""
+    ids = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "", "plain"]
+    preds = [Prediction(probs=np.array([0.2, 0.3, 0.5]), top1=2)] * len(ids)
+    text = predictions_csv(ids, [0] * len(ids), preds)
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert [len(row) for row in rows] == [6] * (1 + len(ids))
+    assert [row[0] for row in rows[1:]] == ids
+    assert predictions_csv(["seq-00001"], [0], preds[:1]).split("\n")[1].startswith("seq-00001,0,2,")
 
 
 # -- tape path ---------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -9,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from monet import binio
 from monet.binio import (BadMagicError, FormatError, TruncatedError,
                          VersionError)
 from monet.classify import classify, fit_linear_classifier, pooled_matrix
@@ -297,39 +297,36 @@ def test_ids_of_unlike_lengths_round_trip_byte_identical(tmp_path):
     assert Path(path).read_bytes() == Path(path2).read_bytes() == raw
 
 
-def test_every_truncation_is_a_format_error(tmp_path, monkeypatch):
+def test_a_dataset_reads_alike_through_a_pipe(tmp_path):
+    path, _ = write_small(tmp_path, _unlike_ids(), n_classes=3)
+    raw = Path(path).read_bytes()
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, raw)  # small enough for the pipe's buffer
+        os.close(write_end)
+        piped = read_dataset(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert _same_records(piped, read_dataset(path))
+    assert piped.n_classes == 3
+
+
+def test_every_truncation_is_a_format_error(tmp_path):
     """Cut at every byte offset, the file fails with a ``FormatError``
-    subclass and nothing else, and with the same message whether the cut
-    record sits whole in the reader's block or crosses its end."""
+    subclass and nothing else."""
     path, _ = write_small(tmp_path, _unlike_ids(), n_classes=3)
     raw = Path(path).read_bytes()
     cut = tmp_path / "cut.mofe"
-    messages = {}
-    for block in (binio.BLOCK_BYTES, 7):
-        monkeypatch.setattr(binio, "BLOCK_BYTES", block)
-        for n in range(len(raw)):
-            cut.write_bytes(raw[:n])
-            with pytest.raises(FormatError) as err:
-                read_dataset(str(cut))
-            messages.setdefault(n, set()).add((type(err.value), str(err.value)))
-    assert all(len(m) == 1 for m in messages.values())
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(FormatError):
+            read_dataset(str(cut))
 
 
-@pytest.mark.parametrize("block", [1, 5, 16, 61, 100])
-def test_records_straddling_a_block_edge_read_identically(tmp_path, monkeypatch, block):
-    paths = [write_small(tmp_path)[0], str(tmp_path / "unlike.mofe")]
-    write_dataset(paths[1], _unlike_ids(), n_classes=3)
-    whole = [(read_dataset(p), read_dataset_header(p)) for p in paths]
-    monkeypatch.setattr(binio, "BLOCK_BYTES", block)
-    for p, (records, header) in zip(paths, whole):
-        assert _same_records(read_dataset(p), records)
-        assert read_dataset_header(p) == header
-
-
-def test_a_damaged_record_is_named_alike_across_block_edges(tmp_path, monkeypatch):
-    """A bad id, label or value in the last record fails with the same
-    message whether the record sits whole in the block or crosses its end."""
-    path, records = write_small(tmp_path, _unlike_ids(), n_classes=3)
+def test_a_damaged_last_record_is_named(tmp_path):
+    """A bad id, label or value in the last record fails with a message
+    naming that record."""
+    path, _ = write_small(tmp_path, _unlike_ids(), n_classes=3)
     raw = Path(path).read_bytes()
     last = len(raw) - (4 + len(b"seq-00003") + 4 + 4 * (6 + 12))
     label_at = last + 4 + len(b"seq-00003")
@@ -341,23 +338,21 @@ def test_a_damaged_record_is_named_alike_across_block_edges(tmp_path, monkeypatc
     for name, (offset, patch, message) in cases.items():
         damaged = tmp_path / f"{name}.mofe"
         damaged.write_bytes(raw[:offset] + patch + raw[offset + len(patch):])
-        for block in (binio.BLOCK_BYTES, 3, 50):
-            monkeypatch.setattr(binio, "BLOCK_BYTES", block)
-            with pytest.raises(FormatError) as err:
-                read_dataset(str(damaged))
-            assert str(err.value).startswith(message), (name, block, str(err.value))
+        with pytest.raises(FormatError) as err:
+            read_dataset(str(damaged))
+        assert str(err.value).startswith(message), (name, str(err.value))
 
 
-def test_reading_a_dataset_holds_one_block_beyond_its_records(tmp_path):
+def test_reading_a_dataset_holds_at_most_the_file_beyond_its_records(tmp_path):
     """At the acceptance size (2,000 records of 20 steps, 16 + 16 dims,
-    about 4.9 MiB on disk) a read allocates at most about 2 MiB beyond the
-    records it returns: the file is parsed in bounded blocks, never held
-    whole."""
+    about 4.9 MiB on disk) a read allocates at most the file's size and
+    64 KiB beyond the records it returns: the file is read once, and no
+    second copy of it is made."""
     rng = np.random.default_rng(0)
     records = [FeatureRecord(id=f"seq-{i:05d}", label=i % 8, appearance=rng.normal(size=(20, 16)),
                              flow_target=rng.normal(size=(20, 16))) for i in range(2000)]
     path = str(tmp_path / "big.mofe")
-    write_dataset(path, records, n_classes=8)
+    size = len(write_dataset(path, records, n_classes=8))
     del records
     tracemalloc.start()
     try:
@@ -366,7 +361,7 @@ def test_reading_a_dataset_holds_one_block_beyond_its_records(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(loaded) == 2000
-    assert peak - kept <= 2 * 2**20, f"{(peak - kept) / 2**20:.2f} MiB beyond the records"
+    assert peak - kept <= size + 2**16, f"{(peak - kept) / 2**20:.2f} MiB beyond the records"
 
 
 def test_manifest_checksums_file(tmp_path):

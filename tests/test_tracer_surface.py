@@ -2,7 +2,7 @@
 (``perfbench/tracing.py``).  Renaming or deleting one of them would break
 only the traced benchmark, so this runs a tiny traced training epoch and a
 traced ``monet eval`` and checks that the spans the per-layer split reads
-were recorded."""
+were recorded, with the dataset read sized by its path."""
 
 import os
 import sys
@@ -51,6 +51,9 @@ def test_traced_training_and_eval_record_every_layer_span(tmp_path):
         tracer.uninstall()
     assert code == 0
     names = {s.name for s in tracer.spans}
-    for span in ("cells.forward", "training.class_probs", "tensor.backward", "cli.eval"):
+    for span in ("cells.forward", "training.class_probs", "tensor.backward", "cli.eval",
+                 "cells.checkpoint_load"):
         assert span in names, span
+    reads = [s.info for s in tracer.spans if s.name == "data.read"]
+    assert reads == [{"bytes": os.path.getsize(tmp_path / "val.mofe")}]
     assert (tmp_path / "fused.csv").exists()
