@@ -2,6 +2,7 @@
 and checkpoint round trips."""
 
 import dataclasses
+import io
 import math
 import os
 
@@ -929,6 +930,41 @@ def test_checkpoint_non_finite_weight_is_format_error(tmp_path):
         Hallucinator.load(path)
 
 
+class _ShortReads(io.RawIOBase):
+    """A file that hands over at most ``n`` bytes per read, as a pipe or a
+    network file system may; ``sizes`` records what each read returned."""
+
+    def __init__(self, path, n):
+        self.file = open(path, "rb", buffering=0)
+        self.n = n
+        self.sizes = []
+
+    def readable(self):
+        return True
+
+    def readinto(self, b):
+        got = self.file.readinto(memoryview(b)[:self.n])
+        self.sizes.append(got)
+        return got
+
+    def close(self):
+        self.file.close()
+        super().close()
+
+
+def _open_in_short_reads(monkeypatch, module, n):
+    """Make ``module`` open every file as ``_ShortReads`` of ``n`` bytes;
+    returns the list of files it opened."""
+    opened = []
+
+    def short_open(path, mode="r", buffering=-1):
+        opened.append(_ShortReads(path, n))
+        return opened[-1]
+
+    monkeypatch.setattr(module + ".open", short_open, raising=False)
+    return opened
+
+
 def test_checkpoint_loads_alike_through_a_pipe(tmp_path):
     model = Hallucinator.build(CellConfig(family="bi-lstm", d_x=5, d_s=4, layers=2, out_dim=3),
                                np.random.default_rng(1))
@@ -940,6 +976,20 @@ def test_checkpoint_loads_alike_through_a_pipe(tmp_path):
         loaded = Hallucinator.load(f"/dev/fd/{read_end}")
     finally:
         os.close(read_end)
+    assert loaded.config == model.config
+    assert [t.data.tobytes() for t in loaded.tensors()] == [t.data.tobytes() for t in model.tensors()]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_checkpoint_arrays_straddling_a_short_read_load_identically(tmp_path, monkeypatch,
+                                                                     block):
+    model = Hallucinator.build(CellConfig(family="bi-lstm", d_x=5, d_s=4, layers=2, out_dim=3),
+                               np.random.default_rng(1))
+    path = str(tmp_path / "m.monw")
+    model.save(path)
+    opened = _open_in_short_reads(monkeypatch, "monet.cells", block)
+    loaded = Hallucinator.load(path)
+    assert len(opened) == 1 and max(opened[0].sizes) == block
     assert loaded.config == model.config
     assert [t.data.tobytes() for t in loaded.tensors()] == [t.data.tobytes() for t in model.tensors()]
 

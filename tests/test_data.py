@@ -1,6 +1,7 @@
 """Synthetic generator, dataset file format, and stratified splitting."""
 
 import dataclasses
+import io
 import json
 import os
 import tracemalloc
@@ -271,6 +272,41 @@ def test_mixed_shapes_rejected_at_write(tmp_path):
         write_dataset(str(tmp_path / "d.mofe"), records)
 
 
+class _ShortReads(io.RawIOBase):
+    """A file that hands over at most ``n`` bytes per read, as a pipe or a
+    network file system may; ``sizes`` records what each read returned."""
+
+    def __init__(self, path, n):
+        self.file = open(path, "rb", buffering=0)
+        self.n = n
+        self.sizes = []
+
+    def readable(self):
+        return True
+
+    def readinto(self, b):
+        got = self.file.readinto(memoryview(b)[:self.n])
+        self.sizes.append(got)
+        return got
+
+    def close(self):
+        self.file.close()
+        super().close()
+
+
+def _open_in_short_reads(monkeypatch, module, n):
+    """Make ``module`` open every file as ``_ShortReads`` of ``n`` bytes;
+    returns the list of files it opened."""
+    opened = []
+
+    def short_open(path, mode="r", buffering=-1):
+        opened.append(_ShortReads(path, n))
+        return opened[-1]
+
+    monkeypatch.setattr(module + ".open", short_open, raising=False)
+    return opened
+
+
 def _unlike_ids():
     """Records whose ids differ in byte length, one of them non-ASCII."""
     rng = np.random.default_rng(5)
@@ -309,6 +345,20 @@ def test_a_dataset_reads_alike_through_a_pipe(tmp_path):
         os.close(read_end)
     assert _same_records(piped, read_dataset(path))
     assert piped.n_classes == 3
+
+
+@pytest.mark.parametrize("block", [1, 5, 16, 61, 100])
+def test_records_straddling_a_short_read_read_identically(tmp_path, monkeypatch, block):
+    """Handed over at most ``block`` bytes per read, so that fields cross
+    read boundaries, a file reads as it does from a single read."""
+    paths = [write_small(tmp_path)[0], str(tmp_path / "unlike.mofe")]
+    write_dataset(paths[1], _unlike_ids(), n_classes=3)
+    whole = [(read_dataset(p), read_dataset_header(p)) for p in paths]
+    opened = _open_in_short_reads(monkeypatch, "monet.data", block)
+    for p, (records, header) in zip(paths, whole):
+        assert _same_records(read_dataset(p), records)
+        assert read_dataset_header(p) == header
+    assert len(opened) == 4 and all(max(f.sizes) == block for f in opened)
 
 
 def test_every_truncation_is_a_format_error(tmp_path):
