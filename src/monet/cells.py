@@ -299,7 +299,7 @@ def _step(family: str, x: Tensor, states: list[Tensor] | tuple[Tensor, Tensor], 
     if x.shape[:1] != states[0].shape[:1]:
         raise ShapeError(f"{family} step: input and state rows differ, got {x.shape} "
                          f"and {states[0].shape}")
-    return recurrent(family, _project(x, p), states, _fields(p, "U"))
+    return recurrent(family, x, _fields(p, "W"), _fields(p, "b"), states, _fields(p, "U"))
 
 
 def _fields(p, prefix: str) -> list[Tensor]:
@@ -314,12 +314,6 @@ def _field_names(cls, prefix: str) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(cls) if f.name.startswith(prefix))
 
 
-def _project(X: Tensor, p) -> list[Tensor]:
-    """The input projection ``X @ W + b`` of each gate of a cell, in the
-    order its fields list them.  MoNet's gates are named as the GRU's."""
-    return [affine(((X, W),), b) for W, b in zip(_fields(p, "W"), _fields(p, "b"))]
-
-
 def monet_unit(x: Tensor, s_left: Tensor, s_right: Tensor, p: MoNetParams) -> MoNetTrace:
     """One MoNet step on (rows, d_x) input with (rows, d_s) neighbor states.
 
@@ -331,8 +325,9 @@ def monet_unit(x: Tensor, s_left: Tensor, s_right: Tensor, p: MoNetParams) -> Mo
     if s_left.shape != s_right.shape or x.shape[0] != s_left.shape[0]:
         raise ShapeError(f"monet_unit: row counts and state dims must agree, "
                          f"got {x.shape}, {s_left.shape}, {s_right.shape}")
-    out, (sig, _, _, cand, w) = _monet_pass(*_project(x, p), s_left, s_right, p.U_r_left,
-                                            p.U_z_left, p.U_r_right, p.U_z_right, p.U_h)
+    out, (sig, _, _, cand, w) = _monet_pass(x, _fields(p, "W"), _fields(p, "b"), s_left,
+                                            s_right, p.U_r_left, p.U_z_left, p.U_r_right,
+                                            p.U_z_right, p.U_h)
     return MoNetTrace(*(Tensor(a) for a in (sig[0], sig[2], sig[1], sig[3], cand, *w)), out)
 
 
@@ -343,9 +338,8 @@ def monet_unit(x: Tensor, s_left: Tensor, s_right: Tensor, p: MoNetParams) -> Mo
 # sequence i at step t.  The expansion and convolution runners read only the
 # previous pass's (or stage's) outputs, so they run each pass over every
 # position at once, and a shift by N rows is a shift by one time step that
-# never crosses sequences.  The recurrent runners project every step's input
-# in one ``affine`` node per gate and run each layer's state side as one
-# ``recurrent`` node.
+# never crosses sequences.  The recurrent runners run each layer, its input
+# projections included, as one ``recurrent`` node.
 
 def _time_major(xs: list[Tensor]) -> tuple[Tensor, int]:
     """Per-timestep (N, d) inputs as one (T*N, d) matrix, plus N."""
@@ -362,36 +356,36 @@ def _monet_rows(X: Tensor, n: int, p: MoNetParams, layers: int,
     when causal_only).  The neighbours of every position in a pass are the
     previous states shifted by one step, zero past either end.  All passes
     are one ``monet_pass`` node."""
-    return monet_pass(*_project(X, p), None, None, p.U_r_left, p.U_z_left, p.U_r_right,
-                      p.U_z_right, p.U_h, n=n, layers=layers, causal_only=causal_only)
+    return monet_pass(X, _fields(p, "W"), _fields(p, "b"), None, None, p.U_r_left, p.U_z_left,
+                      p.U_r_right, p.U_z_right, p.U_h, n=n, layers=layers,
+                      causal_only=causal_only)
 
 
-def _scan_stacks(Xs: list[Tensor], n: int, stacks: list[list], family: str,
+def _scan_stacks(X: Tensor, n: int, stacks: list[list], family: str,
                  flags: tuple[bool, ...]) -> list[Tensor]:
-    """Stack k of causal cells over time-major ``Xs[k]``, last step first if
+    """Stack k of causal cells over time-major ``X``, last step first if
     ``flags[k]``, from zero states: per depth level one ``recurrent`` node,
-    after each stack's projections in turn.  Returns the top layers' states."""
+    which projects the level's input for every stack at once.  Returns the
+    top layers' states."""
     n_states = _CELLS[family][3]
     for layer in zip(*stacks):
-        pres = [q for X, p in zip(Xs, layer) for q in _project(X, p)]
-        zero = Tensor(np.zeros((n, pres[0].shape[1])))
-        outs = recurrent(family, pres, [zero] * (n_states * len(flags)),
-                         [U for p in layer for U in _fields(p, "U")], flags)
-        Xs = list(outs[::n_states]) if isinstance(outs, tuple) else [outs]
-    return Xs
+        Ws, bs, Us = ([t for p in layer for t in _fields(p, key)] for key in "WbU")
+        zero = Tensor(np.zeros((n, len(Us[0].data))))
+        outs = recurrent(family, X, Ws, bs, [zero] * (n_states * len(flags)), Us, flags)
+        X = list(outs[::n_states]) if isinstance(outs, tuple) else [outs]
+    return X
 
 
 def stacked_steps(X: Tensor, n: int, layer_params: list, family: str) -> Tensor:
     """A stack of causal cells over a time-major (T*n, d) matrix, returning
     the top layer's states as a time-major (T*n, d_s) matrix."""
-    return _scan_stacks([X], n, [layer_params], family, (False,))[0]
+    return _scan_stacks(X, n, [layer_params], family, (False,))[0]
 
 
 def bidir_steps(X: Tensor, n: int, p: BidirParams, family: str) -> Tensor:
     """Independent left-to-right and right-to-left stacks over a time-major
     (T*n, d) matrix, merged by summing the two projected states."""
-    fwd, bwd = _scan_stacks([X, X], n, [p.fwd, p.bwd], family.removeprefix("bi-"),
-                            (False, True))
+    fwd, bwd = _scan_stacks(X, n, [p.fwd, p.bwd], family.removeprefix("bi-"), (False, True))
     return affine(((fwd, p.proj_fwd), (bwd, p.proj_bwd)), p.b_out)
 
 

@@ -364,7 +364,8 @@ def cmd_gradcheck(args) -> int:
         result = check_family(args.family, layers, instances=args.trials, seed=args.seed)
         status = "PASS" if result.passed else "FAIL"
         print(f"family={result.family} layers={result.layers} instances={result.instances} "
-              f"max_rel_err={result.max_rel_err:.3e} time={result.seconds:.2f}s {status}")
+              f"max_rel_err={result.max_rel_err:.3e} redraws={result.redraws} "
+              f"time={result.seconds:.2f}s {status}")
         failed = failed or not result.passed
     return 1 if failed else 0
 

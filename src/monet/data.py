@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import warnings
@@ -235,6 +236,7 @@ def write_dataset(path: str, records: list[FeatureRecord], n_classes: int | None
 
 
 _HEADER_FIELDS = ("n_records", "n_classes", "seq_len", "d_x", "d_s")
+_HEADER_BYTES = 4 + 4 * (1 + len(_HEADER_FIELDS))  # magic, version, the counts
 
 
 def _read_header(r: BlockReader) -> dict:
@@ -246,7 +248,9 @@ def _read_header(r: BlockReader) -> dict:
 def read_dataset(path: str) -> Dataset:
     """Read a dataset file back; values come out as the f32 the file stores,
     widened to f64.  Non-finite payloads are rejected."""
-    with open(path, "rb", buffering=0) as f:
+    # Entered once per file: a signalling NaN warns as it widens to f64,
+    # and the finiteness check rejects it.
+    with open(path, "rb", buffering=0) as f, np.errstate(invalid="ignore"):
         r = BlockReader(f)
         n, n_classes, t_len, d_x, d_s = _read_header(r).values()
         na, ns = t_len * d_x, t_len * d_s
@@ -272,8 +276,13 @@ def read_dataset(path: str) -> Dataset:
 
 
 def read_dataset_header(path: str) -> dict:
+    """The header's counts, parsed from the file's first 28 bytes alone; a
+    file cut short within them fails as ``read_dataset`` does."""
+    head = b""
     with open(path, "rb", buffering=0) as f:
-        return _read_header(BlockReader(f))
+        while len(head) < _HEADER_BYTES and (part := f.read(_HEADER_BYTES - len(head))):
+            head += part
+    return _read_header(BlockReader(io.BytesIO(head)))
 
 
 def file_sha256(path: str) -> str:

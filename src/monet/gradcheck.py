@@ -20,8 +20,11 @@ from .tensor import Tape, Tensor, finite_diff_grad, mul, relative_error, sub, ts
 
 
 # Each instance's model widths, sequence length, conv1d kernel, and the
-# central-difference step.
+# central-difference step; the largest relative error a gradient may show;
+# and how many times one instance is redrawn when its draw straddles a kink.
 D_X, D_S, T_LEN, KERNEL, H = 5, 4, 6, 3, 1e-6
+TOLERANCE = 1e-5
+MAX_REDRAWS = 3
 
 
 @dataclasses.dataclass
@@ -31,10 +34,11 @@ class GradCheckResult:
     instances: int
     max_rel_err: float
     seconds: float
+    redraws: int
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_err <= 1e-5
+        return self.max_rel_err <= TOLERANCE
 
 
 def _fold(worst: float, err: float) -> float:
@@ -50,9 +54,16 @@ def _loss_value(model: Hallucinator, xs: list[Tensor], targets: np.ndarray) -> f
     return sum(diff.sum(axis=(1, 2)).tolist())
 
 
-def check_instance(model: Hallucinator, rng: np.random.Generator, t_len: int) -> float:
+def check_instance(model: Hallucinator, rng: np.random.Generator,
+                   t_len: int) -> tuple[float, bool]:
     """Max relative error across all parameter and input gradients for one
-    random input/target draw."""
+    random input/target draw, and whether the draw straddles a kink.
+
+    A leaf that fails at step ``H`` is differenced again at ``H / 100``.
+    Where the two estimates disagree by more than the tolerance, a ReLU
+    kink lies within ``H`` of a pre-activation, so central differences at
+    ``H`` average two slopes; the check stops there and reports the kink.
+    Where they agree, the gradient itself is wrong and the error stands."""
     c = model.config
     xs = [Tensor(rng.normal(size=(1, c.d_x)), requires_grad=True) for _ in range(t_len)]
     targets = np.stack([rng.normal(size=(1, c.output_dim)) for _ in range(t_len)])
@@ -71,18 +82,31 @@ def check_instance(model: Hallucinator, rng: np.random.Generator, t_len: int) ->
                 _leaf.data = original
         numeric = finite_diff_grad(f, leaf, h=H)
         computed = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-        worst = _fold(worst, relative_error(computed, numeric))
-    return worst
+        err = relative_error(computed, numeric)
+        if not err <= TOLERANCE and relative_error(
+                numeric, finite_diff_grad(f, leaf, h=H / 100)) > TOLERANCE:
+            return err, True
+        worst = _fold(worst, err)
+    return worst, False
 
 
 def check_family(family: str, layers: int, instances: int = 10,
                  seed: int = 20240) -> GradCheckResult:
+    """``instances`` draws checked, each redrawn from the same generator
+    while it straddles a kink, at most ``MAX_REDRAWS`` times; a draw still
+    straddling one after that counts with its error at ``H``."""
     config = CellConfig(family=family, d_x=D_X, d_s=D_S, layers=layers, kernel=KERNEL)
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
-    worst = 0.0
+    worst, redraws = 0.0, 0
     for _ in range(instances):
-        model = Hallucinator.build(config, rng)
-        worst = _fold(worst, check_instance(model, rng, T_LEN))
+        for attempt in range(MAX_REDRAWS + 1):
+            model = Hallucinator.build(config, rng)
+            err, kinked = check_instance(model, rng, T_LEN)
+            if not kinked or attempt == MAX_REDRAWS:
+                break
+            redraws += 1
+        worst = _fold(worst, err)
     return GradCheckResult(family=family, layers=layers, instances=instances,
-                           max_rel_err=worst, seconds=time.perf_counter() - start)
+                           max_rel_err=worst, seconds=time.perf_counter() - start,
+                           redraws=redraws)

@@ -241,7 +241,7 @@ def affine(terms: Sequence[tuple[Tensor, Tensor]], b: Tensor | None = None) -> T
     return out
 
 
-def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic sigmoid in one pass, bit-identical to the two-branch form
     ``1 / (1 + exp(-x))`` for x >= 0 and ``exp(x) / (1 + exp(x))`` below.
     Both branches are ``n / (1 + e)`` with ``e = exp(-|x|)``, which never
@@ -250,15 +250,21 @@ def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
     when x >= 0, and a nan ``e`` passes through.  -|x| is taken as
     ``minimum(x, -x)``, which passes a nan input through unchanged, as the
     two-branch form does.  Past |x| ~ 708 ``e`` is subnormal, which is the
-    right value, so that underflow is not reported.  The sum and the divide
+    right value, so the caller ignores underflow: ``_sigmoid_stable`` per
+    call, the scan nodes once around their loop.  The sum and the divide
     run in place on the arrays this call made (on a 0-d operand numpy hands
     back scalars, and the augmented assignments rebind them instead)."""
-    with np.errstate(under="ignore"):
-        e = np.exp(np.minimum(x, -x))
+    e = np.exp(np.minimum(x, -x))
     y = np.maximum(e, x >= 0)
     e += 1.0
     y /= e
     return y
+
+
+def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
+    """``_sigmoid`` with its subnormal ``e`` not reported as underflow."""
+    with np.errstate(under="ignore"):
+        return _sigmoid(x)
 
 
 def _softmax_stable(x: np.ndarray) -> np.ndarray:
@@ -373,63 +379,110 @@ def _recording() -> bool:
     return bool(_TAPE_STACK) and _TAPE_STACK[-1] is not None
 
 
-def monet_pass(pre_r: Tensor, pre_z: Tensor, pre_h: Tensor, left: Tensor | None,
+def _project(X: np.ndarray, W: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Every gate's input projection ``X @ W_g + b_g`` as one (gates, rows,
+    d) block: one batched product over the (gates, d_in, d) stack ``W``,
+    which is bit for bit each gate's own ``X @ W_g`` (gates side by side in
+    one (d_in, gates*d) matrix would not be), then the (gates, d) biases
+    ``B``, added after the product as ``affine`` adds a bias."""
+    P = np.matmul(X, W)
+    P += B[:, None]
+    return P
+
+
+def _bw_project(X: Tensor, W: np.ndarray, dP: np.ndarray, Ws: Sequence[Tensor],
+                bs: Sequence[Tensor]) -> list:
+    """The gradients of ``X``, ``Ws`` and ``bs`` in ``_project`` from its
+    (gates, rows, d) gradient ``dP``, each None when its tensors need none.
+    ``X``'s sums the gates' terms last gate first, as the reverse sweep
+    summed one ``affine`` node per gate; the weights' are one batched
+    product, the biases' one sum over the rows."""
+    dX = None
+    if X.requires_grad:
+        terms = np.matmul(dP, W.mT)
+        dX = terms[-1]
+        for term in terms[-2::-1]:
+            dX += term
+    dW = np.matmul(X.data.T, dP) if any(t.requires_grad for t in Ws) else [None] * len(Ws)
+    db = dP.sum(axis=1) if any(t.requires_grad for t in bs) else [None] * len(bs)
+    return [dX, *dW, *db]
+
+
+def monet_pass(X: Tensor, Ws: Sequence[Tensor], bs: Sequence[Tensor], left: Tensor | None,
                right: Tensor | None, U_r_left: Tensor, U_z_left: Tensor,
                U_r_right: Tensor, U_z_right: Tensor, U_h: Tensor, n: int = 1,
                layers: int = 0, causal_only: bool = False) -> Tensor:
-    """One MoNet expansion pass over (R, d) rows, then ``layers`` more, as
-    one tape node.
+    """One MoNet expansion pass over (R, d_x) input rows, then ``layers``
+    more, as one tape node, the input projections included.
 
-    ``pre_*`` are the reset, mix and candidate input projections; ``left``
-    and ``right`` the earlier- and later-time neighbour states.  Each side
-    has a reset gate ``sigmoid(pre_r + s @ U_r)`` and a mix gate
-    ``sigmoid(pre_z + s @ U_z)``; the candidate is ``relu(pre_h +
-    [right * reset_right | left * reset_left] @ U_h)``; a per-coordinate
-    softmax over the logits (1, mix_right, mix_left) blends it with the
-    right and left states.  ``None`` is an absent neighbour: equal in value
-    to a zero state, it skips that side's matmul, gating and blend term.
-    A further pass's neighbours are the last states shifted ``n`` rows down
-    (left) and up (right, none if ``causal_only``), zero past either end."""
-    return _monet_pass(pre_r, pre_z, pre_h, left, right, U_r_left, U_z_left, U_r_right,
-                       U_z_right, U_h, n=n, layers=layers, causal_only=causal_only)[0]
+    ``Ws`` and ``bs`` are the reset, mix and candidate gates' (d_x, d) input
+    matrices and (d,) biases, whose projections ``pre_* = X @ W + b`` every
+    pass reads; ``left`` and ``right`` are the earlier- and later-time
+    neighbour states.  Each side has a reset gate ``sigmoid(pre_r + s @
+    U_r)`` and a mix gate ``sigmoid(pre_z + s @ U_z)``; the candidate is
+    ``relu(pre_h + [right * reset_right | left * reset_left] @ U_h)``; a
+    per-coordinate softmax over the logits (1, mix_right, mix_left) blends
+    it with the right and left states.  ``None`` is an absent neighbour:
+    equal in value to a zero state, it skips that side's matmul, gating and
+    blend term.  A further pass's neighbours are the last states shifted
+    ``n`` rows down (left) and up (right, none if ``causal_only``), zero
+    past either end."""
+    return _monet_pass(X, Ws, bs, left, right, U_r_left, U_z_left, U_r_right, U_z_right, U_h,
+                       n=n, layers=layers, causal_only=causal_only)[0]
 
 
 _UNTAPED_ROWS = 512  # per untaped block: glibc gave bigger ones back to the system per call
 
 
-def _monet_pass(*inputs: Tensor | None, n: int = 1, layers: int = 0,
-                causal_only: bool = False) -> tuple[Tensor, tuple]:
+def _monet_pass(X: Tensor, Ws: Sequence[Tensor], bs: Sequence[Tensor], *sides: Tensor | None,
+                n: int = 1, layers: int = 0, causal_only: bool = False) -> tuple[Tensor, tuple]:
     """``monet_pass`` and its last pass's saved arrays.  Only while a tape
     records does the node keep ``n`` and each pass's neighbours, states and
     saved arrays; otherwise no pass's arrays outlive the next pass, and the
-    passes run ``_UNTAPED_ROWS`` rows of whole sequences (at least one) at a time."""
-    rows, d = inputs[2].shape
-    if rows > _UNTAPED_ROWS and n > 1 and rows % n == 0 and not _recording():
-        size, out = max(1, _UNTAPED_ROWS * n // rows), np.empty((rows // n, n, d))
-        for i in range(0, n, size):
-            part = [None if t is None else Tensor(t.data.reshape(len(out), n, d)[:, i:i + size].reshape(-1, d))
-                    for t in inputs[:5]]
-            out[:, i:i + size] = _monet_pass(*part, *inputs[5:], n=min(size, n - i), layers=layers,
-                                             causal_only=causal_only)[0].data.reshape(len(out), -1, d)
-        return _out(out.reshape(rows, d), [t for t in inputs if t is not None]), None
-    pre_r, pre_z, pre_h, left, right, U_r_left, U_z_left, U_r_right, U_z_right, U_h = (
-        None if t is None else t.data for t in inputs)
+    passes run ``_UNTAPED_ROWS`` rows of whole sequences (at least one) at
+    a time, each block a part of the one projection of all rows."""
+    inputs = (X, *Ws, *bs, *sides)
+    W = np.array([t.data for t in Ws])
+    pre = _project(X.data, W, np.array([t.data for t in bs]))
+    left, right, U_r_left, U_z_left, U_r_right, U_z_right, U_h = (
+        None if t is None else t.data for t in sides)
     # Each side's (reset, mix) state matrices as one (2, d, d) stack, once
     # for every pass (``np.array`` copies a few arrays faster than np.stack).
     stacks = [None if U_r is None else np.array([U_r, U_z])
               for U_r, U_z in ((U_r_left, U_z_left), (U_r_right, U_z_right))]
+    _, rows, d = pre.shape
     passes = [] if _recording() else None
+    with np.errstate(under="ignore"):
+        if passes is None and rows > _UNTAPED_ROWS and n > 1 and rows % n == 0:
+            size, t_len = max(1, _UNTAPED_ROWS * n // rows), rows // n
+            data = np.empty((t_len, n, d))
+            for i in range(0, n, size):
+                part = pre.reshape(3, t_len, n, d)[:, :, i:i + size].reshape(3, -1, d)
+                ends = [None if s is None else s.reshape(t_len, n, d)[:, i:i + size].reshape(-1, d)
+                        for s in (left, right)]
+                data[:, i:i + size] = _expand(part, *ends, stacks, U_h, min(size, n - i), layers,
+                                              causal_only, None)[0].reshape(t_len, -1, d)
+            data, saved = data.reshape(rows, d), None
+        else:
+            data, saved = _expand(pre, left, right, stacks, U_h, n, layers, causal_only, passes)
+    out = _out(data, [t for t in inputs if t is not None])
+    _record("monet_pass", inputs, (out,), (n, passes, W))
+    return out, saved
+
+
+def _expand(pre, left, right, stacks, U_h, n, layers, causal_only, passes):
+    """The passes in numpy over the (3, rows, d) projections: the states
+    after the last pass and its saved arrays, appending each pass's
+    neighbours, states and saved arrays to ``passes`` unless it is None."""
     for k in range(layers + 1):
         if k:
             # Drop the last pass's arrays before this one allocates.
             left = right = saved = None
             left, right = _shifted(data, n), None if causal_only else _shifted(data, -n)
-        data, saved = _monet_kernel(pre_r, pre_z, pre_h, left, right, *stacks, U_h)
+        data, saved = _monet_kernel(*pre, left, right, *stacks, U_h)
         if passes is not None:
             passes.append((left, right, data, saved))
-    out = _out(data, [t for t in inputs if t is not None])
-    _record("monet_pass", inputs, (out,), (n, passes))
-    return out, saved
+    return data, saved
 
 
 def _monet_kernel(pre_r, pre_z, pre_h, left, right, stack_left, stack_right, U_h):
@@ -444,7 +497,7 @@ def _monet_kernel(pre_r, pre_z, pre_h, left, right, stack_left, stack_right, U_h
         # gate is sigmoid(0).
         sig = np.empty((4, rows, d))
         sig[::2] = 0.5
-        sig[1::2] = _sigmoid_stable(pre_z)
+        sig[1::2] = _sigmoid(pre_z)
     else:
         # One block, so one sigmoid covers all four gates, and one batched
         # matmul per present side.
@@ -457,7 +510,7 @@ def _monet_kernel(pre_r, pre_z, pre_h, left, right, stack_left, stack_right, U_h
                 np.matmul(s, stack, out=block)
                 block[0] += pre_r
                 block[1] += pre_z
-        sig = _sigmoid_stable(gates)
+        sig = _sigmoid(gates)
         gated = np.zeros((rows, 2 * d))
         if right is not None:
             np.multiply(right, sig[2], out=gated[:, :d])
@@ -523,7 +576,7 @@ def _gru_step(pre, state, mats):
     ``z = sigmoid(pre_z + s @ U_z)``, the candidate ``h = tanh(pre_h + (r *
     s) @ U_h)``, and the next state ``z * s + (1 - z) * h``."""
     (s,) = state
-    rz = _sigmoid_stable(_gates(s, pre[:2], mats[:2]))
+    rz = _sigmoid(_gates(s, pre[:2], mats[:2]))
     rs = rz[0] * s
     h = rs @ mats[2]
     h += pre[2]
@@ -564,7 +617,7 @@ def _lstm_step(pre, state, mats):
     c_next)`` with ``c_next = f * c + i * g``."""
     s, c = state
     block = _gates(s, pre, mats)
-    ifo = _sigmoid_stable(block[:3])
+    ifo = _sigmoid(block[:3])
     g = np.tanh(block[3], out=block[3])
     c_next = ifo[1] * c
     c_next += ifo[0] * g
@@ -611,42 +664,59 @@ _CELLS = {"vanilla-rnn": (_vanilla_step, _vanilla_rule, 1, 1, 1),
           "lstm": (_lstm_step, _lstm_rule, 4, 2, 4)}
 
 
-def recurrent(cell: str, pres: Sequence[Tensor], states: Sequence[Tensor],
-              mats: Sequence[Tensor], reverse: bool | Sequence[bool] = False) -> Tensor | tuple:
-    """A recurrent layer's whole scan over time, as one tape node.
+def recurrent(cell: str, X: Tensor | Sequence[Tensor], Ws: Sequence[Tensor],
+              bs: Sequence[Tensor], states: Sequence[Tensor], mats: Sequence[Tensor],
+              reverse: bool | Sequence[bool] = False) -> Tensor | tuple:
+    """A recurrent layer's whole scan over time, its input projections
+    included, as one tape node.
 
-    ``cell`` is ``"vanilla-rnn"``, ``"gru"`` or ``"lstm"``.  ``pres`` are
-    its gates' input projections as time-major (T*n, d) matrices (row t*n +
-    i is sequence i at step t), ``states`` the (n, d) initial state (the
-    LSTM's is a hidden and a cell state) and ``mats`` the gates' (d, d)
-    state matrices.  The steps run first to last, or last to first when
-    ``reverse``.  Returns every step's hidden state as a time-major (T*n, d)
-    matrix; the LSTM returns it with the cell state after the last step
-    run.  Given one ``reverse`` flag per direction, ``pres``, ``states``,
-    ``mats`` and outputs are each direction's in turn, and loop step i runs
-    every direction's step i (T-1-i if reversed) in the same numpy calls.
-    A loss must then read every direction's outputs alike; the backward
-    pass raises ``GradientError`` otherwise."""
+    ``cell`` is ``"vanilla-rnn"``, ``"gru"`` or ``"lstm"``.  ``X`` is the
+    layer input as a time-major (T*n, d_in) matrix (row t*n + i is sequence
+    i at step t), ``Ws`` and ``bs`` its gates' (d_in, d) input matrices and
+    (d,) biases, ``states`` the (n, d) initial state (the LSTM's is a hidden
+    and a cell state) and ``mats`` the gates' (d, d) state matrices.  The
+    steps run first to last, or last to first when ``reverse``.  Returns
+    every step's hidden state as a time-major (T*n, d) matrix; the LSTM
+    returns it with the cell state after the last step run.  Given one
+    ``reverse`` flag per direction, ``Ws``, ``bs``, ``states``, ``mats`` and
+    outputs are each direction's in turn, and loop step i runs every
+    direction's step i (T-1-i if reversed) in the same numpy calls.  ``X``
+    is then one matrix that every direction reads, or a list of one per
+    direction.  A loss must then read every direction's outputs alike; the
+    backward pass raises ``GradientError`` otherwise."""
     if cell not in _CELLS:
         raise ValueError(f"recurrent: unknown cell {cell!r}; choose from {tuple(_CELLS)}")
     step, _, gates, n_states, _ = _CELLS[cell]
     flags = tuple(reverse) if isinstance(reverse, (tuple, list)) else (reverse,)
     dirs = len(flags)
-    P, S, U = ([t.data for t in ts] for ts in (pres, states, mats))
+    Xs = [X] if isinstance(X, Tensor) else list(X)
+    # Each product projects every gate of ``per`` directions.
+    per = dirs if isinstance(X, Tensor) else 1
+    XD, W, B, S, U = ([t.data for t in ts] for ts in (Xs, Ws, bs, states, mats))
     n, d = S[0].shape if S and S[0].ndim == 2 else (0, 0)
-    t_len = len(P[0]) // n if n and P and P[0].ndim == 2 else 0
-    if ((len(P), len(S), len(U)) != (dirs * gates, dirs * n_states, dirs * gates) or not t_len
-            or {a.shape for a in P} != {(t_len * n, d)} or {a.shape for a in S} != {(n, d)}
+    t_len = len(XD[0]) // n if n and XD and XD[0].ndim == 2 else 0
+    G = per * gates
+    if ((len(XD) * per, len(W), len(B), len(S), len(U))
+            != (dirs, dirs * gates, dirs * gates, dirs * n_states, dirs * gates) or not t_len
+            or any(x.ndim != 2 or len(x) != t_len * n
+                   or {w.shape for w in W[i * G:(i + 1) * G]} != {(x.shape[1], d)}
+                   for i, x in enumerate(XD))
+            or {b.shape for b in B} != {(d,)} or {a.shape for a in S} != {(n, d)}
             or {a.shape for a in U} != {(d, d)}):
-        raise ShapeError(f"recurrent: {cell} needs {gates} (T*n, d) projections with T >= 1, "
-                         f"{n_states} (n, d) states and {gates} (d, d) matrices per direction "
-                         f"({dirs}), got {[[a.shape for a in A] for A in (P, S, U)]}")
+        raise ShapeError(f"recurrent: {cell} needs a (T*n, d_in) input with T >= 1, and "
+                         f"{gates} (d_in, d) input matrices, {gates} (d,) biases, {n_states} "
+                         f"(n, d) states and {gates} (d, d) state matrices per direction "
+                         f"({dirs}), got {[[a.shape for a in A] for A in (XD, W, B, S, U)]}")
     # Each loop step's projections as one contiguous (gates, D, n, d) block,
-    # and the state matrices as one contiguous (gates, D, d, d) stack: a
-    # strided one would make matmul hand back strided gate blocks.
+    # copied from each product's (gates, T*n, d) block, and the state
+    # matrices as one contiguous (gates, D, d, d) stack: a strided one would
+    # make matmul hand back strided gate blocks.
     P_steps = np.empty((t_len, gates, dirs, n, d))
-    for k, p in enumerate(P):
-        P_steps[:, k % gates, k // gates] = p.reshape(t_len, n, d)[::-1 if flags[k // gates] else 1]
+    stacks = [np.array(W[i * G:(i + 1) * G]) for i in range(len(XD))]
+    for i, x in enumerate(XD):
+        P = _project(x, stacks[i], np.array(B[i * G:(i + 1) * G])).reshape(per, gates, t_len, n, d)
+        for m, k in enumerate(range(i * per, (i + 1) * per)):
+            P_steps[:, :, k] = P[m].swapaxes(0, 1)[::-1 if flags[k] else 1]
     U = np.array([U[k * gates + j] for j in range(gates) for k in range(dirs)]).reshape(
         gates, dirs, d, d)
     S = np.array(S).reshape(dirs, n_states, n, d)
@@ -654,15 +724,16 @@ def recurrent(cell: str, pres: Sequence[Tensor], states: Sequence[Tensor],
     # Per loop step: every direction's hidden state after it (after the
     # initial one) and, while a tape records, what its rule reads.
     hs, saved = [state[0]], ([] if _recording() else None)
-    for pre in P_steps:
-        state, kept = step(pre, state, U)
-        hs.append(state[0])
-        if saved is not None:
-            saved.append(kept)
-    H, inputs = np.array(hs), (*pres, *states, *mats)
+    with np.errstate(under="ignore"):
+        for pre in P_steps:
+            state, kept = step(pre, state, U)
+            hs.append(state[0])
+            if saved is not None:
+                saved.append(kept)
+    H, inputs = np.array(hs), (*Xs, *Ws, *bs, *states, *mats)
     outs = tuple(_out(a, inputs) for k, rev in enumerate(flags) for a in
                  (H[1:][::-1 if rev else 1, k].reshape(t_len * n, d), *(s[k] for s in state[1:])))
-    _record("recurrent", inputs, outs, (cell, flags, U, H, saved))
+    _record("recurrent", inputs, outs, (cell, flags, stacks, U, H, saved))
     return outs if len(outs) > 1 else outs[0]
 
 
@@ -756,14 +827,16 @@ def _bw_softmax(node, gs):
 
 def _bw_monet_pass(node, gs):
     (g,) = gs
-    n, passes = node.saved
+    n, passes, W = node.saved
+    X, Ws, bs = node.inputs[0], node.inputs[1:4], node.inputs[4:7]
     U_r_left, U_z_left, U_r_right, U_z_right, U_h = (
-        None if t is None else t.data for t in node.inputs[5:])
+        None if t is None else t.data for t in node.inputs[9:])
     # The passes from last to first, each projection's and matrix's gradient
     # summed in that order, and a pass's states getting the left neighbours'
     # gradient shifted back plus the right's: a chain of one-pass nodes
-    # joined by ``shift_rows`` sums the same terms in the same order.
-    acc = [None] * 8
+    # joined by ``shift_rows`` sums the same terms in the same order.  The
+    # projections' gradients go into one (3, rows, d) block.
+    dP, seen, acc = np.empty((3, *g.shape)), [False] * 3, [None] * 5
     for p in range(len(passes) - 1, -1, -1):
         left, right, out, (sig, gated, keep, _, w) = passes[p]
         gw = g * w
@@ -799,25 +872,40 @@ def _bw_monet_pass(node, gs):
             ds += dmix @ U_z.T
             states.append(ds)
             mats += [s.T @ dreset, s.T @ dmix]
-        for i, a in enumerate([dpre_r, dpre_z, dpre_h, *mats, dU_h]):
+        for i, a in enumerate((dpre_r, dpre_z, dpre_h)):
+            if a is None:
+                continue
+            if seen[i]:
+                dP[i] += a
+            else:
+                dP[i], seen[i] = a, True
+        for i, a in enumerate([*mats, dU_h]):
             if a is not None:
                 acc[i] = a if acc[i] is None else np.add(acc[i], a, out=acc[i])
         if p:
             g = _shifted(states[0], -n)
             if states[1] is not None:
                 g += _shifted(states[1], n)
-    return [*acc[:3], *states, *acc[3:]]
+    if not seen[0]:
+        # With no neighbour in any pass nothing reads the reset gate, so
+        # its projection gets no gradient.
+        dX, dW_z, dW_h, db_z, db_h = _bw_project(X, W[1:], dP[1:], Ws[1:], bs[1:])
+        return [dX, None, dW_z, dW_h, None, db_z, db_h, *states, *acc]
+    return [*_bw_project(X, W, dP, Ws, bs), *states, *acc]
 
 
 def _bw_recurrent(node, gs):
-    cell, flags, U, H, saved = node.saved
+    cell, flags, stacks, U, H, saved = node.saved
     _, rule, gates, n_states, s_gates = _CELLS[cell]
-    dirs, t_len = len(flags), len(saved)
+    dirs, t_len, inputs = len(flags), len(saved), node.inputs
     reached = [g is not None for g in gs]
     if reached != reached[:n_states] * dirs:
         raise GradientError(f"recurrent: the loss reads the outputs of this node's {dirs} "
                             f"directions unlike each other; record one node per direction")
-    initial = node.inputs[dirs * gates:dirs * (gates + n_states)]
+    # The inputs: each product's X, every direction's Ws, bs, states, mats.
+    x_end = len(stacks)
+    b_end = x_end + 2 * dirs * gates
+    initial = inputs[b_end:b_end + dirs * n_states]
     n, d = initial[0].shape
     # Per loop step, every direction's rows of the hidden states' gradient.
     G = None if gs[0] is None else np.stack(
@@ -838,7 +926,7 @@ def _bw_recurrent(node, gs):
             need = [any(s.requires_grad for s in initial[j::n_states]) for j in range(n_states)]
         carry = rule((gh, *carry[1:]), H[t], U_t, saved[t], need, da[t])
     dU = [None] * gates * dirs
-    if any(t.requires_grad for t in node.inputs[dirs * (gates + n_states):]):
+    if any(t.requires_grad for t in inputs[b_end + dirs * n_states:]):
         # Every step's state matrix gradients from batched products of the
         # hidden state it read, summed from the last step run to the first.
         per_step = np.empty((t_len, gates, dirs, d, d))
@@ -849,9 +937,21 @@ def _bw_recurrent(node, gs):
         for t in range(t_len - 2, -1, -1):
             per_step[-1] += per_step[t]
         dU = list(per_step[-1].swapaxes(0, 1).reshape(dirs * gates, d, d))
-    return ([da[::-1 if rev else 1, j, k].reshape(t_len * n, d)
-             for k, rev in enumerate(flags) for j in range(gates)]
-            + [None if c is None else c[k] for k in range(dirs) for c in carry] + dU)
+    # The projections' gradients in time order, one (gates, T*n, d) block
+    # per direction, copied from the loop-order block in one assignment.
+    dP = np.empty((dirs, gates, t_len, n, d))
+    for k, rev in enumerate(flags):
+        dP[k] = da[::-1 if rev else 1, :, k].swapaxes(0, 1)
+    dP = dP.reshape(x_end, -1, t_len * n, d)
+    per = dP.shape[1]  # gates per product
+    Ws, bs = inputs[x_end:x_end + dirs * gates], inputs[x_end + dirs * gates:b_end]
+    dX, dW, db = [], [], []
+    for i, (X, W) in enumerate(zip(inputs[:x_end], stacks)):
+        dx, *dwb = _bw_project(X, W, dP[i], Ws[i * per:(i + 1) * per], bs[i * per:(i + 1) * per])
+        dX.append(dx)
+        dW += dwb[:per]
+        db += dwb[per:]
+    return dX + dW + db + [None if c is None else c[k] for k in range(dirs) for c in carry] + dU
 
 
 BACKWARD_RULES: dict[str, Callable] = {

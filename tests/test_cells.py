@@ -18,7 +18,7 @@ from monet.cells import (FAMILIES, BidirParams, CellConfig, Conv1dParams,
                          MAX_LAYERS, match_params, monet_forward, monet_unit,
                          vanilla_step)
 from monet.tensor import (ShapeError, Tape, Tensor, affine, concat, finite_diff_grad,
-                          jacobian, mul, recurrent, relative_error, tsum)
+                          jacobian, mul, recurrent, relative_error, scale, tsum)
 
 
 def zero_gru(d_x, d_s):
@@ -430,12 +430,14 @@ def test_recurrent_runners_match_per_step_loop(family, t_len):
 
 
 @pytest.mark.parametrize("family", _RECURRENT)
-def test_recurrent_input_matrices_enter_one_affine_node_each(family):
+def test_recurrent_input_matrices_enter_one_recurrent_node_each(family):
+    """Each gate's input matrix and bias is read by its layer's one
+    ``recurrent`` node, which projects the layer's input itself."""
     config = CellConfig(family=family, d_x=3, d_s=4, layers=2)
     model = Hallucinator.build(config, np.random.default_rng(21))
     layers = model.params.fwd + model.params.bwd if family.startswith("bi-") else model.params
-    inputs = [getattr(p, f) for p in layers for f in vars(p) if f.startswith("W")]
-    assert len(inputs) == len(layers) * {"vanilla-rnn": 1, "gru": 3, "lstm": 4}[
+    inputs = [getattr(p, f) for p in layers for f in vars(p) if f[0] in "Wb"]
+    assert len(inputs) == 2 * len(layers) * {"vanilla-rnn": 1, "gru": 3, "lstm": 4}[
         family.removeprefix("bi-")]
     for t_len in (1, 4, 20):
         xs = [Tensor(np.ones((2, 3))) for _ in range(t_len)]
@@ -443,7 +445,7 @@ def test_recurrent_input_matrices_enter_one_affine_node_each(family):
             model.forward_steps(xs)
         for W in inputs:
             uses = [node for node in tape.nodes if any(t is W for t in node.inputs)]
-            assert [node.op for node in uses] == ["affine"], (t_len, W.shape)
+            assert [node.op for node in uses] == ["recurrent"], (t_len, W.shape)
 
 
 @pytest.mark.parametrize("out_dim", [None, 5])
@@ -512,8 +514,14 @@ def test_bidir_palindrome_with_tied_params_is_palindromic():
 def _two_scans(X, n, p, family):
     """A bidirectional model composed by hand from one-direction
     ``recurrent`` scans: the whole forward stack, then the whole backward
-    stack, each layer projecting its input one gate at a time."""
+    stack, each layer projecting its input one gate at a time in ``affine``
+    nodes.  A scan reads those projections back exactly: side by side as
+    its input, through 0/1 input matrices (every other term of a product is
+    a zero) and zero biases.  Each projection passes through a scale by 1,
+    whose rule hands its ``affine`` a contiguous gradient, as a scan's rule
+    did when it took the projections themselves."""
     base = family.removeprefix("bi-")
+    d = p.b_out.shape[0]
     tops = []
     for stack, reverse in ((p.fwd, False), (p.bwd, True)):
         H = X
@@ -521,8 +529,11 @@ def _two_scans(X, n, p, family):
             names = [f.name for f in dataclasses.fields(q)]
             pres = [affine([(H, getattr(q, w))], getattr(q, "b" + w[1:]))
                     for w in names if w[0] == "W"]
-            zero = Tensor(np.zeros((n, p.b_out.shape[0])))
-            H = recurrent(base, pres, [zero] * (2 if base == "lstm" else 1),
+            eye = np.eye(len(pres) * d)
+            zero = Tensor(np.zeros((n, d)))
+            H = recurrent(base, concat([scale(q, 1.0) for q in pres], axis=1),
+                          [Tensor(eye[:, j * d:(j + 1) * d]) for j in range(len(pres))],
+                          [Tensor(np.zeros(d))] * len(pres), [zero] * (2 if base == "lstm" else 1),
                           [getattr(q, u) for u in names if u[0] == "U"], reverse)
             H = H[0] if base == "lstm" else H
         tops.append(H)

@@ -858,6 +858,33 @@ def test_gradcheck_unknown_family_is_invalid_input(capsys):
     assert "unknown family" in err
 
 
+def test_gradcheck_redraws_an_instance_that_straddles_a_kink(capsys):
+    """Seed 1789690191's one monet L5 draw puts a ReLU kink within the step
+    H of a pre-activation: central differences at H miss the gradient by
+    0.196 and at H/100 by 4.6e-7.  The two estimates disagree, so the draw
+    is redrawn once from the same generator, and the redraw passes at H."""
+    result = check_family("monet", 5, instances=1, seed=1789690191)
+    assert result.redraws == 1 and result.passed and result.max_rel_err <= 1e-5
+    code, out, _ = run(capsys, "gradcheck", "--family", "monet", "--layers", "5",
+                       "--trials", "1", "--seed", "1789690191")
+    assert code == 0 and " redraws=1 " in out and out.rstrip().endswith("PASS")
+
+
+def test_gradcheck_redraws_nothing_for_a_rule_that_is_wrong(monkeypatch):
+    """A rule whose gradients are scaled by 1.01 fails at H and at H/100
+    alike: the estimates agree, so no draw is redrawn and the check fails."""
+    from monet import tensor as tensor_mod
+
+    original = tensor_mod.BACKWARD_RULES["monet_pass"]
+
+    def wrong_rule(node, grad):
+        return [None if g is None else g * 1.01 for g in original(node, grad)]
+
+    monkeypatch.setitem(tensor_mod.BACKWARD_RULES, "monet_pass", wrong_rule)
+    result = check_family("monet", 1, instances=2)
+    assert not result.passed and result.redraws == 0
+
+
 @pytest.mark.parametrize("flags", [("--trials", "0"), ("--trials", "-3"),
                                    ("--layers", "0"), ("--layers", "1", "0"),
                                    ("--seed", "-1")])
@@ -927,7 +954,7 @@ def test_gradcheck_fails_on_nan_gradients(capsys, monkeypatch):
 
     monkeypatch.setitem(tensor_mod.BACKWARD_RULES, "recurrent", nan_rule)
     result = check_family("gru", 1, instances=2)
-    assert math.isnan(result.max_rel_err) and not result.passed
+    assert math.isnan(result.max_rel_err) and not result.passed and result.redraws == 0
     code, out, _ = run(capsys, "gradcheck", "--family", "gru", "--trials", "2")
     assert code == 1
     assert "max_rel_err=nan" in out and out.rstrip().endswith("FAIL")

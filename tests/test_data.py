@@ -227,6 +227,21 @@ def test_non_finite_payload_rejected_at_read(tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize("nan", [b"\x01\x00\x80\x7f", b"\xff\xff\xff\x7f"])
+def test_a_nan_payload_is_rejected_without_a_warning(tmp_path, nan):
+    """A signalling NaN (f32 0x7f800001), which numpy warns about as it
+    widens it, and a quiet one: each fails with the ``FormatError`` alone."""
+    path, records = write_small(tmp_path)
+    raw = bytearray(open(path, "rb").read())
+    offset = 28 + 4 + len(records[0].id.encode()) + 4
+    raw[offset:offset + 4] = nan
+    open(path, "wb").write(bytes(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match="non-finite"):
+            read_dataset(path)
+
+
 def test_declared_lengths_beyond_the_file_are_truncated_before_reading(tmp_path):
     path, _ = write_small(tmp_path)
     raw = bytearray(open(path, "rb").read())
@@ -358,7 +373,32 @@ def test_records_straddling_a_short_read_read_identically(tmp_path, monkeypatch,
     for p, (records, header) in zip(paths, whole):
         assert _same_records(read_dataset(p), records)
         assert read_dataset_header(p) == header
-    assert len(opened) == 4 and all(max(f.sizes) == block for f in opened)
+    # The header's reads stop at its 28 bytes.
+    assert len(opened) == 4 and [max(f.sizes) for f in opened] == [block, min(block, 28)] * 2
+
+
+def test_a_header_read_takes_its_28_bytes_alone(tmp_path, monkeypatch):
+    """``read_dataset_header`` reads the header, not the records after it."""
+    path, _ = write_small(tmp_path)
+    header = read_dataset_header(path)
+    opened = _open_in_short_reads(monkeypatch, "monet.data", 1 << 20)
+    assert read_dataset_header(path) == header
+    assert [sum(f.sizes) for f in opened] == [28] and os.path.getsize(path) > 28
+
+
+def test_a_header_cut_short_fails_as_a_whole_read_does(tmp_path):
+    """Cut within its 28 bytes, the header fails with the error, and the
+    message, that reading the whole file gives."""
+    path, _ = write_small(tmp_path)
+    raw = Path(path).read_bytes()
+    cut = tmp_path / "cut.mofe"
+    for n in range(28):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(TruncatedError) as whole:
+            read_dataset(str(cut))
+        with pytest.raises(TruncatedError) as head:
+            read_dataset_header(str(cut))
+        assert str(head.value) == str(whole.value), n
 
 
 def test_every_truncation_is_a_format_error(tmp_path):

@@ -139,19 +139,19 @@ def assert_same_bits(got, expected):
 
 @pytest.mark.parametrize("shape", [(1, 1), (40, 16)])
 def test_vanilla_rnn_rule_matches_the_tanh_slope_bit_for_bit(shape):
-    """The vanilla cell's pre-activation gradient is the one-expression tanh
-    slope ``g * (1 - y * y)`` of its output y, nan bits included."""
+    """The vanilla cell's rule writes the pre-activation gradient as the
+    one-expression tanh slope ``g * (1 - y * y)`` of the step's output y,
+    nan bits included."""
     rng = np.random.default_rng(71)
-    state, mat = Tensor(np.zeros(shape)), Tensor(np.zeros((shape[1], shape[1])))
     for _ in range(80 if shape == (1, 1) else 6):
-        pre = Tensor(edge_values(rng, shape), requires_grad=True)
-        with np.errstate(all="ignore"), Tape() as tape:
-            y = recurrent("vanilla-rnn", [pre], [state], [mat]).data
-        g = edge_values(rng, shape)
         with np.errstate(all="ignore"):
-            got = BACKWARD_RULES["recurrent"](tape.nodes[0], (g,))[0]
+            y = np.tanh(edge_values(rng, shape))
+        g = edge_values(rng, shape)
+        da = np.empty((1, *shape))
+        with np.errstate(all="ignore"):
+            assert tensor._vanilla_rule((g,), None, None, (y,), [False], da) == (None,)
             expected = g * (1.0 - y * y)
-        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(da[0].view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("k", [0, 1, -1, 4, -4, 12, -12, 13, -13, 30, -30])
@@ -312,11 +312,12 @@ def test_backward_composed_graph_matches_finite_differences():
 
     def f(t):
         h = softmax(Tensor(rng_x) @ t)
-        g = recurrent("vanilla-rnn", [add(h, relu(h))], [Tensor(np.zeros((1, 3)))], [u])
+        g = recurrent("vanilla-rnn", add(h, relu(h)), [v], [Tensor(np.zeros(3))],
+                      [Tensor(np.zeros((1, 3)))], [u])
         return tsum(mul(g, g))
 
     rng_x = rng.uniform(-2, 2, (2, 4))
-    u = Tensor(rng.uniform(-1, 1, (3, 3)))
+    u, v = (Tensor(rng.uniform(-1, 1, (3, 3))) for _ in range(2))
     with Tape() as tape:
         loss = f(w)
     tape.backward(loss)
@@ -375,14 +376,15 @@ def test_backward_hands_out_no_shared_gradient_buffers():
     a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     mats = [Tensor(rng.normal(size=shape), requires_grad=True)
-            for shape in [(3, 3)] * 8 + [(6, 3)]]
+            for shape in [(3, 3)] * 15 + [(6, 3)] + [(3,)] * 7]
     with Tape() as tape:
         s = add(a, b)
-        # concat hands out views of one gradient, and recurrent its state
-        # matrices' gradients as views of one buffer.
+        # concat hands out views of one gradient, and recurrent and
+        # monet_pass their matrices' and biases' gradients as views of one
+        # buffer each.
         rows = concat([s, a, b])
-        h, c = recurrent("lstm", [rows] * 4, [s, a], mats[:4])
-        p = monet_pass(c, relu(a), b, s, s, *mats[4:])
+        h, c = recurrent("lstm", rows, mats[:4], mats[16:20], [s, a], mats[4:8])
+        p = monet_pass(c, mats[8:11], mats[20:], relu(a), b, *mats[11:16])
         q = concat([b, p], axis=1)
         loss = add(add(tsum(mul(p, Tensor(rng.normal(size=(2, 3))))), tsum(mul(q, q))),
                    tsum(mul(h, h)))
@@ -447,7 +449,8 @@ def test_backward_is_deterministic():
         rng = np.random.default_rng(23)
         x = Tensor(rng.uniform(-2, 2, (3, 3)), requires_grad=True)
         with Tape() as tape:
-            y = softmax(x) @ recurrent("vanilla-rnn", [x], [Tensor(np.zeros((1, 3)))], [x])
+            y = softmax(x) @ recurrent("vanilla-rnn", x, [x], [Tensor(np.zeros(3))],
+                                       [Tensor(np.zeros((1, 3)))], [x])
             loss = tsum(mul(y, y))
         tape.backward(loss)
         return x.grad
@@ -540,45 +543,54 @@ def test_jacobian_wrt_a_constant_is_an_error():
 
 
 def _monet_pass_case(*ts):
-    """``monet_pass`` given only the tensors it reads: both neighbours (10
-    tensors), the left one only (7) or none (2); or two passes over n = 2
-    row blocks after a base pass with no neighbours, reading both sides (8)
-    or, causal, the left one only (6)."""
-    if len(ts) == 2:
-        return monet_pass(None, *ts, None, None, None, None, None, None, None)
+    """``monet_pass`` given only the tensors it reads: the input, the three
+    gates' input matrices and biases, and both neighbours (14 tensors), the
+    left one only (11) or none (7); or two passes over n = 2 row blocks
+    after a base pass with no neighbours, reading both sides (12) or,
+    causal, the left one only (10)."""
+    X, Ws, bs, rest = ts[0], ts[1:4], ts[4:7], ts[7:]
     if len(ts) == 7:
-        pre_r, pre_z, pre_h, left, U_r, U_z, U_h = ts
-        return monet_pass(pre_r, pre_z, pre_h, left, None, U_r, U_z, None, None, U_h)
-    if len(ts) == 8:
-        return monet_pass(*ts[:3], None, None, *ts[3:], n=2, layers=2)
-    if len(ts) == 6:
-        pre_r, pre_z, pre_h, U_r, U_z, U_h = ts
-        return monet_pass(pre_r, pre_z, pre_h, None, None, U_r, U_z, None, None, U_h, n=2,
-                          layers=2, causal_only=True)
-    return monet_pass(*ts)
+        return monet_pass(X, Ws, bs, None, None, None, None, None, None, None)
+    if len(ts) == 11:
+        left, U_r, U_z, U_h = rest
+        return monet_pass(X, Ws, bs, left, None, U_r, U_z, None, None, U_h)
+    if len(ts) == 12:
+        return monet_pass(X, Ws, bs, None, None, *rest, n=2, layers=2)
+    if len(ts) == 10:
+        U_r, U_z, U_h = rest
+        return monet_pass(X, Ws, bs, None, None, U_r, U_z, None, None, U_h, n=2, layers=2,
+                          causal_only=True)
+    return monet_pass(X, Ws, bs, *rest)
 
 
-# Per recurrent cell: how many gates (one input projection and one state
+# Per recurrent cell: how many gates (one input matrix, bias and state
 # matrix each) and state arrays it has.
 CELLS = {"vanilla-rnn": (1, 1), "gru": (3, 1), "lstm": (4, 2)}
 
 
 def _recurrent_args(cell, ts):
-    """``ts`` cut into the cell's projections, initial states and state
-    matrices."""
+    """``ts`` cut into the lists of the cell's input (a list of one), input
+    matrices, biases, initial states and state matrices."""
     gates, n_states = CELLS[cell]
-    return list(ts[:gates]), list(ts[gates:gates + n_states]), list(ts[gates + n_states:])
+    cuts = list(itertools.accumulate([1, gates, gates, n_states]))
+    return [list(ts[i:j]) for i, j in zip([0] + cuts, cuts + [len(ts)])]
+
+
+def _recurrent_shapes(cell, t_len, n, d_in, d):
+    """The shapes of a ``recurrent`` node's operands, as ``_recurrent_args``
+    cuts them."""
+    gates, n_states = CELLS[cell]
+    return ([(t_len * n, d_in)] + [(d_in, d)] * gates + [(d,)] * gates + [(n, d)] * n_states
+            + [(d, d)] * gates)
 
 
 def _recurrent_case(cell):
     """The ``recurrent`` op's case for one cell: T = 1 and 3 steps of n = 2
     rows, run forward and reversed."""
-    gates, n_states = CELLS[cell]
     return ("recurrent",
             tuple(lambda *ts, reverse=reverse: recurrent(cell, *_recurrent_args(cell, ts), reverse)
                   for reverse in (False, True)),
-            [[(t_len * 2, 3)] * gates + [(2, 3)] * n_states + [(3, 3)] * gates
-             for t_len in (1, 3)])
+            [_recurrent_shapes(cell, t_len, 2, 4, 3) for t_len in (1, 3)])
 
 
 def _affine_case(*ts):
@@ -604,11 +616,11 @@ OP_CASES = {
     "shift_rows": (lambda a: shift_rows(a, 1), [[(4, 2)]]),
     "softmax": (softmax, [[(2, 3)]]),
     "monet_pass": (_monet_pass_case,
-                   [[(2, 3)] * 5 + [(3, 3)] * 4 + [(6, 3)],
-                    [(2, 3)] * 4 + [(3, 3)] * 2 + [(6, 3)],
-                    [(2, 3)] * 2,
-                    [(6, 3)] * 3 + [(3, 3)] * 4 + [(6, 3)],
-                    [(6, 3)] * 3 + [(3, 3)] * 2 + [(6, 3)]]),
+                   [[(2, 4)] + [(4, 3)] * 3 + [(3,)] * 3 + [(2, 3)] * 2 + [(3, 3)] * 4 + [(6, 3)],
+                    [(2, 4)] + [(4, 3)] * 3 + [(3,)] * 3 + [(2, 3)] + [(3, 3)] * 2 + [(6, 3)],
+                    [(2, 4)] + [(4, 3)] * 3 + [(3,)] * 3,
+                    [(6, 4)] + [(4, 3)] * 3 + [(3,)] * 3 + [(3, 3)] * 4 + [(6, 3)],
+                    [(6, 4)] + [(4, 3)] * 3 + [(3,)] * 3 + [(3, 3)] * 2 + [(6, 3)]]),
 }
 # Each entry becomes (op, functions, shape lists), keyed by the case's name:
 # the op's own name, or for the recurrent op, the step of the cell it runs.
@@ -627,6 +639,18 @@ def _runs(case):
                 for shapes in shape_sets]
 
 
+def _flag_sets(n):
+    """Requires-grad patterns for ``n`` operands: every one up to 10
+    operands; past that (2**n runs would take minutes), each operand alone
+    requiring grad, each alone not, none, all, and 64 seeded random ones."""
+    if n <= 10:
+        return list(itertools.product((False, True), repeat=n))
+    eye = np.eye(n, dtype=bool)
+    drawn = np.random.default_rng(n).random((64, n)) < 0.5
+    rows = [*eye, *~eye, np.zeros(n, bool), np.ones(n, bool), *drawn]
+    return [tuple(map(bool, row)) for row in rows]
+
+
 def test_op_cases_cover_every_backward_rule():
     assert {op for op, *_ in OP_CASES.values()} == set(BACKWARD_RULES)
 
@@ -636,7 +660,7 @@ def test_op_output_is_float64_array_requiring_grad_exactly_when_an_input_does(ca
     rng = np.random.default_rng(47)
     op, runs = _runs(case)
     for fn, shapes in runs:
-        for flags in itertools.product((False, True), repeat=len(shapes)):
+        for flags in _flag_sets(len(shapes)):
             inputs = [Tensor(rng.uniform(-2, 2, shape), requires_grad=flag)
                       for shape, flag in zip(shapes, flags)]
             with Tape() as tape:
@@ -672,7 +696,7 @@ def test_kernels_write_only_into_buffers_they_allocated(case):
     rng = np.random.default_rng(53)
     op, runs = _runs(case)
     for fn, shapes in runs:
-        for flags in itertools.product((False, True), repeat=len(shapes)):
+        for flags in _flag_sets(len(shapes)):
             inputs = [Tensor(rng.uniform(-2, 2, shape), requires_grad=flag)
                       for shape, flag in zip(shapes, flags)]
             for t in inputs:
@@ -828,9 +852,10 @@ def test_values_stay_finite_on_extreme_inputs():
     assert np.isfinite(_sigmoid_stable(x.data)).all()
     assert np.isfinite(relu(x).data).all()
     # Every recurrent cell's gates and candidate at those pre-activations.
-    pre, zero = Tensor(x.data.reshape(5, 1)), Tensor(np.zeros((1, 1)))
+    X, zero, one = Tensor(x.data.reshape(5, 1)), Tensor(np.zeros((1, 1))), Tensor(np.ones((1, 1)))
     for cell, (gates, n_states) in CELLS.items():
-        out = recurrent(cell, [pre] * gates, [zero] * n_states, [Tensor(np.ones((1, 1)))] * gates)
+        out = recurrent(cell, X, [one] * gates, [Tensor(np.zeros(1))] * gates, [zero] * n_states,
+                        [one] * gates)
         for t in out if isinstance(out, tuple) else (out,):
             assert np.isfinite(t.data).all()
     s = softmax(Tensor([1e4, 0.0, -1e4]))
@@ -846,10 +871,28 @@ def test_grad_shape_matches_data_shape():
 
 
 def _monet_inputs(rng, rows, d):
-    """Random ``monet_pass`` operands: three projections, two states, four
-    state-to-gate matrices and the (2d, d) candidate matrix."""
+    """Random operands of a MoNet pass below its projections: three
+    projections, two states, four state-to-gate matrices and the (2d, d)
+    candidate matrix, for ``_monet_from_pres``."""
     shapes = [(rows, d)] * 5 + [(d, d)] * 4 + [(2 * d, d)]
     return [Tensor(rng.normal(0.0, 1.5, shape), requires_grad=True) for shape in shapes]
+
+
+def _selected(pres):
+    """(rows, d) ``pres`` side by side as one input, with the constant 0/1
+    matrices that read each one back and zero biases.  A node given these
+    projects ``pres`` exactly, as every other term of each product is a
+    zero (no operand is -0.0 or non-finite), and ``concat`` splits the
+    input's gradient back into theirs."""
+    d, k = pres[0].shape[1], len(pres)
+    eye = np.eye(k * d)
+    return (concat(list(pres), axis=1), [Tensor(eye[:, j * d:(j + 1) * d]) for j in range(k)],
+            [Tensor(np.zeros(d)) for _ in range(k)])
+
+
+def _monet_from_pres(pre_r, pre_z, pre_h, *rest, **kwargs):
+    """``monet_pass`` on the given projections: the pass below ``_project``."""
+    return monet_pass(*_selected([pre_r, pre_z, pre_h]), *rest, **kwargs)
 
 
 def _sigmoid_two_branch(x):
@@ -891,30 +934,33 @@ def test_monet_pass_matches_the_op_by_op_unit_bit_for_bit(rows, d, sides):
             args[3] = None
         if sides in ("left", "none"):
             args[4] = None
-        got = monet_pass(*(None if a is None else Tensor(a) for a in args)).data
+        got = _monet_from_pres(*(None if a is None else Tensor(a) for a in args)).data
         assert_same_bits(got, monet_unit_op_by_op(*args))
 
 
+@pytest.mark.parametrize("layers", [0, 2])
 @pytest.mark.parametrize("sides", ["both", "left", "right", "none", "same"])
-def test_monet_pass_gradients_match_finite_differences(sides):
-    """Every input the pass reads, with an absent neighbour on either side
-    or both, and with one tensor as both neighbours."""
+def test_monet_pass_gradients_match_finite_differences(sides, layers):
+    """Every input the node reads, its input, input matrices and biases
+    included, with an absent neighbour on either side or both, and with one
+    tensor as both neighbours; over the one pass and over two more."""
     rng = np.random.default_rng(89)
-    args = _monet_inputs(rng, 3, 4)
+    shapes = [(3, 5)] + [(5, 4)] * 3 + [(4,)] * 3 + [(3, 4)] * 2 + [(4, 4)] * 4 + [(8, 4)]
+    args = [Tensor(rng.normal(0.0, 1.5, shape), requires_grad=True) for shape in shapes]
     if sides in ("right", "none"):
-        args[3] = None
+        args[8] = None
     if sides in ("left", "none"):
-        args[4] = None
+        args[7] = None
     if sides == "same":
-        args[4] = args[3]
+        args[8] = args[7]
     weight = Tensor(rng.normal(size=(3, 4)))
     for i, x in enumerate(args):
-        if x is None or (i == 4 and sides == "same"):
+        if x is None or (i == 8 and sides == "same"):
             continue
 
         def f(t, i=i):
             ts = [t if a is x else a for a in args]
-            return tsum(mul(monet_pass(*ts), weight))
+            return tsum(mul(monet_pass(ts[0], ts[1:4], ts[4:7], *ts[7:], layers=layers), weight))
 
         for a in args:
             if a is not None:
@@ -948,12 +994,12 @@ def test_monet_pass_over_layers_equals_a_chain_of_one_pass_nodes_bit_for_bit(cau
                 a.zero_grad()
             with Tape() as tape:
                 if chained:
-                    out = monet_pass(*args)
+                    out = _monet_from_pres(*args)
                     for _ in range(layers):
                         right = None if causal_only else shift_rows(out, -n)
-                        out = monet_pass(*args[:3], shift_rows(out, n), right, *args[5:])
+                        out = _monet_from_pres(*args[:3], shift_rows(out, n), right, *args[5:])
                 else:
-                    out = monet_pass(*args, n=n, layers=layers, causal_only=causal_only)
+                    out = _monet_from_pres(*args, n=n, layers=layers, causal_only=causal_only)
                 loss = tsum(mul(out, weight))
             tape.backward(loss)
             runs.append([out.data] + [np.zeros(0) if a.grad is None else a.grad for a in leaves])
@@ -982,15 +1028,15 @@ def test_monet_pass_keeps_no_pass_alive_unless_a_tape_records(monkeypatch, scope
     with Tape() as tape:
         if scope == "paused":
             with pause_recording():
-                monet_pass(*args, n=2, layers=3)
+                _monet_from_pres(*args, n=2, layers=3)
         elif scope == "tape":
-            monet_pass(*args, n=2, layers=3)
+            _monet_from_pres(*args, n=2, layers=3)
     if scope == "no tape":
-        monet_pass(*args, n=2, layers=3)
+        _monet_from_pres(*args, n=2, layers=3)
     # The base pass saves 4 arrays; each later pass 5 and its 2 neighbours.
     kept = [0, 4, 11, 18]
     assert alive == (kept if scope == "tape" else [0] * 4)
-    assert len(tape.nodes) == (scope == "tape")
+    assert [node.op for node in tape.nodes].count("monet_pass") == (scope == "tape")
 
 
 @pytest.mark.parametrize("steps,n,blocks", [(256, 5, [2, 2, 1]), (600, 3, [1, 1, 1]),
@@ -1006,7 +1052,7 @@ def test_untaped_monet_pass_runs_whole_sequences_at_most_512_rows_at_a_time(
     args = _monet_inputs(np.random.default_rng(139), steps * n, 3)
     if not neighbours:
         args[3] = args[4] = None
-    run = lambda: monet_pass(*args, n=n, layers=2, causal_only=causal_only).data
+    run = lambda: _monet_from_pres(*args, n=n, layers=2, causal_only=causal_only).data
     with Tape():
         whole = run()
     rows = []
@@ -1027,7 +1073,7 @@ def test_untaped_monet_pass_runs_whole_sequences_at_most_512_rows_at_a_time(
         out = run()
     expected = [steps * n] if scope == "tape" else [steps * b for b in blocks]
     assert rows == [r for r in expected for _ in range(3)]
-    assert len(tape.nodes) == (scope == "tape")
+    assert [node.op for node in tape.nodes].count("monet_pass") == (scope == "tape")
     np.testing.assert_allclose(out, whole, rtol=0, atol=1e-12)
 
 
@@ -1035,7 +1081,7 @@ def test_untaped_monet_pass_runs_whole_sequences_at_most_512_rows_at_a_time(
 # ``_monet_pass`` hands back the weights (candidate, right, left) it saves.
 
 def _fusion_weights(args):
-    return _monet_pass(*args)[1][4]
+    return _monet_pass(*_selected(args[:3]), *args[3:])[1][4]
 
 
 def test_group_softmax_symmetry():
@@ -1086,11 +1132,10 @@ def test_group_softmax_sums_to_one_and_open_interval():
         assert np.all(w > 0.0) and np.all(w < 1.0)
 
 
-def _recurrent_inputs(rng, cell, n, d, t_len):
+def _recurrent_inputs(rng, cell, n, d, t_len, d_in=5):
     """Random ``recurrent`` operands for ``t_len`` steps of (n, d) rows."""
-    gates, n_states = CELLS[cell]
-    shapes = [(t_len * n, d)] * gates + [(n, d)] * n_states + [(d, d)] * gates
-    return [Tensor(rng.normal(0.0, 1.5, shape), requires_grad=True) for shape in shapes]
+    return [Tensor(rng.normal(0.0, 1.5, shape), requires_grad=True)
+            for shape in _recurrent_shapes(cell, t_len, n, d_in, d)]
 
 
 def vanilla_step_op_by_op(pre, s, U):
@@ -1139,9 +1184,12 @@ def test_cell_ops_match_the_op_by_op_step_bit_for_bit(cell, reference, rows, d):
     op-by-op step; the LSTM's cell state after the last step run too."""
     rng = np.random.default_rng(103 + rows + d)
     for t_len, reverse in itertools.product((1, 2, 5), (False, True)):
-        args = _recurrent_args(cell, _recurrent_inputs(rng, cell, rows, d, t_len))
+        [X], Ws, bs, states, mats = args = _recurrent_args(
+            cell, _recurrent_inputs(rng, cell, rows, d, t_len))
         got = recurrent(cell, *args, reverse)
-        expected = scan_op_by_op(reference, *([t.data for t in ts] for ts in args), reverse)
+        pres = [X.data @ W.data + b.data for W, b in zip(Ws, bs)]
+        expected = scan_op_by_op(reference, pres, *([t.data for t in ts] for ts in (states, mats)),
+                                 reverse)
         got = got if isinstance(got, tuple) else (got,)
         assert len(got) == len(expected)
         for out, want in zip(got, expected):
@@ -1157,9 +1205,12 @@ def test_recurrent_gradients_equal_one_node_per_step_bit_for_bit(cell, reverse):
     run to the first."""
     rng = np.random.default_rng(127)
     n, t_len = 3, 5
-    pres, states, mats = _recurrent_args(cell, _recurrent_inputs(rng, cell, n, 4, t_len))
-    steps = [[Tensor(p.data[t * n:(t + 1) * n], requires_grad=True) for p in pres]
-             for t in range(t_len)]
+    *_, states, mats = _recurrent_args(cell, _recurrent_inputs(rng, cell, n, 4, t_len))
+    # Each gate reads its own projection of the steps back exactly (see
+    # ``_selected``), so the input's gradient holds the projections'.
+    pres, Ws, bs = _selected([Tensor(rng.normal(0.0, 1.5, (t_len * n, 4))) for _ in mats])
+    X = Tensor(pres.data, requires_grad=True)
+    steps = [Tensor(X.data[t * n:(t + 1) * n], requires_grad=True) for t in range(t_len)]
     weight = Tensor(rng.normal(size=(t_len * n, 4)))
     runs = []
     for chained in (False, True):
@@ -1169,20 +1220,19 @@ def test_recurrent_gradients_equal_one_node_per_step_bit_for_bit(cell, reverse):
             if chained:
                 hs, out = [None] * t_len, states
                 for t in range(t_len - 1, -1, -1) if reverse else range(t_len):
-                    out = recurrent(cell, steps[t], out, mats)
+                    out = recurrent(cell, steps[t], Ws, bs, out, mats)
                     out = out if isinstance(out, tuple) else (out,)
                     hs[t] = out[0]
                 out = (concat(hs), *out[1:])
             else:
-                out = recurrent(cell, pres, states, mats, reverse)
+                out = recurrent(cell, X, Ws, bs, states, mats, reverse)
                 out = out if isinstance(out, tuple) else (out,)
             loss = tsum(mul(out[0], weight))
             for c in out[1:]:
                 loss = add(loss, tsum(mul(c, c)))
         tape.backward(loss)
-        dpres = ([np.concatenate([step[k].grad for step in steps]) for k in range(len(pres))]
-                 if chained else [p.grad for p in pres])
-        runs.append([t.data for t in out] + dpres + [t.grad for t in states + mats])
+        dX = np.concatenate([step.grad for step in steps]) if chained else X.grad
+        runs.append([t.data for t in out] + [dX] + [t.grad for t in states + mats])
     assert [node.op for node in tape.nodes].count("recurrent") == t_len
     for got, expected in zip(*runs):
         assert_same_bits(got, expected)
@@ -1257,7 +1307,7 @@ def _direction_inputs(rng, cell, flags, t_len):
 def _joint_outputs(cell, per_dir, flags):
     """Each direction's outputs of one ``recurrent`` node over all of them."""
     n_states = CELLS[cell][1]
-    outs = recurrent(cell, *([t for args in per_dir for t in args[part]] for part in range(3)),
+    outs = recurrent(cell, *([t for args in per_dir for t in args[part]] for part in range(5)),
                      flags)
     return [outs[k * n_states:(k + 1) * n_states] for k in range(len(flags))]
 
@@ -1282,13 +1332,13 @@ def test_recurrent_directions_equal_one_node_per_direction_bit_for_bit(cell, fla
     rng = np.random.default_rng(131)
     for t_len, read in itertools.product((1, 4), _SHARED_READS[cell]):
         per_dir, weights = _direction_inputs(rng, cell, flags, t_len)
-        inputs = [t for part in range(3) for args in per_dir for t in args[part]]
+        inputs = [t for part in range(5) for args in per_dir for t in args[part]]
         for t in inputs:
             _read_only(t.data)
         # The first direction's initial states take no gradient, and over
         # one step no direction's do.
         for args in per_dir if t_len == 1 else per_dir[:1]:
-            for t in args[1]:
+            for t in args[3]:
                 t.requires_grad = False
         runs = []
         for joint in (True, False):
@@ -1328,34 +1378,143 @@ def test_recurrent_directions_read_unlike_each_other_raise(cell, flags):
 
 def test_recurrent_rejects_malformed_operands():
     rng = np.random.default_rng(113)
-    pres, states, mats = _recurrent_args("gru", _recurrent_inputs(rng, "gru", 2, 3, 3))
+    [X], Ws, bs, states, mats = _recurrent_args("gru", _recurrent_inputs(rng, "gru", 2, 3, 3))
     bad = [
-        # Projections of mixed shapes.
-        ([pres[0], pres[1], Tensor(np.ones((4, 3)))], states, mats),
-        ([pres[0], pres[1], Tensor(np.ones((6, 2)))], states, mats),
+        # Input matrices of mixed shapes, or not matching the input.
+        (X, [Ws[0], Ws[1], Tensor(np.ones((4, 3)))], bs, states, mats),
+        (X, [Ws[0], Ws[1], Tensor(np.ones((5, 2)))], bs, states, mats),
+        (Tensor(np.ones((6, 4))), Ws, bs, states, mats),
         # Rows that are not a positive multiple of n.
-        ([Tensor(np.ones((5, 3)))] * 3, states, mats),
-        ([Tensor(np.ones((0, 3)))] * 3, states, mats),
-        ([Tensor(np.ones(6))] * 3, states, mats),
-        # A state or matrix of the wrong shape, or the wrong number of them.
-        (pres, [Tensor(np.ones((2, 4)))], mats),
-        (pres, [Tensor(np.ones(3))], mats),
-        (pres, states, mats[:2] + [Tensor(np.ones((3, 4)))]),
-        (pres[:2], states, mats),
-        (pres, states + states, mats),
-        (pres, states, mats[:2]),
+        (Tensor(np.ones((5, 5))), Ws, bs, states, mats),
+        (Tensor(np.ones((0, 5))), Ws, bs, states, mats),
+        (Tensor(np.ones(6)), Ws, bs, states, mats),
+        # A bias, state or matrix of the wrong shape, or the wrong number.
+        (X, Ws, [bs[0], bs[1], Tensor(np.ones(4))], states, mats),
+        (X, Ws, bs[:2] + [Tensor(np.ones((1, 3)))], states, mats),
+        (X, Ws, bs, [Tensor(np.ones((2, 4)))], mats),
+        (X, Ws, bs, [Tensor(np.ones(3))], mats),
+        (X, Ws, bs, states, mats[:2] + [Tensor(np.ones((3, 4)))]),
+        (X, Ws[:2], bs, states, mats),
+        (X, Ws, bs[:2], states, mats),
+        (X, Ws, bs, states + states, mats),
+        (X, Ws, bs, states, mats[:2]),
     ]
     for args in bad:
         with pytest.raises(ShapeError):
             recurrent("gru", *args)
-    # Two directions need two of each; an empty flag list runs no direction.
-    for args in bad[-3:] + [(pres, states, mats)]:
+    # Two directions need two of each, and a list of inputs one per
+    # direction; an empty flag list runs no direction.
+    for args in bad[-4:] + [(X, Ws, bs, states, mats), ([X], Ws + Ws, bs + bs, states + states,
+                                                         mats + mats)]:
         with pytest.raises(ShapeError):
             recurrent("gru", *args, (False, True))
     with pytest.raises(ShapeError):
-        recurrent("gru", pres + pres, states + states, mats + mats[:2] + [Tensor(np.ones((3, 4)))],
-                  (False, True))
+        recurrent("gru", X, Ws + Ws, bs + bs, states + states,
+                  mats + mats[:2] + [Tensor(np.ones((3, 4)))], (False, True))
     with pytest.raises(ShapeError):
-        recurrent("gru", [], [], [], ())
+        recurrent("gru", [], [], [], [], [], ())
     with pytest.raises(ValueError, match="unknown cell"):
-        recurrent("gru_cell", pres, states, mats)
+        recurrent("gru_cell", X, Ws, bs, states, mats)
+
+
+# The nodes project their own input.  Before they did, each gate's
+# projection was one ``affine`` node recorded ahead of the node, in gate
+# order per direction.  The compositions below record it that way and
+# hand the projections to the node through ``_selected``; each passes
+# through a scale by 1, whose rule hands its ``affine`` a contiguous
+# gradient, as a node's rule did when it took the projections themselves.
+
+def _per_gate(X, Ws, bs):
+    """``_selected`` on one ``affine`` node per gate."""
+    return _selected([scale(affine([(X, W)], b), 1.0) for W, b in zip(Ws, bs)])
+
+
+def _same_gradients(got, expected):
+    """Bit for bit, where a None (nothing reached) equals all zeros."""
+    for a, b in zip(got, expected, strict=True):
+        if a is None or b is None:
+            assert not np.any(b if a is None else a)
+        else:
+            assert_same_bits(a, b)
+
+
+def _run_both(leaves, weights, *runs):
+    """Each run's outputs taped, every leaf's gradient of the sum of its
+    outputs times ``weights`` (an output of another shape, the LSTM's last
+    cell state, times itself), and its outputs with nothing recording."""
+    results = []
+    for run in runs:
+        for t in leaves:
+            t.zero_grad()
+        with Tape() as tape:
+            outs = run()
+            outs = outs if isinstance(outs, tuple) else (outs,)
+            loss = Tensor(0.0)
+            for out in outs:
+                w = weights if out.shape == weights.shape else out
+                loss = add(loss, tsum(mul(out, w)))
+        tape.backward(loss)
+        untaped = run()
+        results.append(([t.data for t in outs], [t.grad for t in leaves],
+                         [t.data for t in (untaped if isinstance(untaped, tuple) else (untaped,))]))
+    return results
+
+
+@pytest.mark.parametrize("n,t_len", [(1, 1), (3, 5), (32, 20)])
+@pytest.mark.parametrize("d", [1, 4, 19])
+@pytest.mark.parametrize("flags", [(False,), (False, True)])
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_recurrent_equals_its_per_gate_affine_composition_bit_for_bit(cell, flags, d, n, t_len):
+    """One node over one direction, or two reading one input as a bi-RNN
+    layer does, gives the outputs and the gradients of its input, input
+    matrices, biases, initial states and state matrices that per-gate
+    ``affine`` nodes and a scan of their projections give, taped or not."""
+    rng = np.random.default_rng(149 + d + n)
+    gates, n_states = CELLS[cell]
+    X = Tensor(rng.normal(0.0, 1.5, (t_len * n, 5)), requires_grad=True)
+    per_dir = [_recurrent_args(cell, _recurrent_inputs(rng, cell, n, d, t_len))[1:] for _ in flags]
+    Ws, bs, states, mats = ([t for args in per_dir for t in args[part]] for part in range(4))
+    weights = Tensor(rng.normal(size=(t_len * n, d)))
+
+    def composed():
+        sides = [_per_gate(X, Ws[k * gates:(k + 1) * gates], bs[k * gates:(k + 1) * gates])
+                 for k in range(len(flags))]
+        return recurrent(cell, [s[0] for s in sides], [S for s in sides for S in s[1]],
+                         [z for s in sides for z in s[2]], states, mats, flags)
+
+    (got, got_grads, got_untaped), expected = _run_both(
+        [X, *Ws, *bs, *states, *mats], weights,
+        lambda: recurrent(cell, X, Ws, bs, states, mats, flags), composed)
+    for a, b in zip(got + got_untaped, expected[0] + expected[2], strict=True):
+        assert_same_bits(a, b)
+    _same_gradients(got_grads, expected[1])
+
+
+@pytest.mark.parametrize("n,t_len", [(1, 1), (3, 5), (32, 20)])
+@pytest.mark.parametrize("d", [1, 4, 19])
+@pytest.mark.parametrize("causal_only", [False, True])
+@pytest.mark.parametrize("layers", [0, 1, 3])
+def test_monet_pass_equals_its_per_gate_affine_composition_bit_for_bit(layers, causal_only, d,
+                                                                       n, t_len):
+    """The node over 0, 1 and 3 passes after the base pass gives the
+    outputs and the gradients of its input, input matrices, biases and
+    state matrices that per-gate ``affine`` nodes and a pass over their
+    projections give, taped or not (untaped, past 512 rows, in blocks of
+    whole sequences of the one projection).  With no pass after the base
+    pass nothing reads the reset gate: its matrix and bias get no
+    gradient, and in the composition a zero one."""
+    rng = np.random.default_rng(151 + d + n)
+    shapes = [(t_len * n, 5)] + [(5, d)] * 3 + [(d,)] * 3 + [(d, d)] * 4 + [(2 * d, d)]
+    X, *params = [Tensor(rng.normal(0.0, 1.5, shape), requires_grad=True) for shape in shapes]
+    params[5].data = params[5].data - 0.5  # some candidates clipped by the ReLU
+    Ws, bs, mats = params[:3], params[3:6], params[6:]
+    weights = Tensor(rng.normal(size=(t_len * n, d)))
+    kwargs = dict(n=n, layers=layers, causal_only=causal_only)
+    (got, got_grads, got_untaped), expected = _run_both(
+        [X, *params], weights,
+        lambda: monet_pass(X, Ws, bs, None, None, *mats, **kwargs),
+        lambda: monet_pass(*_per_gate(X, Ws, bs), None, None, *mats, **kwargs))
+    for a, b in zip(got + got_untaped, expected[0] + expected[2], strict=True):
+        assert_same_bits(a, b)
+    _same_gradients(got_grads, expected[1])
+    assert (got_grads[1] is None) is (layers == 0)
