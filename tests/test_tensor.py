@@ -639,16 +639,27 @@ def _runs(case):
                 for shapes in shape_sets]
 
 
-def _flag_sets(n):
-    """Requires-grad patterns for ``n`` operands: every one up to 10
-    operands; past that (2**n runs would take minutes), each operand alone
-    requiring grad, each alone not, none, all, and 64 seeded random ones."""
-    if n <= 10:
-        return list(itertools.product((False, True), repeat=n))
+# The gate count of each case whose operands are the input, the gates'
+# input matrices, the gates' biases and then the rest.
+GATED_CASES = {"monet_pass": 3, **{f"{cell.replace('-', '_')}_cell": gates
+                                   for cell, (gates, _) in CELLS.items()}}
+
+
+def _flag_sets(n, gates=0):
+    """Requires-grad patterns for ``n`` operands: every one, except that
+    with ``gates`` the input matrices (operands 1 to ``gates``) share one
+    flag and the biases (the next ``gates``) another, since the rules ask
+    only whether any of each requires grad (2**15 patterns of the LSTM node
+    would take minutes); plus each operand alone requiring grad and each
+    alone not."""
+    patterns = set()
+    for flags in itertools.product((False, True), repeat=n - 2 * gates + 2 if gates else n):
+        if gates:
+            flags = flags[:1] + flags[1:2] * gates + flags[2:3] * gates + flags[3:]
+        patterns.add(flags)
     eye = np.eye(n, dtype=bool)
-    drawn = np.random.default_rng(n).random((64, n)) < 0.5
-    rows = [*eye, *~eye, np.zeros(n, bool), np.ones(n, bool), *drawn]
-    return [tuple(map(bool, row)) for row in rows]
+    patterns.update(tuple(map(bool, row)) for row in [*eye, *~eye])
+    return sorted(patterns)
 
 
 def test_op_cases_cover_every_backward_rule():
@@ -660,7 +671,7 @@ def test_op_output_is_float64_array_requiring_grad_exactly_when_an_input_does(ca
     rng = np.random.default_rng(47)
     op, runs = _runs(case)
     for fn, shapes in runs:
-        for flags in _flag_sets(len(shapes)):
+        for flags in _flag_sets(len(shapes), GATED_CASES.get(case, 0)):
             inputs = [Tensor(rng.uniform(-2, 2, shape), requires_grad=flag)
                       for shape, flag in zip(shapes, flags)]
             with Tape() as tape:
@@ -696,7 +707,7 @@ def test_kernels_write_only_into_buffers_they_allocated(case):
     rng = np.random.default_rng(53)
     op, runs = _runs(case)
     for fn, shapes in runs:
-        for flags in _flag_sets(len(shapes)):
+        for flags in _flag_sets(len(shapes), GATED_CASES.get(case, 0)):
             inputs = [Tensor(rng.uniform(-2, 2, shape), requires_grad=flag)
                       for shape, flag in zip(shapes, flags)]
             for t in inputs:
