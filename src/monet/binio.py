@@ -6,14 +6,16 @@ strings, and contiguous row-major float arrays with an explicit dims header.
 
 A file is encoded in memory and written in one call, so its writer can hash
 the bytes it wrote without reading the file back.  A file, or a pipe, is
-read whole in one call by a ``BlockReader``, which parses its fields with
-``struct.unpack_from`` out of that one buffer.  Both formats fail the same
-way on damage: a field declared longer than what is left of the file raises
+read whole in one call by a ``BlockReader``, which checks that one buffer
+against an expected sha256 when given one and parses its fields with
+``struct.unpack_from`` out of it.  Both formats fail the same way on damage:
+a field declared longer than what is left of the file raises
 ``TruncatedError`` naming what was being read.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
 from typing import BinaryIO
@@ -41,6 +43,10 @@ class VersionError(FormatError):
 
 class TruncatedError(FormatError):
     """File ended before a declared field was complete."""
+
+
+class DigestError(FormatError):
+    """The bytes read do not have the sha256 they were expected to have."""
 
 
 # ---------------------------------------------------------------------------
@@ -86,11 +92,15 @@ class BlockReader:
     ``take(n, ...)`` consumes the next ``n`` bytes and returns where they
     start in ``buf``, for ``struct.unpack_from`` or ``np.frombuffer``.  A
     field's name is a ``str.format`` template and its arguments, formatted
-    only when the field is cut short.
+    only when the field is cut short.  Given the hex ``sha256`` the file
+    should have, the reader raises ``DigestError`` before any field is
+    parsed unless the bytes it read have it.
     """
 
-    def __init__(self, f: BinaryIO):
+    def __init__(self, f: BinaryIO, sha256: str | None = None):
         self.buf = f.read()
+        if sha256 is not None and (got := hashlib.sha256(self.buf).hexdigest()) != sha256:
+            raise DigestError(f"sha256 {got} of the bytes read, expected {sha256}")
         self.end = len(self.buf)
         self.pos = 0  # offset in buf of the next byte to take
 

@@ -486,9 +486,11 @@ class Hallucinator:
         return write_file(path, pieces)
 
     @classmethod
-    def load(cls, path: str) -> "Hallucinator":
+    def load(cls, path: str, sha256: str | None = None) -> "Hallucinator":
+        """Read a checkpoint; given ``sha256``, its bytes must have that
+        hex digest (``binio.DigestError``) before any field is parsed."""
         with open(path, "rb", buffering=0) as f:
-            r = BlockReader(f)
+            r = BlockReader(f, sha256)
             r.magic(CHECKPOINT_MAGIC)
             r.version(CHECKPOINT_VERSION)
             family = r.string("family tag")

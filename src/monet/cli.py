@@ -23,15 +23,14 @@ import sys
 
 import numpy as np
 
-from .binio import FormatError
+from .binio import DigestError, FormatError
 from .cells import (CellConfig, Hallucinator, count_params,
                     flops_per_sequence, flops_per_step, match_params)
 from .classify import (LinearClassifier, Prediction, classify, ensemble,
                        fit_linear_classifier, pooled_matrix, predictions_csv,
                        top1_accuracy)
 from .data import (Dataset, FeatureRecord, SyntheticTaskSpec, dataset_manifest,
-                   file_sha256, generate_synthetic, read_dataset, write_dataset,
-                   write_manifest)
+                   generate_synthetic, read_dataset, write_dataset, write_manifest)
 from .gradcheck import check_family
 from .training import (LossConfig, TrainConfig, TrainingDiverged, evaluate,
                        hallucinate_array, records_arrays, train)
@@ -127,10 +126,21 @@ def _load_classifier(path: str) -> LinearClassifier:
     return clf
 
 
-def _read_file(reader, path: str, what: str):
-    """``reader(path)``, with a damaged file as invalid input."""
+def _read_file(reader, path: str, sidecar: str | None, what: str):
+    """``reader(path)``, with a damaged file as invalid input.  When the
+    ``sidecar`` path holds anything, a dangling link included, the one
+    buffer ``reader`` reads must match its sha256 before it is parsed, so
+    damage that still parses is not read silently; otherwise the file is
+    read unchecked."""
+    expected = None
+    if sidecar is not None and os.path.lexists(sidecar):
+        expected = _load_json(sidecar, f"{what} manifest").get("sha256")
+        if not isinstance(expected, str):
+            raise UsageError(f"{what} manifest file {sidecar} has no sha256 string")
     try:
-        return reader(path)
+        return reader(path, sha256=expected)
+    except DigestError:
+        raise UsageError(f"{what} file {path} does not match the sha256 in {sidecar}") from None
     except FormatError as e:
         raise UsageError(f"{what} file {path}: {e}") from None
 
@@ -174,28 +184,13 @@ def _manifest_path(data_path: str) -> str | None:
 CHECKPOINT_SIDECAR = ".sha256.json"
 
 
-def _verify_manifest(path: str, manifest_path: str | None, what: str) -> None:
-    """Check a file against the sha256 recorded in its sidecar, when that
-    exists: damage that still parses must not be read silently.  ``gen-data``,
-    ``train`` and ``hallucinate`` write a dataset's, ``train`` a checkpoint's.
-    A file without a sidecar is read unchecked."""
-    if manifest_path is None or not os.path.exists(manifest_path):
-        return
-    expected = _load_json(manifest_path, f"{what} manifest").get("sha256")
-    if not isinstance(expected, str):
-        raise UsageError(f"{what} manifest file {manifest_path} has no sha256 string")
-    if file_sha256(path) != expected:
-        raise UsageError(f"{what} file {path} does not match the sha256 in {manifest_path}")
-
-
 def _model_and_records(args) -> tuple[Hallucinator, Dataset]:
     """The checkpoint and the records it will run on, with the class count
     their header declares; a dataset the model cannot run on is a runtime
     failure."""
-    _verify_manifest(args.checkpoint, args.checkpoint + CHECKPOINT_SIDECAR, "checkpoint")
-    model = _read_file(Hallucinator.load, args.checkpoint, "checkpoint")
-    _verify_manifest(args.data, _manifest_path(args.data), "dataset")
-    records = _read_file(read_dataset, args.data, "dataset")
+    model = _read_file(Hallucinator.load, args.checkpoint,
+                       args.checkpoint + CHECKPOINT_SIDECAR, "checkpoint")
+    records = _read_file(read_dataset, args.data, _manifest_path(args.data), "dataset")
     if not records:
         raise PipelineError("dataset holds no records")
     t_len, d_x = records[0].appearance.shape

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import json
 import math
 import warnings
@@ -236,23 +235,20 @@ def write_dataset(path: str, records: list[FeatureRecord], n_classes: int | None
 
 
 _HEADER_FIELDS = ("n_records", "n_classes", "seq_len", "d_x", "d_s")
-_HEADER_BYTES = 4 + 4 * (1 + len(_HEADER_FIELDS))  # magic, version, the counts
 
 
-def _read_header(r: BlockReader) -> dict:
-    r.magic(DATASET_MAGIC)
-    r.version(DATASET_VERSION)
-    return {k: r.u32(k) for k in _HEADER_FIELDS}
-
-
-def read_dataset(path: str) -> Dataset:
+def read_dataset(path: str, sha256: str | None = None) -> Dataset:
     """Read a dataset file back; values come out as the f32 the file stores,
-    widened to f64.  Non-finite payloads are rejected."""
+    widened to f64.  Non-finite payloads are rejected.  Given ``sha256``,
+    the bytes read must have that hex digest (``binio.DigestError``) before
+    any field is parsed."""
     # Entered once per file: a signalling NaN warns as it widens to f64,
     # and the finiteness check rejects it.
     with open(path, "rb", buffering=0) as f, np.errstate(invalid="ignore"):
-        r = BlockReader(f)
-        n, n_classes, t_len, d_x, d_s = _read_header(r).values()
+        r = BlockReader(f, sha256)
+        r.magic(DATASET_MAGIC)
+        r.version(DATASET_VERSION)
+        n, n_classes, t_len, d_x, d_s = (r.u32(k) for k in _HEADER_FIELDS)
         na, ns = t_len * d_x, t_len * d_s
         records = []
         for i in range(n):
@@ -275,36 +271,13 @@ def read_dataset(path: str) -> Dataset:
     return Dataset(records, n_classes)
 
 
-def read_dataset_header(path: str) -> dict:
-    """The header's counts, parsed from the file's first 28 bytes alone; a
-    file cut short within them fails as ``read_dataset`` does."""
-    head = b""
-    with open(path, "rb", buffering=0) as f:
-        while len(head) < _HEADER_BYTES and (part := f.read(_HEADER_BYTES - len(head))):
-            head += part
-    return _read_header(BlockReader(io.BytesIO(head)))
-
-
-def file_sha256(path: str) -> str:
-    """Hex sha256 of a file's exact bytes."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def dataset_manifest(data: str | bytes, spec: SyntheticTaskSpec | None = None) -> dict:
-    """JSON-ready description of a dataset file: header counts plus a sha256
-    of the exact bytes, and the generating spec when known.  ``data`` is the
-    file's path, or the bytes ``write_dataset`` returned for it, which are
-    hashed in memory."""
-    if isinstance(data, str):
-        header, sha256 = read_dataset_header(data), file_sha256(data)
-    else:
-        header = dict(zip(_HEADER_FIELDS, unpack_from("<5I", data, 8)))
-        sha256 = hashlib.sha256(data).hexdigest()
-    manifest = {"format": "MOFE", "version": DATASET_VERSION, "header": header, "sha256": sha256}
+def dataset_manifest(raw: bytes, spec: SyntheticTaskSpec | None = None) -> dict:
+    """JSON-ready description of a dataset file from the bytes
+    ``write_dataset`` returned for it: header counts plus their sha256,
+    hashed in memory, and the generating spec when known."""
+    manifest = {"format": "MOFE", "version": DATASET_VERSION,
+                "header": dict(zip(_HEADER_FIELDS, unpack_from("<5I", raw, 8))),
+                "sha256": hashlib.sha256(raw).hexdigest()}
     if spec is not None:
         manifest["spec"] = dataclasses.asdict(spec)
     return manifest

@@ -2,6 +2,7 @@
 and checkpoint round trips."""
 
 import dataclasses
+import hashlib
 import io
 import math
 import os
@@ -9,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from monet.binio import BadMagicError, FormatError, TruncatedError, VersionError
+from monet.binio import BadMagicError, DigestError, FormatError, TruncatedError, VersionError
 from monet.cells import (FAMILIES, BidirParams, CellConfig, Conv1dParams,
                          ConvStage, GruParams, Hallucinator, MoNetParams,
                          collect_tensors, count_params, flops_per_sequence,
@@ -989,6 +990,19 @@ def test_checkpoint_loads_alike_through_a_pipe(tmp_path):
         os.close(read_end)
     assert loaded.config == model.config
     assert [t.data.tobytes() for t in loaded.tensors()] == [t.data.tobytes() for t in model.tensors()]
+
+
+def test_checkpoint_load_checks_the_sha256_of_the_bytes_it_parses(tmp_path):
+    model = Hallucinator.build(CellConfig(family="monet", d_x=4, d_s=3, layers=2),
+                               np.random.default_rng(0))
+    path = tmp_path / "m.monw"
+    raw = model.save(str(path))
+    digest = hashlib.sha256(raw).hexdigest()
+    loaded = Hallucinator.load(str(path), sha256=digest)
+    assert [t.data.tobytes() for t in loaded.tensors()] == [t.data.tobytes() for t in model.tensors()]
+    path.write_bytes(raw[:-2] + bytes([raw[-2] ^ 0x08]) + raw[-1:])
+    with pytest.raises(DigestError):
+        Hallucinator.load(str(path), sha256=digest)
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])

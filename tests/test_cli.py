@@ -1,25 +1,27 @@
 """End-to-end command-line flows: data generation, training, evaluation,
 hallucination, gradient checking, cost accounting, exit codes."""
 
+import builtins
+import collections
 import hashlib
 import json
 import math
 import os
 import re
 import shutil
+import subprocess
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from monet import binio
+import monet
 from monet.cells import CellConfig, Hallucinator, flops_per_step
-import monet.cells
 import monet.cli
-import monet.data
 from monet.cli import main
-from monet.data import (FeatureRecord, dataset_manifest, file_sha256, read_dataset,
-                        read_dataset_header, write_dataset)
+from monet.data import FeatureRecord, dataset_manifest, read_dataset, write_dataset
 from monet.gradcheck import check_family
 
 TASK = dict(n_classes=3, seq_len=8, d_x=6, d_s=4, n_train=24, n_val=9,
@@ -465,7 +467,7 @@ def test_hallucinate_keeps_class_count_of_shard_without_top_class(trained_dir, c
                      "--checkpoint", str(run_dir / "checkpoint.monw"),
                      "--data", str(shard), "--out", str(out_path))
     assert code == 0
-    assert read_dataset_header(str(out_path))["n_classes"] == TASK["n_classes"] == 3
+    assert read_dataset(str(out_path)).n_classes == TASK["n_classes"] == 3
 
 
 def test_hallucinate_output_beyond_f32_is_runtime_failure(trained_dir, capsys, tmp_path):
@@ -639,29 +641,73 @@ def test_every_manifest_names_the_file_on_disk(trained_dir, capsys, tmp_path):
     for data in (tmp_path / "d" / "train.mofe", tmp_path / "d" / "val.mofe",
                  run_dir / "train.mofe", run_dir / "val.mofe", out_path):
         manifest = json.loads(data.with_suffix(".manifest.json").read_text())
-        assert manifest["sha256"] == file_sha256(str(data))
+        assert manifest["sha256"] == hashlib.sha256(data.read_bytes()).hexdigest()
         manifest.pop("spec", None)
-        assert manifest == dataset_manifest(str(data))
+        assert manifest == dataset_manifest(data.read_bytes())
     checkpoint = run_dir / "checkpoint.monw"
     sidecar = json.loads((run_dir / "checkpoint.monw.sha256.json").read_text())
-    assert sidecar == {"format": "MONW", "sha256": file_sha256(str(checkpoint))}
+    assert sidecar == {"format": "MONW",
+                       "sha256": hashlib.sha256(checkpoint.read_bytes()).hexdigest()}
 
 
 @pytest.mark.parametrize("command", ["eval", "hallucinate"])
-def test_each_input_file_is_parsed_once(trained_dir, capsys, tmp_path, monkeypatch, command):
-    opened = []
-
-    class Counting(binio.BlockReader):
-        def __init__(self, f):
-            opened.append(f.name)
-            super().__init__(f)
-
-    monkeypatch.setattr(monet.data, "BlockReader", Counting)
-    monkeypatch.setattr(monet.cells, "BlockReader", Counting)
+def test_each_input_file_is_opened_once(trained_dir, capsys, monkeypatch, command):
+    """With both sidecars present, the sha256 check runs on the bytes the
+    reader parses: the checkpoint and the dataset are each opened once."""
     run_dir = trained_dir / "run"
-    code, _, _ = _run_on_data(capsys, run_dir, run_dir / "val.mofe", command)
-    assert code == 0
-    assert opened == [str(run_dir / "checkpoint.monw"), str(run_dir / "val.mofe")]
+    assert (run_dir / "val.manifest.json").exists()
+    assert (run_dir / "checkpoint.monw.sha256.json").exists()
+    opened = collections.Counter()
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened[str(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, _, err = _run_on_data(capsys, run_dir, run_dir / "val.mofe", command)
+    monkeypatch.undo()
+    assert code == 0, err
+    assert opened[str(run_dir / "checkpoint.monw")] == 1
+    assert opened[str(run_dir / "val.mofe")] == 1
+
+
+def test_a_dataset_pipe_with_a_sidecar_evaluates(trained_dir, capsys, tmp_path):
+    """A ``<stem>.mofe`` that is a named pipe, fed once by a writer, is
+    checked against its sidecar and evaluated from the one read.  The CLI
+    runs in a subprocess, so a second open of the pipe, which would block
+    for ever, fails the test on its timeout instead of hanging the suite."""
+    run_dir = trained_dir / "run"
+    for name in ("checkpoint.monw", "checkpoint.monw.sha256.json", "val.manifest.json"):
+        shutil.copy(run_dir / name, tmp_path / name)
+    fifo = tmp_path / "val.mofe"
+    os.mkfifo(fifo)
+    raw = (run_dir / "val.mofe").read_bytes()
+
+    def feed():
+        try:
+            with open(fifo, "wb") as f:
+                f.write(raw)
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    src = os.path.dirname(os.path.dirname(monet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "monet.cli", "eval", "--checkpoint",
+             str(tmp_path / "checkpoint.monw"), "--data", str(fifo)],
+            capture_output=True, text=True, env=env, timeout=30)
+    finally:
+        if writer.is_alive():  # never opened: let the writer's open return
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(10)
+    assert proc.returncode == 0, proc.stderr
+    _, intact, _ = _run_on_data(capsys, run_dir, run_dir / "val.mofe", "eval")
+    assert last_json(proc.stdout) == last_json(intact)
 
 
 def test_hallucinate_onto_its_input_replaces_the_manifest(trained_dir, capsys, tmp_path):
@@ -674,7 +720,7 @@ def test_hallucinate_onto_its_input_replaces_the_manifest(trained_dir, capsys, t
                      "--data", str(data), "--out", str(data))
     assert code == 0
     manifest = json.loads((run_dir / "val.manifest.json").read_text())
-    assert manifest == dataset_manifest(str(data))
+    assert manifest == dataset_manifest(data.read_bytes())
     assert manifest["sha256"] == hashlib.sha256(data.read_bytes()).hexdigest()
     code, out, err = run(capsys, "eval", "--checkpoint", str(run_dir / "checkpoint.monw"),
                          "--data", str(data))
@@ -693,7 +739,7 @@ def test_hallucinated_file_is_checked_against_its_new_manifest(trained_dir, caps
     assert code == 0
     manifest = json.loads((tmp_path / "h.manifest.json").read_text())
     assert manifest["sha256"] == hashlib.sha256(out_path.read_bytes()).hexdigest()
-    assert manifest["header"] == read_dataset_header(str(out_path))
+    assert manifest["header"] == dataset_manifest(out_path.read_bytes())["header"]
     _flip_first_appearance_exponent(out_path, out_path)
     code, out, err = _run_on_data(capsys, run_dir, out_path, "eval")
     assert code == 2 and out == ""
@@ -811,6 +857,21 @@ def test_checkpoint_without_manifest_is_read_unchecked(trained_dir, capsys, tmp_
                        "--data", str(run_dir / "val.mofe"))
     assert outs[0] == last_json(intact)
     assert outs[1]["val_mse"] != outs[0]["val_mse"]
+
+
+@pytest.mark.parametrize("kind", ["dataset", "checkpoint"])
+def test_a_dangling_sidecar_is_invalid_input(trained_dir, capsys, tmp_path, kind):
+    """A sidecar that is a link to nothing is not the absence of a sidecar:
+    the file is not read unchecked, and the error names the sidecar."""
+    run_dir = trained_dir / "run"
+    ckpt, data = tmp_path / "c.monw", tmp_path / "val.mofe"
+    ckpt.write_bytes((run_dir / "checkpoint.monw").read_bytes())
+    data.write_bytes((run_dir / "val.mofe").read_bytes())
+    sidecar = tmp_path / ("val.manifest.json" if kind == "dataset" else "c.monw.sha256.json")
+    sidecar.symlink_to(tmp_path / "missing.json")
+    code, out, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data))
+    assert code == 2 and out == ""
+    assert err == f"error: {sidecar}: not found\n"
 
 
 @pytest.mark.parametrize("flags", [("--csv",), ("--csv", "--teacher"),

@@ -1,6 +1,7 @@
 """Synthetic generator, dataset file format, and stratified splitting."""
 
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -11,13 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from monet.binio import (BadMagicError, FormatError, TruncatedError,
-                         VersionError)
+from monet.binio import (BadMagicError, DigestError, FormatError,
+                         TruncatedError, VersionError)
 from monet.classify import classify, fit_linear_classifier, pooled_matrix
 from monet.data import (FeatureRecord, SyntheticTaskSpec, clean_targets,
                         dataset_manifest, generate_synthetic, read_dataset,
-                        read_dataset_header, split, task_structure,
-                        write_dataset, write_manifest)
+                        split, task_structure, write_dataset, write_manifest)
 
 
 def small_spec(**overrides):
@@ -171,7 +171,7 @@ def test_second_round_trip_is_byte_identical(tmp_path):
     path, _ = write_small(tmp_path)
     loaded = read_dataset(path)
     path2 = str(tmp_path / "again.mofe")
-    write_dataset(path2, loaded, n_classes=read_dataset_header(path)["n_classes"])
+    write_dataset(path2, loaded, n_classes=loaded.n_classes)
     assert open(path, "rb").read() == open(path2, "rb").read()
 
 
@@ -179,7 +179,7 @@ def test_empty_dataset_round_trips(tmp_path):
     path = str(tmp_path / "empty.mofe")
     write_dataset(path, [])
     assert read_dataset(path) == []
-    assert read_dataset_header(path)["n_records"] == 0
+    assert dataset_manifest(Path(path).read_bytes())["header"]["n_records"] == 0
 
 
 def test_corrupt_magic_is_a_distinct_error(tmp_path):
@@ -368,37 +368,31 @@ def test_records_straddling_a_short_read_read_identically(tmp_path, monkeypatch,
     read boundaries, a file reads as it does from a single read."""
     paths = [write_small(tmp_path)[0], str(tmp_path / "unlike.mofe")]
     write_dataset(paths[1], _unlike_ids(), n_classes=3)
-    whole = [(read_dataset(p), read_dataset_header(p)) for p in paths]
+    whole = [read_dataset(p) for p in paths]
     opened = _open_in_short_reads(monkeypatch, "monet.data", block)
-    for p, (records, header) in zip(paths, whole):
+    for p, records in zip(paths, whole):
         assert _same_records(read_dataset(p), records)
-        assert read_dataset_header(p) == header
-    # The header's reads stop at its 28 bytes.
-    assert len(opened) == 4 and [max(f.sizes) for f in opened] == [block, min(block, 28)] * 2
+    assert len(opened) == 2 and [max(f.sizes) for f in opened] == [block] * 2
 
 
-def test_a_header_read_takes_its_28_bytes_alone(tmp_path, monkeypatch):
-    """``read_dataset_header`` reads the header, not the records after it."""
-    path, _ = write_small(tmp_path)
-    header = read_dataset_header(path)
-    opened = _open_in_short_reads(monkeypatch, "monet.data", 1 << 20)
-    assert read_dataset_header(path) == header
-    assert [sum(f.sizes) for f in opened] == [28] and os.path.getsize(path) > 28
-
-
-def test_a_header_cut_short_fails_as_a_whole_read_does(tmp_path):
-    """Cut within its 28 bytes, the header fails with the error, and the
-    message, that reading the whole file gives."""
-    path, _ = write_small(tmp_path)
+def test_a_read_checks_the_sha256_of_the_bytes_it_parses(tmp_path):
+    """Given a digest, a read parses only bytes that have it: an intact file
+    reads as without one, a pipe included, and a changed byte fails."""
+    path, _ = write_small(tmp_path, _unlike_ids(), n_classes=3)
     raw = Path(path).read_bytes()
-    cut = tmp_path / "cut.mofe"
-    for n in range(28):
-        cut.write_bytes(raw[:n])
-        with pytest.raises(TruncatedError) as whole:
-            read_dataset(str(cut))
-        with pytest.raises(TruncatedError) as head:
-            read_dataset_header(str(cut))
-        assert str(head.value) == str(whole.value), n
+    digest = hashlib.sha256(raw).hexdigest()
+    assert _same_records(read_dataset(path, sha256=digest), read_dataset(path))
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, raw)
+        os.close(write_end)
+        assert _same_records(read_dataset(f"/dev/fd/{read_end}", sha256=digest),
+                             read_dataset(path))
+    finally:
+        os.close(read_end)
+    Path(path).write_bytes(raw[:-1] + bytes([raw[-1] ^ 1]))
+    with pytest.raises(DigestError, match=f"expected {digest}"):
+        read_dataset(path, sha256=digest)
 
 
 def test_every_truncation_is_a_format_error(tmp_path):
@@ -459,8 +453,7 @@ def test_manifest_checksums_file(tmp_path):
     train, _ = generate_synthetic(spec)
     path = str(tmp_path / "d.mofe")
     write_dataset(path, train, n_classes=spec.n_classes)
-    manifest = dataset_manifest(path, spec)
-    import hashlib
+    manifest = dataset_manifest(Path(path).read_bytes(), spec)
     assert manifest["sha256"] == hashlib.sha256(open(path, "rb").read()).hexdigest()
     assert manifest["header"]["n_records"] == 6
     assert manifest["spec"]["seed"] == spec.seed

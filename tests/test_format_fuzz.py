@@ -6,7 +6,14 @@ return or raise a ``FormatError`` subclass, and ``monet eval`` on it must
 end with an exit code, never an exception: 2 exactly when the reader
 rejects the file, otherwise 0 (or 1, the documented runtime failure, when
 the damaged bytes still form a valid file that does not fit its partner).
+Given a sidecar holding the intact file's sha256, ``monet eval`` must exit
+2 whenever the edits or the cut changed a byte, and 0 when they did not.
 """
+
+import contextlib
+import hashlib
+import io
+import json
 
 import numpy as np
 import pytest
@@ -39,15 +46,30 @@ def valid(tmp_path_factory):
     return root
 
 
-def _damage(valid, name, edits, cut):
+def _damage(valid, name, edits, cut, stem="damaged"):
     raw = bytearray((valid / f"valid.{name}").read_bytes())
     for pos, value in edits:
         raw[pos % len(raw)] = value
     if cut is not None:
         raw = raw[:cut % len(raw)]
-    path = valid / f"damaged.{name}"
+    path = valid / f"{stem}.{name}"
     path.write_bytes(bytes(raw))
     return str(path)
+
+
+def _checked_eval(valid, name, edits, cut):
+    """``monet eval`` on a damaged copy named ``checked``, whose sidecar
+    holds the intact file's sha256, and the other input intact: the exit
+    code, the stderr, and whether the damage changed the bytes."""
+    intact = (valid / f"valid.{name}").read_bytes()
+    path = _damage(valid, name, edits, cut, stem="checked")
+    sidecar = valid / ("checked.manifest.json" if name == "mofe" else "checked.monw.sha256.json")
+    sidecar.write_text(json.dumps({"sha256": hashlib.sha256(intact).hexdigest()}))
+    paths = {"mofe": str(valid / "valid.mofe"), "monw": str(valid / "valid.monw"), name: path}
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["eval", "--checkpoint", paths["monw"], "--data", paths["mofe"]])
+    return code, err.getvalue(), (valid / f"checked.{name}").read_bytes() != intact
 
 
 def _reads(reader, path) -> bool:
@@ -74,3 +96,25 @@ def test_damaged_checkpoint_loads_or_fails_with_format_error(valid, edits, cut):
     readable = _reads(Hallucinator.load, path)
     code = main(["eval", "--checkpoint", path, "--data", str(valid / "valid.mofe")])
     assert code in ((0, 1) if readable else (2,))
+
+
+@FUZZ
+@given(edits=EDITS, cut=CUTS)
+def test_damaged_dataset_with_a_sidecar_is_rejected_unread(valid, edits, cut):
+    code, err, changed = _checked_eval(valid, "mofe", edits, cut)
+    if changed:
+        assert code == 2 and err.startswith("error: dataset file ")
+        assert err.endswith(f"does not match the sha256 in {valid / 'checked.manifest.json'}\n")
+    else:
+        assert code == 0, err
+
+
+@FUZZ
+@given(edits=EDITS, cut=CUTS)
+def test_damaged_checkpoint_with_a_sidecar_is_rejected_unread(valid, edits, cut):
+    code, err, changed = _checked_eval(valid, "monw", edits, cut)
+    if changed:
+        assert code == 2 and err.startswith("error: checkpoint file ")
+        assert err.endswith(f"does not match the sha256 in {valid / 'checked.monw.sha256.json'}\n")
+    else:
+        assert code == 0, err

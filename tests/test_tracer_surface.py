@@ -2,8 +2,10 @@
 (``perfbench/tracing.py``).  Renaming or deleting one of them would break
 only the traced benchmark, so this runs a tiny traced training epoch and a
 traced ``monet eval`` and checks that the spans the per-layer split reads
-were recorded, with the dataset read sized by its path."""
+were recorded, with the dataset read sized by its path, also when both
+inputs have sidecars and are checked against them."""
 
+import hashlib
 import os
 import sys
 
@@ -18,7 +20,8 @@ import monet.cli  # noqa: E402
 import monet.training  # noqa: E402
 from monet.cells import CellConfig, Hallucinator  # noqa: E402
 from monet.classify import fit_linear_classifier, pooled_matrix  # noqa: E402
-from monet.data import SyntheticTaskSpec, generate_synthetic, write_dataset  # noqa: E402
+from monet.data import (SyntheticTaskSpec, dataset_manifest, generate_synthetic,  # noqa: E402
+                        write_dataset, write_manifest)
 
 
 def test_traced_training_and_eval_record_every_layer_span(tmp_path):
@@ -57,3 +60,26 @@ def test_traced_training_and_eval_record_every_layer_span(tmp_path):
     reads = [s.info for s in tracer.spans if s.name == "data.read"]
     assert reads == [{"bytes": os.path.getsize(tmp_path / "val.mofe")}]
     assert (tmp_path / "fused.csv").exists()
+
+
+def test_traced_eval_on_inputs_with_sidecars_reads_each_once(tmp_path):
+    spec = SyntheticTaskSpec(n_classes=3, seq_len=5, d_x=4, d_s=3, n_train=1,
+                             n_val=4, noise_sigma=0.05, seed=3)
+    data = str(tmp_path / "val.mofe")
+    raw = write_dataset(data, generate_synthetic(spec)[1], n_classes=spec.n_classes)
+    write_manifest(str(tmp_path / "val.manifest.json"), dataset_manifest(raw))
+    ckpt = str(tmp_path / "model.monw")
+    raw = Hallucinator.build(CellConfig(family="monet", d_x=4, d_s=3, layers=2),
+                             np.random.default_rng(0)).save(ckpt)
+    write_manifest(ckpt + monet.cli.CHECKPOINT_SIDECAR,
+                   {"format": "MONW", "sha256": hashlib.sha256(raw).hexdigest()})
+
+    tracer = tracing.Tracer().install()
+    try:
+        code = monet.cli.main(["eval", "--checkpoint", ckpt, "--data", data])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    reads = [s.info for s in tracer.spans if s.name == "data.read"]
+    assert reads == [{"bytes": os.path.getsize(data)}]
+    assert [s.name for s in tracer.spans].count("cells.checkpoint_load") == 1
