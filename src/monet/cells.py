@@ -263,18 +263,6 @@ def init_bidir(family: str, d_x: int, d_s: int, layers: int, rng) -> BidirParams
     )
 
 
-def init_params(config: CellConfig, rng):
-    config.validate()
-    f = config.family
-    if f in _CELLS:
-        return _init_stack(f, config.d_x, config.d_s, config.layers, rng)
-    if f == "bi-gru" or f == "bi-lstm":
-        return init_bidir(f, config.d_x, config.d_s, config.layers, rng)
-    if f == "conv1d":
-        return init_conv1d(config.d_x, config.d_s, config.layers, config.kernel, rng)
-    return init_monet(config.d_x, config.d_s, rng)
-
-
 # ---------------------------------------------------------------------------
 # Single-step cells
 # ---------------------------------------------------------------------------
@@ -338,8 +326,9 @@ def monet_unit(x: Tensor, s_left: Tensor, s_right: Tensor, p: MoNetParams) -> Mo
 # sequence i at step t.  The expansion and convolution runners read only the
 # previous pass's (or stage's) outputs, so they run each pass over every
 # position at once, and a shift by N rows is a shift by one time step that
-# never crosses sequences.  The recurrent runners run each layer, its input
-# projections included, as one ``recurrent`` node.
+# never crosses sequences.  ``_scan_stacks`` runs each recurrent layer, its
+# input projections included, as one ``recurrent`` node.  A model's input
+# is checked once, in ``Hallucinator._rows``.
 
 def _time_major(xs: list[Tensor]) -> tuple[Tensor, int]:
     """Per-timestep (N, d) inputs as one (T*N, d) matrix, plus N."""
@@ -374,19 +363,6 @@ def _scan_stacks(X: Tensor, n: int, stacks: list[list], family: str,
         outs = recurrent(family, X, Ws, bs, [zero] * (n_states * len(flags)), Us, flags)
         X = list(outs[::n_states]) if isinstance(outs, tuple) else [outs]
     return X
-
-
-def stacked_steps(X: Tensor, n: int, layer_params: list, family: str) -> Tensor:
-    """A stack of causal cells over a time-major (T*n, d) matrix, returning
-    the top layer's states as a time-major (T*n, d_s) matrix."""
-    return _scan_stacks(X, n, [layer_params], family, (False,))[0]
-
-
-def bidir_steps(X: Tensor, n: int, p: BidirParams, family: str) -> Tensor:
-    """Independent left-to-right and right-to-left stacks over a time-major
-    (T*n, d) matrix, merged by summing the two projected states."""
-    fwd, bwd = _scan_stacks(X, n, [p.fwd, p.bwd], family.removeprefix("bi-"), (False, True))
-    return affine(((fwd, p.proj_fwd), (bwd, p.proj_bwd)), p.b_out)
 
 
 def _conv1d_rows(X: Tensor, n: int, p: Conv1dParams, causal_only: bool) -> Tensor:
@@ -432,25 +408,41 @@ class Hallucinator:
 
     @classmethod
     def build(cls, config: CellConfig, rng: np.random.Generator) -> "Hallucinator":
-        params = init_params(config, rng)
+        """Fresh parameters for ``config``, drawn in checkpoint order."""
+        config.validate()  # before the dispatch, whose last branch is monet
+        c = config
+        if c.family in _CELLS:
+            params = _init_stack(c.family, c.d_x, c.d_s, c.layers, rng)
+        elif c.family in ("bi-gru", "bi-lstm"):
+            params = init_bidir(c.family, c.d_x, c.d_s, c.layers, rng)
+        elif c.family == "conv1d":
+            params = init_conv1d(c.d_x, c.d_s, c.layers, c.kernel, rng)
+        else:
+            params = init_monet(c.d_x, c.d_s, rng)
         readout = None
-        if config.out_dim is not None and config.out_dim != config.d_s:
-            w = 1.0 / math.sqrt(config.d_s)
-            readout = LinearReadout(W=_weight(rng, (config.d_s, config.out_dim), w),
-                                    b=_bias(rng, config.out_dim))
-        return cls(config, params, readout)
+        if c.out_dim is not None and c.out_dim != c.d_s:
+            w = 1.0 / math.sqrt(c.d_s)
+            readout = LinearReadout(W=_weight(rng, (c.d_s, c.out_dim), w), b=_bias(rng, c.out_dim))
+        return cls(c, params, readout)
 
     def _rows(self, X: Tensor, n: int) -> Tensor:
-        """A time-major (T*n, d_x) matrix in, (T*n, output_dim) out."""
-        c = self.config
+        """A time-major (T*n, d_x) matrix in, (T*n, output_dim) out: the
+        one entry of every family, and the one check of its input.  A
+        bidirectional model sums its two stacks' projected top states."""
+        c, p = self.config, self.params
+        if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] != c.d_x:
+            raise ShapeError(f"model input: need (rows, d_x={c.d_x}) with rows >= 1, "
+                             f"got {X.shape}")
         if c.family == "monet":
-            out = _monet_rows(X, n, self.params, c.layers, c.causal_only)
+            out = _monet_rows(X, n, p, c.layers, c.causal_only)
         elif c.family == "conv1d":
-            out = _conv1d_rows(X, n, self.params, c.causal_only)
-        elif c.family in ("bi-gru", "bi-lstm"):
-            out = bidir_steps(X, n, self.params, c.family)
+            out = _conv1d_rows(X, n, p, c.causal_only)
+        elif c.family in _CELLS:
+            out = _scan_stacks(X, n, [p], c.family, (False,))[0]
         else:
-            out = stacked_steps(X, n, self.params, c.family)
+            fwd, bwd = _scan_stacks(X, n, [p.fwd, p.bwd], c.family.removeprefix("bi-"),
+                                    (False, True))
+            out = affine(((fwd, p.proj_fwd), (bwd, p.proj_bwd)), p.b_out)
         if self.readout is not None:
             out = affine(((out, self.readout.W),), self.readout.b)
         return out
@@ -463,8 +455,6 @@ class Hallucinator:
     def forward(self, X: Tensor) -> Tensor:
         """(T, d_x) sequence in, (T, output_dim) sequence out.  One sequence
         is already the time-major matrix of a batch of one."""
-        if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] != self.config.d_x:
-            raise ShapeError(f"forward: need (T, {self.config.d_x}) with T >= 1, got {X.shape}")
         return self._rows(X, 1)
 
     def tensors(self) -> list[Tensor]:

@@ -33,7 +33,7 @@ from .data import (Dataset, FeatureRecord, SyntheticTaskSpec, dataset_manifest,
                    generate_synthetic, read_dataset, write_dataset, write_manifest)
 from .gradcheck import check_family
 from .training import (LossConfig, TrainConfig, TrainingDiverged, evaluate,
-                       hallucinate_array, records_arrays, train)
+                       hallucinate_array, train)
 
 
 class UsageError(ValueError):
@@ -334,8 +334,7 @@ def cmd_eval(args) -> int:
 
 def cmd_hallucinate(args) -> int:
     model, records = _model_and_records(args)
-    app, _, _ = records_arrays(records)
-    halluc = hallucinate_array(model, app)
+    halluc = hallucinate_array(model, np.stack([r.appearance for r in records]))
     out_records = [FeatureRecord(id=r.id, label=r.label, appearance=r.appearance,
                                  flow_target=halluc[i])
                    for i, r in enumerate(records)]

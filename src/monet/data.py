@@ -174,12 +174,15 @@ def generate_synthetic(spec: SyntheticTaskSpec) -> tuple[list[FeatureRecord], li
     records = []
     for i in range(spec.n_train + spec.n_val):
         label = i % spec.n_classes
+        transition, drift = structure.transition[label], structure.drift[label]
         x = np.empty((spec.seq_len, spec.d_x))
         state = rng.normal(0.0, INIT_SIGMA, spec.d_x)
+        # One drive row per step, the last feeding no frame, drawn at once:
+        # the generator fills it in the order of one draw per step.
+        drive = rng.normal(0.0, DRIVE_SIGMA, (spec.seq_len, spec.d_x))
         for t in range(spec.seq_len):
             x[t] = state
-            state = state @ structure.transition[label] + structure.drift[label] \
-                + rng.normal(0.0, DRIVE_SIGMA, spec.d_x)
+            state = state @ transition + drift + drive[t]
         flow = clean_targets(x, label, structure) \
             + rng.normal(0.0, spec.noise_sigma, (spec.seq_len, spec.d_s))
         records.append(FeatureRecord(id=f"seq-{i:05d}", label=label,

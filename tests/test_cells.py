@@ -3,7 +3,6 @@ and checkpoint round trips."""
 
 import dataclasses
 import hashlib
-import io
 import math
 import os
 
@@ -485,6 +484,31 @@ def test_forward_runs_the_sequence_as_it_is(family):
     assert ("concat", 0) not in direct
 
 
+@pytest.mark.parametrize("bad", [(4, 2), (4, 5), (3,), (0, 3), (2, 3, 1)],
+                         ids=["narrow", "wide", "1-D", "no-steps", "3-D"])
+def test_a_bad_input_fails_alike_at_both_entries_of_every_family(bad):
+    """``forward`` and ``forward_steps`` enter every family through one
+    check: the same input raises the same ``ShapeError`` whichever entry and
+    family takes it, naming d_x and the shape received.  As one step,
+    ``forward``'s input is the same matrix; two steps join to another."""
+    x = Tensor(np.ones(bad))
+    joined = np.concatenate([x.data, x.data]).shape
+    texts = {bad: set(), joined: set()}
+    for family in FAMILIES:
+        model = Hallucinator.build(CellConfig(family=family, d_x=3, d_s=4, layers=2),
+                                   np.random.default_rng(0))
+        for shape, run in ((bad, lambda: model.forward(x)),
+                           (bad, lambda: model.forward_steps([x])),
+                           (joined, lambda: model.forward_steps([x, x]))):
+            with pytest.raises(ShapeError) as exc:
+                run()
+            texts[shape].add(str(exc.value))
+    for shape, seen in texts.items():
+        assert len(seen) == 1, seen
+        text = seen.pop()
+        assert "d_x=3" in text and str(shape) in text, text
+
+
 # -- Bidirectional wrappers -------------------------------------------------
 
 def test_bidir_zero_backward_params_equals_forward_branch():
@@ -495,8 +519,7 @@ def test_bidir_zero_backward_params_equals_forward_branch():
     X = Tensor(rng.uniform(-1, 1, (6, 3)))
     out = Hallucinator(CellConfig(family="bi-gru", d_x=3, d_s=4), p).forward(X)
 
-    from monet.cells import stacked_steps
-    fwd = stacked_steps(X, 1, p.fwd, "gru")  # one sequence: already time-major
+    fwd = Hallucinator(CellConfig(family="gru", d_x=3, d_s=4), p.fwd).forward(X)
     expected = affine([(fwd, p.proj_fwd)], p.b_out).data
     np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-15)
 
@@ -942,41 +965,6 @@ def test_checkpoint_non_finite_weight_is_format_error(tmp_path):
         Hallucinator.load(path)
 
 
-class _ShortReads(io.RawIOBase):
-    """A file that hands over at most ``n`` bytes per read, as a pipe or a
-    network file system may; ``sizes`` records what each read returned."""
-
-    def __init__(self, path, n):
-        self.file = open(path, "rb", buffering=0)
-        self.n = n
-        self.sizes = []
-
-    def readable(self):
-        return True
-
-    def readinto(self, b):
-        got = self.file.readinto(memoryview(b)[:self.n])
-        self.sizes.append(got)
-        return got
-
-    def close(self):
-        self.file.close()
-        super().close()
-
-
-def _open_in_short_reads(monkeypatch, module, n):
-    """Make ``module`` open every file as ``_ShortReads`` of ``n`` bytes;
-    returns the list of files it opened."""
-    opened = []
-
-    def short_open(path, mode="r", buffering=-1):
-        opened.append(_ShortReads(path, n))
-        return opened[-1]
-
-    monkeypatch.setattr(module + ".open", short_open, raising=False)
-    return opened
-
-
 def test_checkpoint_loads_alike_through_a_pipe(tmp_path):
     model = Hallucinator.build(CellConfig(family="bi-lstm", d_x=5, d_s=4, layers=2, out_dim=3),
                                np.random.default_rng(1))
@@ -1006,13 +994,14 @@ def test_checkpoint_load_checks_the_sha256_of_the_bytes_it_parses(tmp_path):
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
-def test_checkpoint_arrays_straddling_a_short_read_load_identically(tmp_path, monkeypatch,
+def test_checkpoint_arrays_straddling_a_short_read_load_identically(tmp_path,
+                                                                     open_in_short_reads,
                                                                      block):
     model = Hallucinator.build(CellConfig(family="bi-lstm", d_x=5, d_s=4, layers=2, out_dim=3),
                                np.random.default_rng(1))
     path = str(tmp_path / "m.monw")
     model.save(path)
-    opened = _open_in_short_reads(monkeypatch, "monet.cells", block)
+    opened = open_in_short_reads("monet.cells", block)
     loaded = Hallucinator.load(path)
     assert len(opened) == 1 and max(opened[0].sizes) == block
     assert loaded.config == model.config

@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import io
 import json
 import os
 import tracemalloc
@@ -15,9 +14,10 @@ import pytest
 from monet.binio import (BadMagicError, DigestError, FormatError,
                          TruncatedError, VersionError)
 from monet.classify import classify, fit_linear_classifier, pooled_matrix
-from monet.data import (FeatureRecord, SyntheticTaskSpec, clean_targets,
-                        dataset_manifest, generate_synthetic, read_dataset,
-                        split, task_structure, write_dataset, write_manifest)
+from monet.data import (DRIVE_SIGMA, INIT_SIGMA, FeatureRecord, SyntheticTaskSpec,
+                        clean_targets, dataset_manifest, generate_synthetic,
+                        read_dataset, split, task_structure, write_dataset,
+                        write_manifest)
 
 
 def small_spec(**overrides):
@@ -81,6 +81,41 @@ def test_generation_is_bit_identical_across_runs():
             assert ra.id == rb.id and ra.label == rb.label
             assert np.array_equal(ra.appearance, rb.appearance)
             assert np.array_equal(ra.flow_target, rb.flow_target)
+
+
+def _generate_one_drive_draw_per_step(spec):
+    """The generator as it once was, drawing each step's drive on its own:
+    the draw order every seed's dataset is pinned to."""
+    rng = np.random.default_rng(spec.seed)
+    structure = task_structure(spec, rng)
+    records = []
+    for i in range(spec.n_train + spec.n_val):
+        label = i % spec.n_classes
+        x = np.empty((spec.seq_len, spec.d_x))
+        state = rng.normal(0.0, INIT_SIGMA, spec.d_x)
+        for t in range(spec.seq_len):
+            x[t] = state
+            state = state @ structure.transition[label] + structure.drift[label] \
+                + rng.normal(0.0, DRIVE_SIGMA, spec.d_x)
+        flow = clean_targets(x, label, structure) \
+            + rng.normal(0.0, spec.noise_sigma, (spec.seq_len, spec.d_s))
+        records.append((f"seq-{i:05d}", label, x, flow))
+    return records
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"d_x": 1}, {"seq_len": 1}, {"n_train": 0}, {"noise_sigma": 0.0},
+    {"seed": 2**31 - 2},
+    {"n_classes": 8, "seq_len": 20, "d_x": 16, "d_s": 16, "n_train": 48, "n_val": 16}])
+def test_generation_matches_one_drive_draw_per_step_bit_for_bit(overrides):
+    spec = small_spec(**overrides)
+    train, val = generate_synthetic(spec)
+    expected = _generate_one_drive_draw_per_step(spec)
+    assert len(train) == spec.n_train and len(train + val) == len(expected)
+    for rec, (rid, label, x, flow) in zip(train + val, expected):
+        assert (rec.id, rec.label) == (rid, label)
+        assert rec.appearance.tobytes() == x.tobytes()
+        assert rec.flow_target.tobytes() == flow.tobytes()
 
 
 def test_targets_match_brute_force_recomputation():
@@ -287,41 +322,6 @@ def test_mixed_shapes_rejected_at_write(tmp_path):
         write_dataset(str(tmp_path / "d.mofe"), records)
 
 
-class _ShortReads(io.RawIOBase):
-    """A file that hands over at most ``n`` bytes per read, as a pipe or a
-    network file system may; ``sizes`` records what each read returned."""
-
-    def __init__(self, path, n):
-        self.file = open(path, "rb", buffering=0)
-        self.n = n
-        self.sizes = []
-
-    def readable(self):
-        return True
-
-    def readinto(self, b):
-        got = self.file.readinto(memoryview(b)[:self.n])
-        self.sizes.append(got)
-        return got
-
-    def close(self):
-        self.file.close()
-        super().close()
-
-
-def _open_in_short_reads(monkeypatch, module, n):
-    """Make ``module`` open every file as ``_ShortReads`` of ``n`` bytes;
-    returns the list of files it opened."""
-    opened = []
-
-    def short_open(path, mode="r", buffering=-1):
-        opened.append(_ShortReads(path, n))
-        return opened[-1]
-
-    monkeypatch.setattr(module + ".open", short_open, raising=False)
-    return opened
-
-
 def _unlike_ids():
     """Records whose ids differ in byte length, one of them non-ASCII."""
     rng = np.random.default_rng(5)
@@ -363,13 +363,14 @@ def test_a_dataset_reads_alike_through_a_pipe(tmp_path):
 
 
 @pytest.mark.parametrize("block", [1, 5, 16, 61, 100])
-def test_records_straddling_a_short_read_read_identically(tmp_path, monkeypatch, block):
+def test_records_straddling_a_short_read_read_identically(tmp_path, open_in_short_reads,
+                                                           block):
     """Handed over at most ``block`` bytes per read, so that fields cross
     read boundaries, a file reads as it does from a single read."""
     paths = [write_small(tmp_path)[0], str(tmp_path / "unlike.mofe")]
     write_dataset(paths[1], _unlike_ids(), n_classes=3)
     whole = [read_dataset(p) for p in paths]
-    opened = _open_in_short_reads(monkeypatch, "monet.data", block)
+    opened = open_in_short_reads("monet.data", block)
     for p, records in zip(paths, whole):
         assert _same_records(read_dataset(p), records)
     assert len(opened) == 2 and [max(f.sizes) for f in opened] == [block] * 2
