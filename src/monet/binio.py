@@ -24,10 +24,6 @@ import numpy as np
 
 U32_MAX = 0xFFFFFFFF
 
-# A cut-short field longer than this is reported with the bytes left in the
-# file, a shorter one with the bytes it got.
-_SHORT_FIELD = 1 << 16
-
 
 class FormatError(ValueError):
     """Base class for binary format violations."""
@@ -118,9 +114,7 @@ class BlockReader:
     def take(self, n: int, what: str, *args) -> int:
         p = self.pos
         if p + n > self.end:
-            left = self.end - p
-            got = f"{left} left in the file" if n > _SHORT_FIELD else f"got {left}"
-            raise TruncatedError(f"expected {n} bytes for {what.format(*args)}, {got}")
+            self.require(n, what.format(*args))
         self.pos = p + n
         return p
 

@@ -458,10 +458,7 @@ class Hallucinator:
         return self._rows(X, 1)
 
     def tensors(self) -> list[Tensor]:
-        out = collect_tensors(self.params)
-        if self.readout is not None:
-            collect_tensors(self.readout, out)
-        return out
+        return collect_tensors([self.params, self.readout])
 
     # -- checkpoint round trip ---------------------------------------------
 

@@ -983,16 +983,9 @@ def _sweep(tape: Tape, seeds: dict[Tensor, np.ndarray]) -> dict[Tensor, np.ndarr
     acc = dict(seeds)
     get = acc.get
     for node in reversed(tape.nodes):
-        outputs = node.outputs
-        if len(outputs) == 1:
-            g = get(outputs[0])
-            if g is None:
-                continue
-            gs = (g,)
-        else:
-            gs = tuple(get(t) for t in outputs)
-            if all(g is None for g in gs):
-                continue
+        gs = tuple(get(t) for t in node.outputs)
+        if all(g is None for g in gs):
+            continue
         in_grads = BACKWARD_RULES[node.op](node, gs)
         for t, g in zip(node.inputs, in_grads):
             if g is None or not t.requires_grad:

@@ -113,9 +113,6 @@ def hallucination_loss(predicted, target, pred_probs: Tensor | None,
     if not isinstance(predicted, Tensor) and not isinstance(target, Tensor):
         if len(predicted) != len(target):
             raise ValueError(f"sequence lengths differ: {len(predicted)} vs {len(target)}")
-        for p, t in zip(predicted, target):
-            if p.shape != t.shape:
-                raise ValueError(f"feature shapes differ: {p.shape} vs {t.shape}")
     pred, tgt = _as_matrix(predicted), _as_matrix(target)
     if pred.shape != tgt.shape:
         raise ValueError(f"feature shapes differ: {pred.shape} vs {tgt.shape}")

@@ -134,6 +134,33 @@ def test_lstm_gradient_matches_finite_differences():
     assert relative_error(leaf.grad, finite_diff_grad(f, Tensor(leaf.data.copy()))) < 1e-5
 
 
+def test_sweep_skips_an_lstm_step_the_loss_never_reads():
+    """A recorded ``lstm_step`` whose two outputs the loss never reads is
+    skipped by the reverse sweep: its parameters get no gradient, and every
+    other gradient is the one from a tape without that step, bit for bit."""
+    rng = np.random.default_rng(5)
+    model = Hallucinator.build(CellConfig(family="gru", d_x=3, d_s=4, layers=2), rng)
+    unread = init_cell("lstm", 3, 4, rng)
+    xs = [Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(5)]
+    state = (Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))))
+    leaves = model.tensors() + xs
+    runs = []
+    for with_unread in (True, False):
+        for t in leaves + collect_tensors(unread):
+            t.zero_grad()
+        with Tape() as tape:
+            if with_unread:
+                lstm_step(xs[0], state, unread)
+            out = model.forward_steps(xs)
+            loss = tsum(mul(out, out))
+        assert len(tape.nodes[0].outputs) == (2 if with_unread else 1)
+        tape.backward(loss)
+        assert all(t.grad is None for t in collect_tensors(unread))
+        runs.append([t.grad for t in leaves])
+    for with_unread, without in zip(*runs):
+        assert without is not None and np.array_equal(with_unread, without)
+
+
 # -- MoNet unit -------------------------------------------------------------
 
 def test_monet_unit_zero_params_zero_neighbors():
@@ -144,6 +171,15 @@ def test_monet_unit_zero_params_zero_neighbors():
     np.testing.assert_array_equal(trace.mix_right.data, np.full((1, 4), 0.5))
     np.testing.assert_array_equal(trace.candidate.data, np.zeros((1, 4)))
     np.testing.assert_array_equal(trace.out.data, np.zeros((1, 4)))
+
+
+def test_monet_unit_rejects_inputs_not_2d_or_of_unlike_rows():
+    p = zero_monet(3, 4)
+    s = Tensor(np.zeros((2, 4)))
+    with pytest.raises(ShapeError, match="need 2-D inputs"):
+        monet_unit(Tensor(np.ones(3)), s, s, p)
+    with pytest.raises(ShapeError, match="row counts and state dims must agree"):
+        monet_unit(Tensor(np.ones((3, 3))), s, s, p)
 
 
 def test_monet_unit_saturated_mix_gates_closed_form_weights():
@@ -782,6 +818,11 @@ def test_cost_model_golden_values(family, out_dim, step, seq, params):
     assert count_params(cfg) == params
 
 
+def test_cost_model_rejects_an_empty_sequence():
+    with pytest.raises(ValueError, match="seq_len must be >= 1, got 0"):
+        flops_per_sequence(CellConfig(family="monet", d_x=5, d_s=4), 0)
+
+
 def test_match_params_finds_gru_width_for_wide_monet():
     ref = CellConfig(family="monet", d_x=64, d_s=64, layers=3)
     result = match_params(ref, "gru")
@@ -826,6 +867,18 @@ def test_cell_config_bounds_the_u32_header_fields(field):
     CellConfig(**dict(base, **{field: 2**32 - 1})).validate()
     with pytest.raises(ValueError, match=field):
         CellConfig(**dict(base, **{field: 2**32})).validate()
+
+
+def test_a_readout_is_required_when_out_dim_differs_from_d_s():
+    cfg = CellConfig(family="gru", d_x=4, d_s=4, out_dim=5)
+    params = Hallucinator.build(cfg, np.random.default_rng(0)).params
+    with pytest.raises(ValueError, match="no readout given"):
+        Hallucinator(cfg, params)
+
+
+def test_collect_tensors_rejects_a_non_container():
+    with pytest.raises(TypeError, match="cannot collect tensors from str"):
+        collect_tensors("x")
 
 
 # -- Checkpoint round trip --------------------------------------------------

@@ -9,6 +9,7 @@ import math
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import threading
@@ -197,6 +198,25 @@ def test_train_config_section_that_is_not_an_object_is_invalid_input(tmp_path, c
     code, out, err = run(capsys, "train", "--config", write_json(tmp_path / "c.json", config))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {what} must be a JSON object") and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("edit,argv,text", [
+    ({"epochs": 3}, (), "experiment config: unknown key(s) ['epochs']; allowed: "),
+    ({"out_dir": None}, (), "experiment config: missing required key 'out_dir'"),
+    ({}, ("--epochs", "-1"), "--epochs must be >= 0, got -1"),
+], ids=["unknown-key", "no-out_dir", "negative-epochs"])
+def test_train_call_outside_the_experiment_contract_is_invalid_input(tmp_path, capsys,
+                                                                    edit, argv, text):
+    """An unknown top-level key, a missing ``out_dir`` (``None`` drops the
+    key) and a negative ``--epochs`` each exit 2; nothing is written."""
+    base = {"task": TASK, "cell": {"family": "monet", "d_x": 6, "d_s": 4},
+            "out_dir": str(tmp_path / "run")}
+    config = {k: v for k, v in {**base, **edit}.items() if v is not None}
+    code, out, err = run(capsys, "train", "--config",
+                         write_json(tmp_path / "c.json", config), *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {text}")
     assert not (tmp_path / "run").exists()
 
 
@@ -536,7 +556,8 @@ def _eval_with(run_dir, capsys, teacher=None, appearance=None, extra=()):
     {"W": [["a", "b"]], "b": [0.0]},
     {"W": [[1.0, 2.0], [3.0]], "b": [0.0, 0.0]},
     {"W": [[1.0, None]], "b": [0.0]},
-], ids=["non-numeric", "ragged", "non-finite"])
+    {"W": [[1.0]], "b": [0.0], "c": [0.0]},
+], ids=["non-numeric", "ragged", "non-finite", "key-beyond-W-and-b"])
 def test_eval_malformed_classifier_is_invalid_input(trained_dir, capsys, tmp_path, payload):
     bad = write_json(tmp_path / "bad.json", payload)
     code, out, err = _eval_with(trained_dir / "run", capsys, teacher=bad)
@@ -590,15 +611,36 @@ def test_zero_length_sequences_are_runtime_failure(trained_dir, capsys, tmp_path
     assert not (tmp_path / "h.mofe").exists()
 
 
+@pytest.mark.parametrize("records,text", [
+    ([], "dataset holds no records"),
+    ([FeatureRecord(id="r0", label=0, appearance=np.zeros((8, 5)),
+                    flow_target=np.zeros((8, 4)))],
+     "checkpoint expects d_x=6 but data has d_x=5"),
+], ids=["no-records", "other-d_x"])
+def test_eval_on_data_the_model_cannot_run_is_runtime_failure(trained_dir, capsys, tmp_path,
+                                                              records, text):
+    path = tmp_path / "d.mofe"
+    write_dataset(str(path), records, n_classes=3)
+    code, out, err = run(capsys, "eval", "--checkpoint",
+                         str(trained_dir / "run" / "checkpoint.monw"), "--data", str(path))
+    assert code == 1 and out == ""
+    assert err == f"failed: {text}\n"
+
+
 # Byte patches that damage one field: (file, offset, bytes, error text).  A
 # .mofe record id starts after the 28-byte header and its 4-byte length (16
 # and 20 hold the sequence length and appearance dim); a .monw family tag
-# starts after magic, version and the tag length.
+# starts after magic, version and the tag length; after the 5-byte tag
+# "monet" and six u32 header fields, its first weight array's rank is at 41
+# and its (6, 4) dims at 45.
 DAMAGED_FILES = {
     "mofe-id-not-utf8": ("val.mofe", 32, b"\xff", "record 0 id is not valid UTF-8"),
     "mofe-lengths-beyond-file": ("val.mofe", 16, b"\xff" * 8, "left in the file"),
     "monw-tag-not-utf8": ("checkpoint.monw", 12, b"\xff", "family tag is not valid UTF-8"),
     "monw-unknown-family": ("checkpoint.monw", 12, b"gruuu", "unknown family 'gruuu'"),
+    "monw-weight-dims-swapped": ("checkpoint.monw", 45, struct.pack("<2I", 4, 6),
+                                 "weight shape mismatch: file has (4, 6), config needs (6, 4)"),
+    "monw-rank-9": ("checkpoint.monw", 41, struct.pack("<I", 9), "implausible rank 9"),
 }
 
 

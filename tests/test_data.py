@@ -243,6 +243,25 @@ def test_truncated_payload_is_a_distinct_error(tmp_path):
         read_dataset(path)
 
 
+def test_a_field_cut_short_names_the_bytes_left_in_the_file(tmp_path):
+    """A file cut 2 bytes into record 0's label reports those 2 bytes."""
+    path, records = write_small(tmp_path)
+    label_at = 28 + 4 + len(records[0].id.encode())
+    raw = open(path, "rb").read()
+    open(path, "wb").write(raw[:label_at + 2])
+    with pytest.raises(TruncatedError) as e:
+        read_dataset(path)
+    assert str(e.value) == "expected 4 bytes for record 0 label, 2 left in the file"
+
+
+def test_a_class_count_beyond_u32_writes_no_file(tmp_path):
+    path = tmp_path / "d.mofe"
+    records, _ = generate_synthetic(small_spec(n_train=2, n_val=0))
+    with pytest.raises(FormatError, match="u32 out of range"):
+        write_dataset(str(path), records, n_classes=2**32)
+    assert not path.exists()
+
+
 def test_trailing_bytes_rejected(tmp_path):
     path, _ = write_small(tmp_path)
     with open(path, "ab") as f:

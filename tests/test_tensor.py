@@ -332,6 +332,11 @@ def test_backward_rejects_nonscalar_loss():
         tape.backward(y)
 
 
+def test_item_needs_a_single_element():
+    with pytest.raises(GradientError, match=r"single-element tensor, got shape \(2,\)"):
+        Tensor(np.zeros(2)).item()
+
+
 def test_backward_accumulates_until_cleared():
     x = Tensor([2.0], requires_grad=True)
     with Tape() as tape:
@@ -356,6 +361,9 @@ def test_backward_leaf_loss_gets_unit_gradient():
     tape.backward(x)
     np.testing.assert_array_equal(x.grad, [1.0])
     assert y.grad is None
+    constant = Tensor([2.0])
+    tape.backward(constant)
+    assert constant.grad is None
 
 
 def test_backward_gives_each_input_its_own_array():
@@ -853,6 +861,9 @@ def test_operator_sugar():
     np.testing.assert_array_equal((a - b).data, [-2.0, -2.0])
     np.testing.assert_array_equal((a * b).data, [3.0, 8.0])
     np.testing.assert_array_equal((2.0 * a).data, [2.0, 4.0])
+    np.testing.assert_array_equal((a * 2).data, [2.0, 4.0])
+    with pytest.raises(TypeError):
+        "ab" * a
     np.testing.assert_array_equal((-a).data, [-1.0, -2.0])
     m = Tensor([[1.0, 0.0], [0.0, 1.0]])
     np.testing.assert_array_equal((m @ m).data, m.data)

@@ -161,6 +161,19 @@ def test_loss_contract_errors():
     ragged = [a, Tensor(np.zeros((2, 2)))]
     with pytest.raises(ShapeError, match="all of one shape"):
         hallucination_loss(ragged, ragged, None, None, LossConfig(alpha=0.0))
+    # Uniform step lists of one length are equal as matrices exactly when
+    # their steps are, so the matrix check catches a step-shape mismatch.
+    wide, narrow = [Tensor(np.zeros((2, 3)))] * 2, [Tensor(np.zeros((2, 2)))] * 2
+    with pytest.raises(ValueError, match=r"shapes differ: \(4, 3\) vs \(4, 2\)"):
+        hallucination_loss(wide, narrow, None, None, LossConfig(alpha=0.0))
+    with pytest.raises(ShapeError, match="all of one shape"):
+        hallucination_loss(narrow, ragged, None, None, LossConfig(alpha=0.0))
+    with pytest.raises(ShapeError, match="all of one shape"):
+        hallucination_loss(ragged, narrow, None, None, LossConfig(alpha=0.0))
+    with pytest.raises(ValueError, match=r"probability shapes differ: \(2, 3\) vs \(1, 3\)"):
+        hallucination_loss(a, a, Tensor(np.full((2, 3), 1 / 3)),
+                           Tensor(np.full((1, 3), 1 / 3)),
+                           LossConfig(alpha=1.0, classifier="frozen"))
     with pytest.raises(ValueError, match="probability"):
         hallucination_loss(a, a, Tensor(np.array([[0.7, 0.7]])),
                            Tensor(np.array([[0.5, 0.5]])),
@@ -434,6 +447,11 @@ def test_evaluate_teacher_probs_are_the_per_sequence_classification():
     labels = np.array([r.label for r in va])
     assert result.top1 == float(np.mean(np.argmax(expected, axis=1) == labels))
     assert evaluate(fresh_model(), va).teacher_probs is None
+
+
+def test_records_arrays_needs_a_record():
+    with pytest.raises(ValueError, match="no records"):
+        records_arrays([])
 
 
 def test_evaluate_rejects_dim_mismatch():
