@@ -2,8 +2,9 @@
 (``perfbench/tracing.py``).  Renaming or deleting one of them would break
 only the traced benchmark, so this runs a tiny traced training epoch and a
 traced ``monet eval`` and checks that the spans the per-layer split reads
-were recorded, with the dataset read sized by its path, also when both
-inputs have sidecars and are checked against them."""
+were recorded: one clip and one optimizer span per training batch, and the
+dataset read sized by its path, also when both inputs have sidecars and are
+checked against them."""
 
 import hashlib
 import os
@@ -57,6 +58,9 @@ def test_traced_training_and_eval_record_every_layer_span(tmp_path):
     for span in ("cells.forward", "training.class_probs", "tensor.backward", "cli.eval",
                  "cells.checkpoint_load"):
         assert span in names, span
+    # 8 training records in batches of 4: one clip and one optimizer step per batch
+    for span in ("training.clip", "training.optimizer"):
+        assert [s.name for s in tracer.spans].count(span) == 2, span
     reads = [s.info for s in tracer.spans if s.name == "data.read"]
     assert reads == [{"bytes": os.path.getsize(tmp_path / "val.mofe")}]
     assert (tmp_path / "fused.csv").exists()

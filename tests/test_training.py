@@ -1,5 +1,6 @@
 """Objective, clipping, schedule, optimizers, and the epoch loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,10 +11,11 @@ from monet.classify import (_np_softmax, class_probabilities_steps, classify,
                             fit_linear_classifier, pooled_matrix)
 from monet.data import SyntheticTaskSpec, generate_synthetic
 from monet.tensor import ShapeError, Tape, Tensor, _sweep
-from monet.training import (Adam, LossConfig, Sgd, TrainConfig, TrainReport,
-                            TrainingDiverged, clip_global_norm, evaluate,
-                            global_norm, hallucinate_array,
-                            hallucination_loss, lr_at, records_arrays, train)
+from monet.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam, LossConfig, Sgd,
+                            TrainConfig, TrainReport, TrainingDiverged,
+                            clip_global_norm, evaluate, global_norm,
+                            hallucinate_array, hallucination_loss, lr_at,
+                            records_arrays, train)
 
 
 def small_task(**overrides):
@@ -222,8 +224,9 @@ def test_clip_leaves_non_finite_gradients_for_the_caller():
 
 
 def test_clip_rejects_nonpositive_max():
-    with pytest.raises(ValueError):
-        clip_global_norm([np.ones(2)], 0.0)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="max_norm"):
+            clip_global_norm([np.array([3.0, 4.0])], bad)
 
 
 # -- Optimizers --------------------------------------------------------------
@@ -241,6 +244,103 @@ def test_adam_step_descends_quadratic_bowl():
     before = float(np.sum(w.data ** 2))
     Adam().step([w], [2.0 * w.data], lr=0.01)
     assert float(np.sum(w.data ** 2)) < before
+
+
+class LoopSgd:
+    """The per-tensor SGD update the flat one must reproduce bit for bit."""
+
+    def step(self, params, grads, lr):
+        for p, g in zip(params, grads):
+            p.data = p.data - lr * g
+
+
+class LoopAdam:
+    """The per-tensor Adam update the flat one must reproduce bit for bit."""
+
+    def __init__(self):
+        self.m = self.v = None
+        self.t = 0
+
+    def step(self, params, grads, lr):
+        if self.m is None:
+            self.m = [np.zeros_like(p.data) for p in params]
+            self.v = [np.zeros_like(p.data) for p in params]
+        self.t += 1
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        for i, (p, g) in enumerate(zip(params, grads)):
+            self.m[i] = b1 * self.m[i] + (1 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1 - b2) * (g * g)
+            m_hat = self.m[i] / (1 - b1 ** self.t)
+            v_hat = self.v[i] / (1 - b2 ** self.t)
+            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+OPTIMIZERS = {"sgd": (Sgd, LoopSgd), "adam": (Adam, LoopAdam)}
+
+
+@pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+def test_flat_step_matches_the_per_tensor_loop_and_never_writes_through(name):
+    """Three steps, with one parameter rebound from outside between the
+    second and the third: the flat optimizer reads it afresh, gives every
+    value the loop gives, and leaves each array it was handed as it was."""
+    flat, loop = (cls() for cls in OPTIMIZERS[name])
+    rng = np.random.default_rng(5)
+    shapes = [(3, 4), (4,), (), (2, 1, 3)]
+    start = [rng.normal(size=s) for s in shapes]
+    ours = [Tensor(a.copy(), requires_grad=True) for a in start]
+    ref = [Tensor(a.copy(), requires_grad=True) for a in start]
+    handed = []
+    for k in range(3):
+        if k == 2:
+            ours[1].data = ref[1].data = rng.normal(size=(4,))
+        grads = [rng.normal(size=s) for s in shapes]
+        handed += [(t.data, t.data.copy()) for t in ours] + [(g, g.copy()) for g in grads]
+        flat.step(ours, grads, 0.1)
+        loop.step(ref, grads, 0.1)
+        for a, b in zip(ours, ref):
+            assert a.shape == b.shape and np.array_equal(a.data, b.data)
+    for array, copy in handed:
+        assert np.array_equal(array, copy)
+
+
+@pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+def test_optimizer_rejects_gradients_that_do_not_fit_the_parameters(name):
+    opt = OPTIMIZERS[name][0]()
+    w = Tensor(np.ones((1, 3)), requires_grad=True)
+    b = Tensor(np.zeros(3), requires_grad=True)
+    with pytest.raises(ValueError, match="2 parameters but 1 gradients"):
+        opt.step([w, b], [np.ones((1, 3))], lr=0.1)
+    with pytest.raises(ValueError, match="gradient shapes"):
+        opt.step([w, b], [np.ones((4, 3)), np.ones(3)], lr=0.1)
+    assert w.data.shape == (1, 3) and np.array_equal(w.data, np.ones((1, 3)))
+    opt.step([w, b], [np.ones((1, 3)), np.ones(3)], lr=0.1)
+    with pytest.raises(ValueError, match="built for 2 parameters, got 3"):
+        opt.step([w, b, Tensor(np.ones(2))], [np.ones((1, 3)), np.ones(3), np.ones(2)], lr=0.1)
+    with pytest.raises(ValueError, match="parameter shapes"):
+        opt.step([Tensor(np.ones((3, 1))), b], [np.ones((3, 1)), np.ones(3)], lr=0.1)
+
+
+@pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+def test_training_matches_the_per_tensor_optimizer_bit_for_bit(monkeypatch, name):
+    """Two epochs of ``train`` give the same weights and report bytes with
+    the flat optimizer as with the per-tensor loop, with a clip norm that
+    fires in some batches and not in others."""
+    tr, va = small_task(n_train=16, n_val=8)
+    clf = teacher_for(tr, 4)
+    cfg = TrainConfig(lr=3e-3 if name == "adam" else 0.05, max_epochs=2, batch_size=4,
+                      clip_norm=3.0, optimizer=name, seed=0)
+    runs = []
+    for optimizer in OPTIMIZERS[name]:
+        monkeypatch.setattr("monet.training.make_optimizer", lambda _name: optimizer())
+        model = fresh_model(layers=2)
+        report = train(model, tr, va, cfg, LossConfig(alpha=10.0, classifier=clf))
+        runs.append((report.to_json(), [t.data for t in model.tensors()]))
+    (flat_json, flat_weights), (loop_json, loop_weights) = runs
+    assert flat_json == loop_json
+    for a, b in zip(flat_weights, loop_weights):
+        assert np.array_equal(a, b)
+    fractions = [e.clip_fraction for e in TrainReport.from_json(flat_json).epochs]
+    assert any(0 < f < 1 for f in fractions), fractions
 
 
 # -- Config validation -------------------------------------------------------
@@ -452,6 +552,20 @@ def test_evaluate_teacher_probs_are_the_per_sequence_classification():
 def test_records_arrays_needs_a_record():
     with pytest.raises(ValueError, match="no records"):
         records_arrays([])
+
+
+def test_records_arrays_stack_bit_for_bit_and_reject_mixed_shapes():
+    tr, _ = small_task(n_train=40, n_val=0)
+    app, flow, labels = records_arrays(tr)
+    for got, field in ((app, "appearance"), (flow, "flow_target")):
+        expected = np.stack([getattr(r, field) for r in tr])
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+    assert labels.tolist() == [r.label for r in tr]
+    for field, shape in (("appearance", (10, 7)), ("appearance", (9, 8)), ("flow_target", (10, 5))):
+        odd = dataclasses.replace(tr[3], **{field: np.zeros(shape)})
+        with pytest.raises(ValueError):
+            records_arrays(tr[:3] + [odd] + tr[4:])
 
 
 def test_evaluate_rejects_dim_mismatch():
